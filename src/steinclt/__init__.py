@@ -14,6 +14,7 @@ from .bounds import (
     IdentityReport,
     TBoundEntry,
     decomposition_check,
+    gap_table_with_lambda_f,
     identity_lhs,
     identity_rhs,
     lambda_f_estimate,

@@ -57,6 +57,7 @@ __all__ = [
     "master_bound_best",
     "theorem_bound_report",
     "lambda_f_estimate",
+    "gap_table_with_lambda_f",
     "DEFAULT_BOUND_EPS_GRID",
     "SLACK_FLOOR",
 ]
@@ -66,13 +67,6 @@ SLACK_FLOOR = 1e-3
 DEFAULT_BOUND_EPS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05)
 # cap on (quadrature nodes x atoms) temporaries inside identity_rhs
 _NODE_BUDGET = 4_000_000
-
-
-def row_label(row: ArrayRow) -> str:
-    family = row.meta.get("family", "explicit")
-    if family == "eta_alpha":
-        return f"eta_alpha(alpha={row.meta.get('alpha')!r}, n={row.n})"
-    return f"{family}(n={row.n}, N={row.dimension})"
 
 
 def identity_lhs(row: ArrayRow, t) -> complex:
@@ -153,7 +147,6 @@ def identity_rhs(
 class IdentityReport:
     """Both sides of the gap identity at one (row, t)."""
 
-    row_label: str
     n: int
     t: np.ndarray
     lhs: complex
@@ -172,7 +165,6 @@ def decomposition_check(
     rhs, err = identity_rhs(row, t, spec)
     residual = abs(lhs - rhs)
     return IdentityReport(
-        row_label=row_label(row),
         n=row.n,
         t=as_vector(t, row.dimension),
         lhs=lhs,
@@ -226,7 +218,6 @@ class BoundReport:
     rhs - lhs_gap must be nonnegative for every row, t and eps.
     """
 
-    row_label: str
     n: int
     dimension: int
     t: np.ndarray
@@ -255,7 +246,6 @@ def master_bound(row: ArrayRow, t, eps: float) -> BoundReport:
     rhs = term_eps + 2.0 * (term_same + term_indep) * envelope
     slack = rhs - lhs_gap
     return BoundReport(
-        row_label=row_label(row),
         n=row.n,
         dimension=row.dimension,
         t=t,
@@ -329,25 +319,35 @@ def _vector_grid(t_grid, dim: int, direction=None) -> list[np.ndarray]:
     return vectors
 
 
-def lambda_f_estimate(family, t_grid, n_grid, tail_window: int = 3, direction=None) -> float:
-    """Finite-grid estimate of sup_t limsup_n of the transform gap.
+def gap_table_with_lambda_f(
+    family, t_grid, n_grid, tail_window: int = 3, direction=None
+) -> tuple[np.ndarray, float]:
+    """Transform gaps on the (t, n) grid and the lambda_f estimate from them.
 
-    Max over the t-grid of the max over the trailing ``tail_window``
-    n-grid entries of the pointwise gap, clamped to [0, 2].  This is a
-    truncation of a sup/limsup: enlarging either grid can only reveal a
-    larger value, so treat the number as a lower estimate.
+    The table has one row per t-grid entry and one column per n-grid
+    entry.  lambda_f is the max of the trailing ``tail_window`` columns,
+    clamped to [0, 2]: a finite-grid truncation of sup_t limsup_n of the
+    gap.  Enlarging either grid can only reveal a larger value, so treat
+    the number as a lower estimate.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if not n_grid or not len(t_grid):
         raise ParameterError("grids must be non-empty")
     vectors = _vector_grid(t_grid, family.dimension, direction)
     window = min(max(1, tail_window), len(n_grid))
-    rows = [family.row(n) for n in n_grid[-window:]]
-    best = 0.0
-    for t in vectors:
-        for row in rows:
-            best = max(best, charfn_gap(row, t))
-    return float(min(max(best, 0.0), 2.0))
+    table = np.empty((len(vectors), len(n_grid)))
+    for j, n in enumerate(n_grid):
+        row = family.row(n)
+        for i, t in enumerate(vectors):
+            table[i, j] = charfn_gap(row, t)
+    lambda_f = float(min(max(np.max(table[:, -window:]), 0.0), 2.0))
+    return table, lambda_f
+
+
+def lambda_f_estimate(family, t_grid, n_grid, tail_window: int = 3, direction=None) -> float:
+    """The lambda_f of ``gap_table_with_lambda_f``, building only the tail rows."""
+    tail = tuple(n_grid)[-max(1, tail_window):]
+    return gap_table_with_lambda_f(family, t_grid, tail, tail_window, direction)[1]
 
 
 def theorem_bound_report(
@@ -375,11 +375,7 @@ def theorem_bound_report(
     vectors = _vector_grid(t_grid, family.dimension, direction)
     window = min(max(1, tail_window), len(n_grid))
 
-    gap_table = np.empty((len(vectors), len(n_grid)))
-    for j, n in enumerate(n_grid):
-        row = family.row(n)
-        for i, t in enumerate(vectors):
-            gap_table[i, j] = charfn_gap(row, t)
+    gap_table, lambda_f = gap_table_with_lambda_f(family, vectors, n_grid, tail_window)
 
     tail_rows = [family.row(n) for n in n_grid[-window:]]
     l_same = 0.0
@@ -414,7 +410,6 @@ def theorem_bound_report(
         if not entry.theorem_ok:
             flagged.append(i)
 
-    lambda_f = float(min(max(np.max(np.max(gap_table[:, -window:], axis=1)), 0.0), 2.0))
     return AsymptoticReport(
         family_label=family.label,
         dimension=family.dimension,

@@ -42,7 +42,9 @@ from . import __version__
 from .bounds import (
     DEFAULT_BOUND_EPS_GRID,
     decomposition_check,
+    gap_table_with_lambda_f,
     master_bound,
+    master_bound_best,
     theorem_bound_report,
 )
 from .charfn import charfn_gap, empirical_charfn, kolmogorov_mc, row_sum_charfn
@@ -407,9 +409,7 @@ def _cmd_bound(args) -> int:
     for n, row in rows:
         for tval, tvec in _t_vectors(args, row.dimension):
             if eps_grid is None:
-                # sweep the default grid, keep the rhs-minimising eps
-                reports = [master_bound(row, tvec, eps) for eps in DEFAULT_BOUND_EPS_GRID]
-                reports = [min(reports, key=lambda rep: rep.rhs)]
+                reports = [master_bound_best(row, tvec)]
             else:
                 reports = [master_bound(row, tvec, eps) for eps in eps_grid]
             for rep in reports:
@@ -458,20 +458,13 @@ def _cmd_lambda_f(args) -> int:
     family = _family_only(_resolve_source(args))
     t_values = _collect_grid(args, "t", float)
     n_grid = sorted(set(_collect_grid(args, "n", int)))
-    direction = _direction(args, family.dimension)
-    out = []
-    best = 0.0
-    window = min(max(1, args.tail_window), len(n_grid))
-    for n in n_grid:
-        row = family.row(n)
-        for tval in t_values:
-            tvec = lift_scalar(tval, family.dimension, direction)
-            gap = charfn_gap(row, tvec)
-            out.append([n, tval, gap])
-            if n in n_grid[-window:]:
-                best = max(best, gap)
+    table, lambda_f = gap_table_with_lambda_f(
+        family, t_values, n_grid, args.tail_window, _direction(args, family.dimension)
+    )
+    out = [[n, tval, table[i, j]]
+           for j, n in enumerate(n_grid) for i, tval in enumerate(t_values)]
     metadata = {
-        "lambda_f_estimate": min(max(best, 0.0), 2.0),
+        "lambda_f_estimate": lambda_f,
         "tail_window": args.tail_window,
         "truncation_note": "sup/limsup estimated on finite grids; see config",
     }

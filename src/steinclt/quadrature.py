@@ -11,7 +11,8 @@ Three tools live here:
 
 * ``gauss_hermite_expect`` -- tensor-product Gauss-Hermite evaluation of
   E[g(Z)] for a standard normal vector Z on R^N, with weights normalised
-  so that E[1] = 1 exactly.
+  so that E[1] = 1 exactly.  Each (level, dim) grid is built once and
+  held in memory, read-only: level^dim * (dim + 1) * 8 bytes.
 
 * ``outer_product`` -- the rank-one matrix t t^T, which satisfies
   <x, (t t^T) x> = <x, t>^2.
@@ -180,15 +181,11 @@ def _hermite_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
 _MAX_GH_DIM = 4
 
 
-def gauss_hermite_expect(
-    g: Callable[[np.ndarray], np.ndarray], level: int, dim: int = 1
-) -> complex:
-    """E[g(Z)] for Z standard normal on R^dim, by tensor-product quadrature.
+@lru_cache(maxsize=2)
+def _hermite_grid(level: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(level^dim, dim) points and unit-sum weights, frozen because shared.
 
-    ``g`` receives an (M, dim) array of evaluation points and must return
-    M values.  Weights are normalised so g = 1 integrates to exactly 1.
-    Dimensions above 4 are refused (node count level^dim): use Monte
-    Carlo for those.
+    The cache is small: a level-60 grid in dim 4 takes 0.5 GB.
     """
     if dim < 1:
         raise ParameterError("dimension must be >= 1")
@@ -198,16 +195,28 @@ def gauss_hermite_expect(
             f"(got {dim}); use Monte Carlo instead"
         )
     nodes, weights = _hermite_rule(level)
-    if dim == 1:
-        points = nodes[:, None]
-        w = weights
-    else:
-        grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-        points = np.stack([grid.ravel() for grid in grids], axis=-1)
-        w = weights
-        for _ in range(dim - 1):
-            w = np.multiply.outer(w, weights)
-        w = w.ravel()
+    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
+    points = np.stack([grid.ravel() for grid in grids], axis=-1)
+    w = weights
+    for _ in range(dim - 1):
+        w = np.multiply.outer(w, weights)
+    w = w.ravel()
+    points.setflags(write=False)
+    w.setflags(write=False)
+    return points, w
+
+
+def gauss_hermite_expect(
+    g: Callable[[np.ndarray], np.ndarray], level: int, dim: int = 1
+) -> complex:
+    """E[g(Z)] for Z standard normal on R^dim, by tensor-product quadrature.
+
+    ``g`` receives the shared read-only (M, dim) array of evaluation
+    points (writing into it raises ValueError) and must return M values.
+    Weights are normalised so g = 1 integrates to exactly 1.  Dimensions
+    above 4 are refused (node count level^dim): use Monte Carlo for those.
+    """
+    points, w = _hermite_grid(level, dim)
     values = np.asarray(g(points)).reshape(points.shape[0])
     return complex(np.sum(w * values))
 

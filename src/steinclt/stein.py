@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, gauss_hermite_expect, integrate_unit, outer_product
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_grid, integrate_unit, outer_product
 from .util import as_vector
 
 __all__ = [
@@ -170,22 +170,12 @@ def hessian_quadrature_representation(
     worst_err = 0.0
     for l in range(dim):
         for m in range(l, dim):
-            delta = 1.0 if l == m else 0.0
-
-            def entry(points, l=l, m=m, delta=delta):
-                return points[:, l] * points[:, m] - delta
-
-            def integrand(s, entry=entry):
+            def integrand(s, l=l, m=m):
                 s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-                values = np.empty(s.shape, dtype=np.complex128)
-                for idx, s_value in enumerate(s):
-                    expectation = gauss_hermite_expect(
-                        lambda pts: _interp_phase(t, x, float(s_value), pts) * entry(pts),
-                        level,
-                        dim,
-                    )
-                    values[idx] = -expectation / (2.0 * (1.0 - s_value))
-                return values
+                values = np.array(
+                    [_second_moment(t, x, float(s_value), level)[l, m] for s_value in s]
+                )
+                return -values / (2.0 * (1.0 - s))
 
             value, err = integrate_unit(integrand, spec, return_error=True)
             matrix[l, m] = matrix[m, l] = value
@@ -260,17 +250,35 @@ def hessian_difference(t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np
     return 0.5 * integral * outer_product(t)
 
 
-def _interp_phase(t: np.ndarray, x: np.ndarray, s: float, points: np.ndarray) -> np.ndarray:
-    """e_t evaluated on sqrt(s) x + sqrt(1-s) * points, vectorised."""
+def _interp_phase(t: np.ndarray, x: np.ndarray, s: float, level: int):
+    """Gauss-Hermite points z and weights times e_t(sqrt(s) x + sqrt(1-s) z).
+
+    Every Gaussian moment below is a contraction of this one weighted
+    phase array with the (shared, read-only) grid points.
+    """
+    points, weights = _hermite_grid(level, t.size)
     shift = np.sqrt(s) * float(t @ x)
-    return np.exp(-1j * (shift + np.sqrt(1.0 - s) * (points @ t)))
+    return points, weights * np.exp(-1j * (shift + np.sqrt(1.0 - s) * (points @ t)))
+
+
+def _second_moment(t: np.ndarray, x: np.ndarray, s: float, level: int) -> np.ndarray:
+    """E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)] by Gauss-Hermite.
+
+    The real and imaginary parts are contracted separately: forming the
+    entries as one (points x entries) complex array would double the
+    peak memory of a level-60 grid.
+    """
+    points, phase = _interp_phase(t, x, s, level)
+    moment = (points * phase.real[:, None]).T @ points
+    moment = moment + 1j * ((points * phase.imag[:, None]).T @ points)
+    return moment - np.sum(phase) * np.eye(t.size)
 
 
 def gaussian_expectation_identity(t, x, s: float, level: int = 60) -> np.ndarray:
     """Residual of the closed-form Gaussian second-moment expectation.
 
-    Compares E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)], computed
-    entrywise by Gauss-Hermite quadrature, against the closed form
+    Compares E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)], computed by
+    Gauss-Hermite quadrature, against the closed form
     -(1-s) t t^T exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2).  The returned
     matrix is (quadrature - closed form); its max magnitude certifies
     that the 1/(1-s) factor of the general Hessian representation
@@ -280,23 +288,13 @@ def gaussian_expectation_identity(t, x, s: float, level: int = 60) -> np.ndarray
     x = as_vector(x, t.size, name="x")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
-    dim = t.size
-    quadrature = np.empty((dim, dim), dtype=np.complex128)
-    for l in range(dim):
-        for m in range(l, dim):
-            delta = 1.0 if l == m else 0.0
-
-            def entry(points, l=l, m=m, delta=delta):
-                return _interp_phase(t, x, s, points) * (points[:, l] * points[:, m] - delta)
-
-            quadrature[l, m] = quadrature[m, l] = gauss_hermite_expect(entry, level, dim)
     tt = float(t @ t)
     closed = (
         -(1.0 - s)
         * outer_product(t)
         * np.exp(-1j * np.sqrt(s) * float(t @ x) - 0.5 * (1.0 - s) * tt)
     )
-    return quadrature - closed
+    return _second_moment(t, x, s, level) - closed
 
 
 def gradient_reduction_residual(t, x, s: float, level: int = 60) -> float:
@@ -310,14 +308,8 @@ def gradient_reduction_residual(t, x, s: float, level: int = 60) -> float:
     x = as_vector(x, t.size, name="x")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
-    dim = t.size
-    quadrature = np.empty(dim, dtype=np.complex128)
-    for l in range(dim):
-
-        def entry(points, l=l):
-            return _interp_phase(t, x, s, points) * points[:, l]
-
-        quadrature[l] = gauss_hermite_expect(entry, level, dim)
+    points, phase = _interp_phase(t, x, s, level)
+    quadrature = phase.real @ points + 1j * (phase.imag @ points)
     tt = float(t @ t)
     closed = (
         -1j

@@ -115,6 +115,17 @@ def test_gauss_hermite_multivariate():
     assert phi == pytest.approx(np.exp(-1.0), abs=1e-12)
 
 
+def test_gauss_hermite_grid_is_read_only():
+    # the grid is cached and shared, so a g that writes into it must fail
+    def scribble(points):
+        points[0, 0] = 1.0
+        return np.ones(points.shape[0])
+
+    with pytest.raises(ValueError):
+        gauss_hermite_expect(scribble, 8, dim=2)
+    assert gauss_hermite_expect(lambda p: p[:, 0] ** 2, 8, dim=2).real == pytest.approx(1.0)
+
+
 def test_gauss_hermite_dimension_cap():
     with pytest.raises(UnsupportedDimensionError, match="Monte Carlo"):
         gauss_hermite_expect(lambda p: np.ones(p.shape[0]), 4, dim=5)

@@ -60,7 +60,8 @@ def test_gradient_is_parallel_to_t():
 def test_gradient_reduction_verified_by_gauss_hermite():
     worst = max(
         gradient_reduction_residual(t, x, s, level=60)
-        for t, x in (([1.0], [0.7]), ([2.0, -1.0], [0.5, 1.0]))
+        for t, x in (([1.0], [0.7]), ([2.0, -1.0], [0.5, 1.0]),
+                     ([1.2, -0.7, 0.4], [0.3, 1.1, -0.8]))
         for s in (0.0, 0.25, 0.5, 0.9, 1.0)
     )
     assert worst < 1e-12
@@ -136,7 +137,7 @@ def test_gaussian_expectation_identity_closed_value():
 def test_gaussian_expectation_identity_on_s_grid():
     worst = 0.0
     for t, x in (([1.0], [3.0]), ([3.0], [1.0]), ([1.0, 1.0], [0.3, -0.7]),
-                 ([2.0, -1.0], [1.5, 0.5])):
+                 ([2.0, -1.0], [1.5, 0.5]), ([1.2, -0.7, 0.4], [0.3, 1.1, -0.8])):
         for s in np.linspace(0.0, 1.0, 21):
             residual = gaussian_expectation_identity(t, x, float(s), level=60)
             worst = max(worst, float(np.max(np.abs(residual))))
