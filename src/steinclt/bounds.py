@@ -39,7 +39,7 @@ import numpy as np
 
 from .charfn import charfn_gap, gaussian_charfn, row_sum_charfn
 from .errors import CapacityError, ParameterError
-from .indices import l_sum, lindeberg_index_estimate
+from .indices import _copy_weights, l_sum, lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
 from .rows import DEFAULT_ATOM_CAP, ArrayRow, _require_validated
 from .util import as_vector, exclusive_products, lift_scalar
@@ -180,8 +180,9 @@ def truncation_bound_check(
 ) -> tuple[float, float]:
     """(lhs, rhs) of the phase-increment truncation bound; lhs <= rhs always.
 
-    lhs (copy="same"):        sum_k E[ |e^{-i sqrt(s) r <t, X_k>} - 1| |X_k|^2 ]
-    lhs (copy="independent"): sum_k E[ |e^{-i sqrt(s) <t, X0_k>} - 1| ] E[ |X_k|^2 ]
+    lhs: sum_a w_a |e^{-i sqrt(s) r <t, x_a>} - 1|, w_a = p_a |x_a|^2 ("same") or
+         p_a E|X_k|^2 ("independent", atom a in cell k; at r = 1 this is the
+         identity's sum_k E[ |e^{-i sqrt(s) <t, X0_k>} - 1| ] E[ |X_k|^2 ]).
     rhs: eps * N + 2 * (directional sum at threshold eps for that copy mode).
 
     The small-phase part is controlled by |e^{i theta} - 1| <= |theta|
@@ -193,18 +194,8 @@ def truncation_bound_check(
         raise ParameterError(f"eps must be positive, got {eps}")
     if not 0.0 <= s <= 1.0 or not 0.0 <= r <= 1.0:
         raise ParameterError("s and r must lie in [0, 1]")
-    d = row.points @ t
-    norm2 = row.squared_norms()
-    if copy == "same":
-        factor = np.abs(np.exp(-1j * np.sqrt(s) * r * d) - 1.0)
-        lhs = float(np.sum(row.probs * factor * norm2))
-    elif copy == "independent":
-        factor = np.abs(np.exp(-1j * np.sqrt(s) * d) - 1.0)
-        per_cell_factor = row.per_cell_sum(row.probs * factor)
-        per_cell_second = row.per_cell_sum(row.probs * norm2)
-        lhs = float(per_cell_factor @ per_cell_second)
-    else:
-        raise ParameterError(f"copy must be 'same' or 'independent', got {copy!r}")
+    factor = np.abs(np.exp(-1j * np.sqrt(s) * r * (row.points @ t)) - 1.0)
+    lhs = float(np.sum(_copy_weights(row, copy) * factor))
     rhs = eps * row.dimension + 2.0 * l_sum(row, copy, t, eps)
     return lhs, rhs
 
@@ -378,13 +369,10 @@ def theorem_bound_report(
     gap_table, lambda_f = gap_table_with_lambda_f(family, vectors, n_grid, tail_window)
 
     tail_rows = [family.row(n) for n in n_grid[-window:]]
-    l_same = 0.0
-    l_indep = 0.0
-    for t in vectors:
-        for eps in eps_grid:
-            for row in tail_rows:
-                l_same = max(l_same, l_sum(row, "same", t, eps))
-                l_indep = max(l_indep, l_sum(row, "independent", t, eps))
+    l_same, l_indep = (
+        max(float(np.max(l_sum(row, mode, t, eps_grid))) for t in vectors for row in tail_rows)
+        for mode in ("same", "independent")
+    )
 
     lin = lindeberg_index_estimate(family, eps_grid, n_grid, tail_window).value
     corollary_rhs = 2.0 * lin

@@ -97,7 +97,7 @@ def _parse_grid(text: str, cast):
     return [cast(float(text))]
 
 
-def _grid_option(parser, name, help_text, cast=float):
+def _grid_option(parser, name, help_text):
     parser.add_argument(f"--{name}", metavar="GRID", default=None,
                         help=f"{help_text} (start:stop:step or single value)")
     parser.add_argument(f"--{name}-list", metavar="LIST", default=None,
@@ -171,7 +171,7 @@ def _family_only(source) -> ArrayFamily:
     return source
 
 
-def _direction(args, dim):
+def _direction(args):
     if args.direction is None:
         return None
     return [float(p) for p in args.direction.split(",")]
@@ -179,7 +179,7 @@ def _direction(args, dim):
 
 def _t_vectors(args, dim, default=None):
     values = _collect_grid(args, "t", float, default=default)
-    direction = _direction(args, dim)
+    direction = _direction(args)
     return [(tval, lift_scalar(tval, dim, direction)) for tval in values]
 
 
@@ -430,7 +430,7 @@ def _cmd_report(args) -> int:
     eps_grid = _collect_grid(args, "eps", float, default=DEFAULT_BOUND_EPS_GRID)
     report = theorem_bound_report(
         family, t_values, n_grid, eps_grid,
-        tail_window=args.tail_window, direction=_direction(args, family.dimension),
+        tail_window=args.tail_window, direction=_direction(args),
     )
     out = []
     for tval, entry in zip(t_values, report.entries):
@@ -459,7 +459,7 @@ def _cmd_lambda_f(args) -> int:
     t_values = _collect_grid(args, "t", float)
     n_grid = sorted(set(_collect_grid(args, "n", int)))
     table, lambda_f = gap_table_with_lambda_f(
-        family, t_values, n_grid, args.tail_window, _direction(args, family.dimension)
+        family, t_values, n_grid, args.tail_window, _direction(args)
     )
     out = [[n, tval, table[i, j]]
            for j, n in enumerate(n_grid) for i, tval in enumerate(t_values)]
@@ -490,7 +490,7 @@ def _cmd_stein_check(args) -> int:
     dim = args.dim
     t_values = _collect_grid(args, "t", float, default=[1.0, 2.0, 3.0])
     x_values = _collect_grid(args, "x", float, default=[0.0, 0.7, 2.5])
-    t_dir = _direction(args, dim)
+    t_dir = _direction(args)
     x_dir = ([1.0] + [-1.0] * (dim - 1)) if dim > 1 else None
     rows = []
     all_ok = True
@@ -561,8 +561,7 @@ def _add_common(parser, *, grids=(), source=True, quad=False, mc=False):
     if source:
         _source_options(parser)
     for grid in grids:
-        caster = int if grid == "n" else float
-        _grid_option(parser, grid, f"{grid} grid", caster)
+        _grid_option(parser, grid, f"{grid} grid")
     if quad:
         parser.add_argument("--abs-tol", type=float, default=1e-9)
         parser.add_argument("--rel-tol", type=float, default=1e-9)
@@ -570,7 +569,6 @@ def _add_common(parser, *, grids=(), source=True, quad=False, mc=False):
         parser.add_argument("--samples", type=int, default=0 if mc == "optional" else 100_000)
         parser.add_argument("--seed", type=int, default=0)
         parser.add_argument("--stream", type=int, default=0)
-    parser.add_argument("--tail-window", type=int, default=3)
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--output", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
@@ -599,6 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lindeberg", help="Lindeberg sums and index estimate")
     _add_common(p, grids=("n", "eps"))
+    p.add_argument("--tail-window", type=int, default=3)
     p.set_defaults(func=_cmd_lindeberg)
 
     p = sub.add_parser("l-sum", help="directional truncated second-moment sums")
@@ -625,10 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="asymptotic bound report for a family")
     _add_common(p, grids=("n", "t", "eps"))
+    p.add_argument("--tail-window", type=int, default=3)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("lambda-f", help="transform-gap sup/limsup estimate")
     _add_common(p, grids=("n", "t"))
+    p.add_argument("--tail-window", type=int, default=3)
     p.set_defaults(func=_cmd_lambda_f)
 
     p = sub.add_parser("kolmogorov", help="Monte Carlo Kolmogorov diagnostic (N=1)")

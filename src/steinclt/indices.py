@@ -12,6 +12,13 @@ up to N in general.  The *directional* variant replaces the event by
 or an independent copy with the same law (``copy="independent"``, where
 independence factorises the expectation exactly).
 
+Every sum here is one kernel, sum_a w_a [v_a > thr] over the row's atoms
+with one strict masked sum per threshold: v = |x|^2 against eps^2 for
+Lindeberg, v = |<x, t>| for the directional sums, whose independent copy
+is the weight w = p E|X_k|^2 (cell k's second moment on each of its
+atoms) against w = p |x|^2 for the same cell.  A 1-D eps or threshold
+grid gives an array in input order, each entry equal to the scalar call.
+
 Estimators here are honest finite truncations: a limsup is reported as
 the max over a trailing window of the n-grid, together with flags when
 the sums are still moving (so the caller can see that the asymptotic
@@ -43,14 +50,32 @@ DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1.0, 1e-3, 13))
 DEFAULT_TAIL_WINDOW = 3
 
 
-def lindeberg_sum(row: ArrayRow, eps: float) -> float:
-    """Exact sum_k E[|X_k|^2 ; |X_k| > eps] over the row's atoms."""
+def _tail_sums(values: np.ndarray, weights: np.ndarray, thresholds):
+    """sum_a weights[a] * [values[a] > thr] for a scalar or 1-D grid of thr."""
+    grid = np.asarray(thresholds, dtype=np.float64)
+    if grid.ndim > 1:
+        raise ParameterError("thresholds must be a scalar or a 1-D grid")
+    sums = np.array([np.sum(weights[values > thr]) for thr in grid.ravel()])
+    return float(sums[0]) if grid.ndim == 0 else sums
+
+
+def _copy_weights(row: ArrayRow, copy: str) -> np.ndarray:
+    """Per-atom weights: p |x|^2 for the same cell, p E|X_k|^2 for a copy of cell k."""
+    weights = row.probs * row.squared_norms()
+    if copy == "same":
+        return weights
+    if copy == "independent":
+        return row.probs * np.repeat(row.per_cell_sum(weights), np.diff(row.offsets))
+    raise ParameterError(f"copy must be 'same' or 'independent', got {copy!r}")
+
+
+def lindeberg_sum(row: ArrayRow, eps) -> float | np.ndarray:
+    """Exact sum_k E[|X_k|^2 ; |X_k| > eps] over the row's atoms, per entry of an eps grid."""
     _require_validated(row, "lindeberg_sum")
-    if not eps > 0.0:
+    eps = np.asarray(eps, dtype=np.float64)
+    if not np.all(eps > 0.0):
         raise ParameterError(f"eps must be positive, got {eps}")
-    norm2 = row.squared_norms()
-    mask = norm2 > eps * eps
-    return float(np.sum(row.probs[mask] * norm2[mask]))
+    return _tail_sums(row.squared_norms(), _copy_weights(row, "same"), eps * eps)
 
 
 @dataclass
@@ -94,9 +119,7 @@ def lindeberg_index_estimate(
 
     per_point = np.empty((len(eps_grid), len(n_grid)))
     for j, n in enumerate(n_grid):
-        row = family.row(n)
-        for i, eps in enumerate(eps_grid):
-            per_point[i, j] = lindeberg_sum(row, eps)
+        per_point[:, j] = lindeberg_sum(family.row(n), eps_grid)
 
     window = min(tail_window, len(n_grid))
     tail = per_point[:, -window:]
@@ -121,8 +144,8 @@ def lindeberg_index_estimate(
     )
 
 
-def l_sum(row: ArrayRow, copy: str, t, threshold: float = 1.0) -> float:
-    """Directional truncated second-moment sum.
+def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
+    """Directional truncated second-moment sum, per entry of a threshold grid.
 
     copy="same":        sum_k E[|X_k|^2 ; |<X_k, t>| > threshold]
     copy="independent": sum_k E[|X_k|^2] * P[|<X0_k, t>| > threshold]
@@ -131,16 +154,7 @@ def l_sum(row: ArrayRow, copy: str, t, threshold: float = 1.0) -> float:
     """
     _require_validated(row, "l_sum")
     t = as_vector(t, row.dimension)
-    proj = np.abs(row.points @ t)
-    norm2 = row.squared_norms()
-    mask = proj > threshold
-    if copy == "same":
-        return float(np.sum(row.probs[mask] * norm2[mask]))
-    if copy == "independent":
-        second = row.per_cell_sum(row.probs * norm2)
-        exceed = row.per_cell_sum(row.probs * mask)
-        return float(second @ exceed)
-    raise ParameterError(f"copy must be 'same' or 'independent', got {copy!r}")
+    return _tail_sums(np.abs(row.points @ t), _copy_weights(row, copy), threshold)
 
 
 def infinitesimality_profile(row: ArrayRow, eps: float) -> tuple[float, float]:

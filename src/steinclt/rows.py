@@ -86,10 +86,6 @@ class DiscreteCell:
     def mean(self) -> np.ndarray:
         return self.probs @ self.points
 
-    def second_moment(self) -> float:
-        """E[|X|^2] = sum_atoms p |x|^2."""
-        return float(np.sum(self.probs * np.sum(self.points**2, axis=1)))
-
     def covariance(self) -> np.ndarray:
         mu = self.mean()
         second = np.einsum("a,ai,aj->ij", self.probs, self.points, self.points)

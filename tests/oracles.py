@@ -38,6 +38,28 @@ def eta_lindeberg_oracle(alpha: float, n: int, eps: float) -> float:
     return big + small
 
 
+def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
+    """Truncated second-moment sum, one cell and one atom at a time.
+
+    copy="same" and copy="independent" are the directional sums over
+    |<x, t>| > threshold (the independent copy weighs an exceeding atom by
+    its probability times its cell's whole second moment); copy="lindeberg"
+    ignores t and truncates |x| > threshold, compared as |x|^2 > threshold^2.
+    """
+    total = 0.0
+    for cell in row.cells():
+        norm2 = np.sum(cell.points**2, axis=1)
+        second = sum(p * q for p, q in zip(cell.probs, norm2))
+        if copy == "lindeberg":
+            exceeds = norm2 > threshold * threshold
+        else:
+            exceeds = np.abs(cell.points @ np.atleast_1d(t)) > threshold
+        for p, q, hit in zip(cell.probs, norm2, exceeds):
+            if hit:
+                total += p * (second if copy == "independent" else q)
+    return total
+
+
 def fd_hessian_of_solution(t, x, step: float = 1e-4, spec=None) -> np.ndarray:
     """Second central differences of the Stein solution."""
     t = np.atleast_1d(np.asarray(t, dtype=float))

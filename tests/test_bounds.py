@@ -135,6 +135,19 @@ def test_truncation_bound_randomized_both_modes():
             assert lhs <= rhs
 
 
+def test_truncation_bound_independent_lhs_factorises():
+    # at r = 1 the independent lhs is sum_k E|e^{-i sqrt(s) <t, X0_k>} - 1| E|X_k|^2,
+    # and only sqrt(s) r enters the phase
+    row = build_eta_row(0.5, 40)
+    t, s = 2.3, 0.6
+    factor = np.abs(np.exp(-1j * np.sqrt(s) * t * row.points[:, 0]) - 1.0)
+    second = row.per_cell_sum(row.probs * row.squared_norms())
+    lhs, _ = truncation_bound_check(row, t, s, 1.0, 0.1, "independent")
+    assert lhs == pytest.approx(row.per_cell_sum(row.probs * factor) @ second, abs=1e-14)
+    lhs_r, _ = truncation_bound_check(row, t, 1.0, np.sqrt(s), 0.1, "independent")
+    assert lhs_r == pytest.approx(lhs, abs=1e-14)
+
+
 def test_truncation_bound_parameter_errors():
     row = build_rademacher_row(2)
     with pytest.raises(ParameterError):

@@ -81,6 +81,18 @@ def test_usage_errors_exit_two(capsys):
     assert excinfo.value.code == 2
 
 
+def test_tail_window_only_on_commands_that_read_it(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        execute(["gap", "--family", "rademacher", "--n", "5", "--t", "1",
+                 "--tail-window", "3"])
+    assert excinfo.value.code == 2
+    common = ["--family", "rademacher", "--n-list", "10,20", "--tail-window", "1"]
+    for argv in (["lindeberg", "--eps", "0.5"], ["report", "--t", "1"], ["lambda-f", "--t", "1"]):
+        code, out, _ = run(argv + common, capsys)
+        assert code == 0
+        assert '"tail_window":1' in out
+
+
 def test_malformed_spec_exits_two(tmp_path, capsys):
     doc = tmp_path / "broken.json"
     doc.write_text("{not json")

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steinclt import (
+    ArrayRow,
+    DiscreteCell,
     EtaAlphaFamily,
     ParameterError,
     RademacherFamily,
@@ -13,10 +17,11 @@ from steinclt import (
     l_sum,
     lindeberg_index_estimate,
     lindeberg_sum,
+    validate_row,
 )
 
 
-from oracles import eta_lindeberg_oracle
+from oracles import eta_lindeberg_oracle, truncated_sum_oracle
 
 
 def test_lindeberg_sum_examples():
@@ -190,3 +195,89 @@ def test_cauchy_schwarz_inequality_random():
             continue
         lhs, rhs = cauchy_schwarz_domination(row, t)
         assert lhs <= rhs + 1e-14
+
+
+def test_threshold_ties_are_excluded():
+    row = build_rademacher_row(25)  # |x t| = 0.2 exactly at t = 1
+    assert l_sum(row, "same", 1.0, 0.2) == 0.0
+    assert l_sum(row, "independent", 1.0, 0.2) == 0.0
+    assert lindeberg_sum(row, 0.2) == 0.0
+
+
+def test_grid_arguments_are_one_dimensional_and_positive():
+    row = build_rademacher_row(4)
+    assert isinstance(lindeberg_sum(row, 0.4), float)
+    assert isinstance(l_sum(row, "same", 1.0, np.float64(0.4)), float)
+    with pytest.raises(ParameterError):
+        lindeberg_sum(row, [[0.1, 0.2]])
+    with pytest.raises(ParameterError):
+        lindeberg_sum(row, [0.1, 0.0])
+    with pytest.raises(ParameterError):
+        l_sum(row, "same", 1.0, [[0.1]])
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Explicit rows of cells with atoms +-x of equal mass, whitened so the
+    cell covariances sum to the identity."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(dim, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = []
+    for _ in range(n):
+        pairs = int(rng.integers(1, 3))
+        cells.append((rng.normal(size=(pairs, dim)), rng.dirichlet(np.ones(pairs))))
+    cov = sum(np.einsum("a,ai,aj->ij", q, x, x) for x, q in cells)
+    vals, vecs = np.linalg.eigh(cov)
+    assume(vals.min() > 1e-3 * vals.max())
+    white = vecs @ np.diag(vals**-0.5) @ vecs.T
+    row = ArrayRow.from_cells(
+        DiscreteCell(np.concatenate([x @ white, -(x @ white)]), np.concatenate([q, q]) / 2)
+        for x, q in cells
+    )
+    assert validate_row(row).passed
+    return row
+
+
+@st.composite
+def rows_t_and_grids(draw):
+    """(row, t, threshold grid, tied threshold): the grid is unsorted, has
+    duplicates, and holds one threshold equal to some |<x, t>|."""
+    row = draw(symmetric_rows())
+    coords = st.floats(-5.0, 5.0, allow_subnormal=False)
+    t = np.array(draw(st.one_of(
+        st.just([0.0] * row.dimension),
+        st.lists(coords, min_size=row.dimension, max_size=row.dimension),
+    )))
+    tie = float(np.abs(row.points @ t)[draw(st.integers(0, row.total_atoms - 1))])
+    base = draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5))
+    grid = draw(st.permutations(base + [tie, tie, base[0]]))
+    return row, t, np.array(grid), tie
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_t_and_grids())
+def test_l_sum_grid_matches_cell_oracle(case):
+    row, t, grid, tie = case
+    for copy in ("same", "independent"):
+        values = l_sum(row, copy, t, grid)
+        assert values.shape == grid.shape
+        for threshold, value in zip(grid, values):
+            assert value == l_sum(row, copy, t, threshold)
+            assert abs(value - truncated_sum_oracle(row, copy, t, threshold)) <= 1e-14
+        # the tied atoms are out already: one ulp higher drops nothing more
+        assert l_sum(row, copy, t, tie) == l_sum(row, copy, t, np.nextafter(tie, np.inf))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symmetric_rows(), st.data())
+def test_lindeberg_sum_grid_matches_cell_oracle(row, data):
+    norms = np.sqrt(row.squared_norms())
+    tie = float(norms[data.draw(st.integers(0, row.total_atoms - 1))])
+    base = data.draw(st.lists(st.floats(1e-3, 4.0), min_size=1, max_size=5))
+    grid = np.array(data.draw(st.permutations(base + [tie, tie, base[0]])))
+    values = lindeberg_sum(row, grid)
+    assert values.shape == grid.shape
+    for eps, value in zip(grid, values):
+        assert value == lindeberg_sum(row, eps)
+        assert abs(value - truncated_sum_oracle(row, "lindeberg", None, eps)) <= 1e-14
