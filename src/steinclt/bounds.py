@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import charfn_gap, gaussian_charfn, row_sum_charfn
+from .charfn import _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn, row_sum_charfn
 from .errors import CapacityError, ParameterError
 from .indices import _copy_weights, l_sum, lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
@@ -65,8 +65,6 @@ __all__ = [
 IDENTITY_TOL = 1e-6
 SLACK_FLOOR = 1e-3
 DEFAULT_BOUND_EPS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05)
-# cap on (quadrature nodes x atoms) temporaries inside identity_rhs
-_NODE_BUDGET = 4_000_000
 
 
 def identity_lhs(row: ArrayRow, t) -> complex:
@@ -76,22 +74,22 @@ def identity_lhs(row: ArrayRow, t) -> complex:
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
 
-def _r_factor(a: np.ndarray) -> np.ndarray:
-    """R(a) = (1 - e^{-ia})/(ia) - 1, with a series fallback near 0.
+def _r_factor(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """R(a) = (1 - e^{-ia})/(ia) - 1 = sin a/a - 1 - i (1 - cos a)/a.
 
-    The direct form loses relative accuracy below |a| ~ 1e-4 through
-    cancellation, where the Taylor terms through a^4 are exact to well
-    under double precision.
+    Taken from the cos a and sin a of the phase pass; below |a| < 1e-4,
+    where 1 - cos a loses relative accuracy through cancellation, the
+    Taylor terms through a^4 are used instead (exact to well under double
+    precision there).
     """
-    a = np.asarray(a, dtype=np.float64)
+    small = np.abs(a) < 1e-4
+    inv = 1.0 / np.where(small, 1.0, a)
     out = np.empty(a.shape, dtype=np.complex128)
-    big = np.abs(a) >= 1e-4
-    if np.any(big):
-        ab = a[big]
-        out[big] = (1.0 - np.exp(-1j * ab)) / (1j * ab) - 1.0
-    if np.any(~big):
-        w = -1j * a[~big]
-        out[~big] = w * (1.0 / 2.0 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w / 120.0)))
+    out.real = sin * inv - 1.0
+    out.imag = (cos - 1.0) * inv
+    if np.any(small):
+        w = -1j * a[small]
+        out[small] = w * (1.0 / 2.0 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w / 120.0)))
     return out
 
 
@@ -101,8 +99,10 @@ def identity_rhs(
     """Right side of the identity, by one adaptive s-quadrature.
 
     The inner r-integral is the closed form R; the independent-copy term
-    factorises exactly because the copy shares the cell laws.  Returns
-    (value, estimated quadrature error).
+    factorises exactly because the copy shares the cell laws.  The
+    s-nodes are the batch sqrt(s) t of the charfn phase pass, which also
+    bounds the memory of atom-heavy rows.  Returns (value, estimated
+    quadrature error).
     """
     _require_validated(row, "identity_rhs")
     t = as_vector(t, row.dimension)
@@ -112,31 +112,18 @@ def identity_rhs(
     d = row.points @ t
     w = row.probs * d * d
     m2t = row.per_cell_sum(w)
-    starts = row.starts
-    probs = row.probs
-    # the evaluation below builds (s-nodes x atoms) temporaries; chunk the
-    # node axis so memory stays bounded for atom-heavy rows
-    node_chunk = max(1, _NODE_BUDGET // max(1, row.total_atoms))
 
-    def eval_nodes(u):
-        arg = u[:, None] * d[None, :]
-        phase = np.exp(-1j * arg)
-        phis = np.add.reduceat(probs * phase, starts, axis=1)
+    def eval_nodes(a, cos, sin):
+        phis = _cell_transforms(row, cos, sin)
         excl = exclusive_products(phis)
-        same_term = np.add.reduceat(w * _r_factor(arg), starts, axis=1)
+        same_term = np.add.reduceat(w * _r_factor(a, cos, sin), row.starts, axis=1)
         term1 = np.sum(excl * same_term, axis=1)
-        term2 = np.sum(excl * (phis - 1.0) * m2t[None, :], axis=1)
+        term2 = np.sum(excl * (phis - 1.0) * m2t, axis=1)
         return term1 - term2
 
     def integrand(s):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        u = np.sqrt(s)
-        if u.size <= node_chunk:
-            inner = eval_nodes(u)
-        else:
-            inner = np.concatenate(
-                [eval_nodes(u[i:i + node_chunk]) for i in range(0, u.size, node_chunk)]
-            )
+        inner = _phase_pass(row, np.sqrt(s)[:, None] * t, eval_nodes)
         return inner * np.exp(-0.5 * (1.0 - s) * tt)
 
     value, err = integrate_unit(integrand, spec, return_error=True)
@@ -223,39 +210,49 @@ class BoundReport:
     passed: bool
 
 
-def master_bound(row: ArrayRow, t, eps: float) -> BoundReport:
-    """Evaluate every term of the master inequality exactly."""
+def master_bound(row: ArrayRow, t, eps):
+    """Evaluate every term of the master inequality exactly.
+
+    A 1-D eps grid gives a tuple of reports in grid order, each equal to
+    the scalar call; the gap is computed once and each tail sum in one
+    grid call.
+    """
     _require_validated(row, "master_bound")
     t = as_vector(t, row.dimension)
-    if not eps > 0.0:
+    grid = np.asarray(eps, dtype=np.float64)
+    if grid.ndim > 1:
+        raise ParameterError("eps must be a scalar or a 1-D grid")
+    if not np.all(grid > 0.0):
         raise ParameterError(f"eps must be positive, got {eps}")
     lhs_gap = charfn_gap(row, t)
-    term_eps = 2.0 * eps * row.dimension
-    term_same = l_sum(row, "same", t, eps)
-    term_indep = l_sum(row, "independent", t, eps)
     envelope = 1.0 - gaussian_charfn(t)
-    rhs = term_eps + 2.0 * (term_same + term_indep) * envelope
-    slack = rhs - lhs_gap
-    return BoundReport(
-        n=row.n,
-        dimension=row.dimension,
-        t=t,
-        eps=eps,
-        lhs_gap=lhs_gap,
-        term_eps=term_eps,
-        term_same=term_same,
-        term_indep=term_indep,
-        envelope=envelope,
-        rhs=rhs,
-        slack=slack,
-        passed=slack >= 0.0,
-    )
+    same = np.atleast_1d(l_sum(row, "same", t, grid))
+    indep = np.atleast_1d(l_sum(row, "independent", t, grid))
+    reports = []
+    for level, term_same, term_indep in zip(grid.ravel().tolist(), same.tolist(), indep.tolist()):
+        term_eps = 2.0 * level * row.dimension
+        rhs = term_eps + 2.0 * (term_same + term_indep) * envelope
+        slack = rhs - lhs_gap
+        reports.append(BoundReport(
+            n=row.n,
+            dimension=row.dimension,
+            t=t,
+            eps=level,
+            lhs_gap=lhs_gap,
+            term_eps=term_eps,
+            term_same=term_same,
+            term_indep=term_indep,
+            envelope=envelope,
+            rhs=rhs,
+            slack=slack,
+            passed=slack >= 0.0,
+        ))
+    return reports[0] if grid.ndim == 0 else tuple(reports)
 
 
 def master_bound_best(row: ArrayRow, t, eps_grid=DEFAULT_BOUND_EPS_GRID) -> BoundReport:
     """Master bound at the eps from the grid that minimises the rhs."""
-    reports = [master_bound(row, t, eps) for eps in eps_grid]
-    return min(reports, key=lambda rep: rep.rhs)
+    return min(master_bound(row, t, np.atleast_1d(eps_grid)), key=lambda rep: rep.rhs)
 
 
 @dataclass(frozen=True)
@@ -326,11 +323,10 @@ def gap_table_with_lambda_f(
         raise ParameterError("grids must be non-empty")
     vectors = _vector_grid(t_grid, family.dimension, direction)
     window = min(max(1, tail_window), len(n_grid))
+    batch = np.array(vectors)
     table = np.empty((len(vectors), len(n_grid)))
     for j, n in enumerate(n_grid):
-        row = family.row(n)
-        for i, t in enumerate(vectors):
-            table[i, j] = charfn_gap(row, t)
+        table[:, j] = charfn_gap(family.row(n), batch)
     lambda_f = float(min(max(np.max(table[:, -window:]), 0.0), 2.0))
     return table, lambda_f
 

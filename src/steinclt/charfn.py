@@ -14,6 +14,15 @@ transforms.  The standard normal vector has phi(t) = exp(-|t|^2 / 2).
 the quantity whose sup/limsup behaviour the rest of the package bounds
 and estimates.  Monte Carlo counterparts (``empirical_charfn``,
 ``kolmogorov_mc``) provide independent cross-checks of the exact paths.
+
+Every exact row transform comes from one phase pass, ``_phase_pass``:
+for an (m, N) batch T it forms a = T x^T over all atoms and cos a,
+sin a, in chunks of at most ``_PHASE_BUDGET`` (t-values x atoms)
+elements, and hands each chunk to a reduction.  The cell transforms
+are the per-cell sums of p cos a - i p sin a; the gap identity of the
+bounds module reduces the same chunk to its s-integrand.  The row
+transform and the gap take a single t or a 2-D (m, N) batch; a batch
+returns one entry per row of T.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, UnsupportedDimensionError
+from .errors import ParameterError, ShapeError, UnsupportedDimensionError
 from .normal_cdf import normal_cdf
 from .rng import RngSeed
 from .rows import ArrayRow, DiscreteCell, _require_validated
@@ -31,7 +40,6 @@ from .util import as_vector
 __all__ = [
     "CharfnValue",
     "cell_charfn",
-    "row_cell_charfns",
     "row_sum_charfn",
     "gaussian_charfn",
     "charfn_gap",
@@ -55,17 +63,57 @@ def cell_charfn(cell: DiscreteCell, t) -> complex:
     return complex(np.sum(cell.probs * np.exp(-1j * (cell.points @ t))))
 
 
-def row_cell_charfns(row: ArrayRow, t) -> np.ndarray:
-    """Transforms of every cell of a row at once (vectorised)."""
-    t = as_vector(t, row.dimension)
-    values = row.probs * np.exp(-1j * (row.points @ t))
-    return np.add.reduceat(values, row.starts)
+# cap on (t-values x atoms) elements of each phase array in _phase_pass
+_PHASE_BUDGET = 1_000_000
 
 
-def row_sum_charfn(row: ArrayRow, t) -> complex:
-    """Exact transform of the row sum: the product of cell transforms."""
+def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
+    """(T, is_batch): a 2-D (m, N) batch as given, any other t as a (1, N) batch."""
+    if np.ndim(t) != 2:
+        return as_vector(t, dim)[None, :], False
+    batch = np.asarray(t, dtype=np.float64)
+    if batch.shape[1] != dim:
+        raise ShapeError(f"t has dimension {batch.shape[1]}, expected {dim}")
+    if not np.all(np.isfinite(batch)):
+        raise ParameterError("t must be finite")
+    return batch, True
+
+
+def _phase_pass(row: ArrayRow, batch: np.ndarray, reduce) -> np.ndarray:
+    """reduce(a, cos a, sin a) over row-chunks of the batch, stacked along axis 0.
+
+    a = T x^T holds <t, x_a> for every t of the chunk and every atom, so
+    each array is (chunk x total_atoms) with chunk x total_atoms at most
+    _PHASE_BUDGET (one t per chunk when a row has more atoms than that).
+    """
+    chunk = max(1, _PHASE_BUDGET // row.total_atoms)
+    parts = []
+    # an empty batch still makes one (0, atoms) pass, so the result has its shape
+    for i in range(0, batch.shape[0], chunk) or (0,):
+        a = batch[i:i + chunk] @ row.points.T
+        parts.append(reduce(a, np.cos(a), np.sin(a)))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _cell_transforms(row: ArrayRow, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Cell transforms sum_a p (cos a - i sin a), one row per t: shape (m, n)."""
+    phis = np.empty((cos.shape[0], row.n), dtype=np.complex128)
+    phis.real = np.add.reduceat(row.probs * cos, row.starts, axis=1)
+    phis.imag = -np.add.reduceat(row.probs * sin, row.starts, axis=1)
+    return phis
+
+
+def row_sum_charfn(row: ArrayRow, t):
+    """Exact transform of the row sum: the product of cell transforms.
+
+    A 2-D (m, N) batch of t gives a complex array of m values.
+    """
     _require_validated(row, "row_sum_charfn")
-    return complex(np.prod(row_cell_charfns(row, t)))
+    batch, is_batch = _as_batch(t, row.dimension)
+    values = _phase_pass(
+        row, batch, lambda a, cos, sin: np.prod(_cell_transforms(row, cos, sin), axis=1)
+    )
+    return values if is_batch else complex(values[0])
 
 
 def gaussian_charfn(t) -> float:
@@ -74,11 +122,16 @@ def gaussian_charfn(t) -> float:
     return float(np.exp(-0.5 * float(t @ t)))
 
 
-def charfn_gap(row: ArrayRow, t) -> float:
-    """|phi_Gauss(t) - phi_row(t)|, always in [0, 2]."""
+def charfn_gap(row: ArrayRow, t):
+    """|phi_Gauss(t) - phi_row(t)|, always in [0, 2].
+
+    A 2-D (m, N) batch of t gives an array of m gaps.
+    """
     _require_validated(row, "charfn_gap")
-    t = as_vector(t, row.dimension)
-    return abs(gaussian_charfn(t) - row_sum_charfn(row, t))
+    batch, is_batch = _as_batch(t, row.dimension)
+    gauss = np.exp(-0.5 * np.sum(batch * batch, axis=1))
+    gaps = np.abs(gauss - row_sum_charfn(row, batch))
+    return gaps if is_batch else float(gaps[0])
 
 
 def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -100,24 +153,28 @@ def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np
     return total
 
 
-def empirical_charfn(row: ArrayRow, t, samples: int, seed: RngSeed) -> CharfnValue:
+def empirical_charfn(row: ArrayRow, t, samples: int, seed: RngSeed):
     """Monte Carlo transform of the row sum, with standard error.
 
     The result is deterministic given (seed, stream).  stderr combines
     the real and imaginary sample standard deviations in quadrature; a
-    healthy run has |exact - value| below a few stderr.
+    healthy run has |exact - value| below a few stderr.  A 2-D (m, N)
+    batch of t gives a tuple of m values, all from one draw of the sums,
+    each equal to the single-t call.
     """
     _require_validated(row, "empirical_charfn")
-    t = as_vector(t, row.dimension)
+    batch, is_batch = _as_batch(t, row.dimension)
     sums = sample_row_sums(row, samples, seed.generator())
-    z = np.exp(-1j * (sums @ t))
-    value = complex(np.mean(z))
-    if samples > 1:
-        var = np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)
-        stderr = float(np.sqrt(var / samples))
-    else:
-        stderr = 0.0
-    return CharfnValue(value=value, stderr=stderr)
+    values = []
+    for tvec in batch:
+        z = np.exp(-1j * (sums @ tvec))
+        if samples > 1:
+            var = np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)
+            stderr = float(np.sqrt(var / samples))
+        else:
+            stderr = 0.0
+        values.append(CharfnValue(value=complex(np.mean(z)), stderr=stderr))
+    return tuple(values) if is_batch else values[0]
 
 
 def kolmogorov_mc(row: ArrayRow, samples: int, seed: RngSeed) -> float:

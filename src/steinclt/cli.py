@@ -21,7 +21,8 @@ argv (and seed) produce byte-identical files.  Exit codes: 0 all checks
 passed, 1 check failure, 2 usage/parse error, 3 quadrature convergence
 failure.
 
-The environment variable STEIN_CLT_THREADS caps grid-cell parallelism
+The environment variable STEIN_CLT_THREADS caps the threads of the
+``identity`` command, the only one that runs grid cells in parallel
 (default: machine parallelism).  Cells are pure and results are emitted
 in sorted grid order, so the thread count never changes the output.
 """
@@ -183,6 +184,12 @@ def _t_vectors(args, dim, default=None):
     return [(tval, lift_scalar(tval, dim, direction)) for tval in values]
 
 
+def _t_batch(args, dim):
+    """The t grid as its scalar values and as one (m, N) batch of vectors."""
+    pairs = _t_vectors(args, dim)
+    return [tval for tval, _ in pairs], np.array([tvec for _, tvec in pairs])
+
+
 def _quad_spec(args) -> QuadratureSpec:
     return QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
@@ -315,14 +322,15 @@ def _cmd_charfn(args) -> int:
     seed = _seed(args)
     out = []
     for n, row in rows:
-        for tval, tvec in _t_vectors(args, row.dimension):
-            exact = row_sum_charfn(row, tvec)
-            if args.samples:
-                mc = empirical_charfn(row, tvec, args.samples, seed)
-                out.append([n, tval, exact.real, exact.imag,
-                            mc.value.real, mc.value.imag, mc.stderr])
-            else:
-                out.append([n, tval, exact.real, exact.imag, None, None, None])
+        t_values, batch = _t_batch(args, row.dimension)
+        exact = row_sum_charfn(row, batch)
+        if args.samples:
+            estimates = empirical_charfn(row, batch, args.samples, seed)
+            mc = [(est.value.real, est.value.imag, est.stderr) for est in estimates]
+        else:
+            mc = [(None, None, None)] * len(t_values)
+        for tval, value, columns in zip(t_values, exact, mc):
+            out.append([n, tval, value.real, value.imag, *columns])
     _write_report(args, "charfn",
                   ["n", "t", "exact_re", "exact_im", "mc_re", "mc_im", "mc_stderr"],
                   out, {})
@@ -334,8 +342,8 @@ def _cmd_gap(args) -> int:
     rows = _rows_for(args, source)
     out = []
     for n, row in rows:
-        for tval, tvec in _t_vectors(args, row.dimension):
-            out.append([n, tval, charfn_gap(row, tvec)])
+        t_values, batch = _t_batch(args, row.dimension)
+        out.extend([n, tval, gap] for tval, gap in zip(t_values, charfn_gap(row, batch)))
     _write_report(args, "gap", ["n", "t", "gap"], out, {})
     return 0
 
@@ -346,8 +354,8 @@ def _cmd_lindeberg(args) -> int:
     out = []
     metadata = {}
     if isinstance(source, ArrayRow):
-        for eps in eps_grid:
-            out.append([eps, source.n, lindeberg_sum(source, eps)])
+        sums = lindeberg_sum(source, eps_grid)
+        out = [[eps, source.n, value] for eps, value in zip(eps_grid, sums.tolist())]
         metadata["max_sum"] = max(row[2] for row in out)
     else:
         n_grid = sorted(set(_collect_grid(args, "n", int)))
@@ -367,13 +375,13 @@ def _cmd_l_sum(args) -> int:
     source = _resolve_source(args)
     rows = _rows_for(args, source)
     thresholds = _collect_grid(args, "eps", float, default=[1.0])
+    modes = ("same", "independent")
     out = []
     for n, row in rows:
         for tval, tvec in _t_vectors(args, row.dimension):
-            for threshold in thresholds:
-                for mode in ("same", "independent"):
-                    out.append([n, tval, threshold, mode,
-                                l_sum(row, mode, tvec, threshold)])
+            sums = {mode: l_sum(row, mode, tvec, thresholds).tolist() for mode in modes}
+            for i, threshold in enumerate(thresholds):
+                out.extend([n, tval, threshold, mode, sums[mode][i]] for mode in modes)
     _write_report(args, "l-sum", ["n", "t", "threshold", "mode", "value"], out, {})
     return 0
 
@@ -411,7 +419,7 @@ def _cmd_bound(args) -> int:
             if eps_grid is None:
                 reports = [master_bound_best(row, tvec)]
             else:
-                reports = [master_bound(row, tvec, eps) for eps in eps_grid]
+                reports = master_bound(row, tvec, eps_grid)
             for rep in reports:
                 all_ok &= rep.passed
                 out.append([n, tval, rep.eps, rep.lhs_gap, rep.term_eps, rep.term_same,

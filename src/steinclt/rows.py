@@ -97,8 +97,10 @@ class ArrayRow:
     """Row of independent cells, stored as flat concatenated atoms.
 
     ``offsets`` has length n+1; cell k occupies
-    ``points[offsets[k]:offsets[k+1]]``.  Atom data is never mutated
-    after construction; ``validated`` is the one mutable flag and is set
+    ``points[offsets[k]:offsets[k+1]]``.  Atom data is read-only after
+    construction (writing into ``points``, ``probs``, ``offsets`` or
+    ``squared_norms()`` raises ValueError), since families hand out one
+    shared cached row; ``validated`` is the one mutable flag and is set
     by ``validate_row``.
     """
 
@@ -120,6 +122,10 @@ class ArrayRow:
             raise ShapeError("offsets must span the atom arrays")
         if np.any(np.diff(self.offsets) < 1):
             raise ParameterError("every cell needs at least one atom")
+        # reshape/ravel return new array objects, so the flag binds the row's
+        # handles only and the caller's arrays stay writable
+        for array in (self.points, self.probs, self.offsets):
+            array.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -148,7 +154,9 @@ class ArrayRow:
     def squared_norms(self) -> np.ndarray:
         """|x|^2 per atom, cached (rows are immutable after construction)."""
         if self._norm2 is None:
-            self._norm2 = np.sum(self.points**2, axis=1)
+            norm2 = np.sum(self.points**2, axis=1)
+            norm2.setflags(write=False)
+            self._norm2 = norm2
         return self._norm2
 
     @classmethod

@@ -60,6 +60,20 @@ def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
     return total
 
 
+def r_factor_exp_form(a) -> np.ndarray:
+    """R(a) = (1 - e^{-ia})/(ia) - 1 through one complex exp, with the
+    Taylor terms through a^4 below |a| < 1e-4 (the form the gap identity
+    used before it took cos a and sin a from the phase pass)."""
+    a = np.asarray(a, dtype=np.float64)
+    out = np.empty(a.shape, dtype=np.complex128)
+    big = np.abs(a) >= 1e-4
+    ab = a[big]
+    out[big] = (1.0 - np.exp(-1j * ab)) / (1j * ab) - 1.0
+    w = -1j * a[~big]
+    out[~big] = w * (1.0 / 2.0 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w / 120.0)))
+    return out
+
+
 def fd_hessian_of_solution(t, x, step: float = 1e-4, spec=None) -> np.ndarray:
     """Second central differences of the Stein solution."""
     t = np.atleast_1d(np.asarray(t, dtype=float))

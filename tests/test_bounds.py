@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from oracles import r_factor_exp_form
 from steinclt import (
     EtaAlphaFamily,
     ParameterError,
@@ -87,15 +90,31 @@ def test_identity_product_row():
 
 
 def test_identity_rhs_node_chunking_is_transparent(monkeypatch):
-    # force the memory-bounded path and check it returns the same value
-    import steinclt.bounds as bounds_module
+    # force one s-node per phase-pass chunk and check it returns the same value
+    import steinclt.charfn as charfn_module
 
     row = build_eta_row(0.5, 12)
     whole = identity_rhs(row, 1.5)
-    monkeypatch.setattr(bounds_module, "_NODE_BUDGET", 1)
+    monkeypatch.setattr(charfn_module, "_PHASE_BUDGET", 1)
     chunked = identity_rhs(row, 1.5)
     assert chunked[0] == whole[0]
     assert chunked[1] == whole[1]
+
+
+def test_r_factor_from_cos_sin_matches_exp_form():
+    from steinclt.bounds import _r_factor
+
+    mags = np.concatenate([
+        np.geomspace(1e-6, 1e3, 2001),
+        [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), np.pi, 3 * np.pi],
+    ])
+    a = np.concatenate([mags, -mags, [0.0]])
+    got = _r_factor(a, np.cos(a), np.sin(a))
+    assert np.max(np.abs(got - r_factor_exp_form(a))) <= 1e-15
+    # 2-D phase arrays, as the phase pass hands them over
+    grid = a[:-1].reshape(2, -1)
+    assert np.array_equal(_r_factor(grid, np.cos(grid), np.sin(grid)).ravel(),
+                          _r_factor(a[:-1], np.cos(a[:-1]), np.sin(a[:-1])))
 
 
 def test_identity_report_fields():
@@ -188,6 +207,32 @@ def test_master_bound_randomized_never_fails():
         eps = float(rng.uniform(0.01, 1.0))
         report = master_bound(row, t, eps)
         assert report.slack >= 0.0
+
+
+def _same_report(a, b):
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(a)
+    )
+
+
+def test_master_bound_grid_entries_equal_scalar_calls():
+    rng = np.random.default_rng(404)
+    grid = [0.5, 0.05, 1.0, 0.5, 0.2, 0.013, 2.0]
+    for _ in range(40):
+        row = random_builtin_row(rng)
+        t = rng.uniform(-5, 5, row.dimension)
+        reports = master_bound(row, t, grid)
+        assert isinstance(reports, tuple) and len(reports) == len(grid)
+        for eps, report in zip(grid, reports):
+            assert report.eps == eps
+            assert _same_report(report, master_bound(row, t, eps))
+    row = build_rademacher_row(4)
+    assert master_bound(row, 1.0, np.array([0.3]))[0].eps == 0.3
+    with pytest.raises(ParameterError):
+        master_bound(row, 1.0, [[0.1, 0.2]])
+    with pytest.raises(ParameterError):
+        master_bound(row, 1.0, [0.1, 0.0])
 
 
 def test_master_bound_best_picks_smallest_rhs():

@@ -1,9 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import steinclt.charfn as charfn_module
 from steinclt import (
+    ArrayRow,
     DiscreteCell,
+    ParameterError,
     RngSeed,
+    ShapeError,
     UnsupportedDimensionError,
     build_eta_row,
     build_product_row,
@@ -15,6 +23,7 @@ from steinclt import (
     gaussian_charfn,
     kolmogorov_mc,
     row_sum_charfn,
+    validate_row,
 )
 
 # frozen: cos(0.2)**25 and exp(-1/2) - cos(0.2)**25, mpmath 40 digits
@@ -72,6 +81,104 @@ def test_row_transform_bounded_and_conjugate_symmetric():
             assert abs(value) <= 1.0 + 1e-12
             assert row_sum_charfn(row, -t) == pytest.approx(np.conj(value), abs=1e-14)
             assert 0.0 <= charfn_gap(row, t) <= 2.0
+
+
+@st.composite
+def centred_rows(draw):
+    """Explicit rows of mean-zero cells with 2-4 atoms of unequal mass,
+    whitened so the cell covariances sum to the identity.  The cells are
+    not symmetric, so their transforms have imaginary parts."""
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(dim, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = []
+    for _ in range(n):
+        atoms = int(rng.integers(2, 5))
+        x = rng.normal(size=(atoms, dim))
+        q = rng.uniform(0.1, 1.0, atoms)
+        q /= q.sum()
+        cells.append((x - q @ x, q))
+    cov = sum(np.einsum("a,ai,aj->ij", q, x, x) for x, q in cells)
+    vals, vecs = np.linalg.eigh(cov)
+    assume(vals.min() > 1e-3 * vals.max())
+    white = vecs @ np.diag(vals**-0.5) @ vecs.T
+    row = ArrayRow.from_cells(DiscreteCell(x @ white, q) for x, q in cells)
+    assume(validate_row(row).passed)
+    return row
+
+
+@st.composite
+def rows_and_batches(draw):
+    """(row, (m, N) batch holding t = 0, phase budget): the budget is the
+    default, two t per chunk, or one t per chunk."""
+    row = draw(centred_rows())
+    coords = st.floats(-6.0, 6.0, allow_subnormal=False)
+    vectors = st.lists(coords, min_size=row.dimension, max_size=row.dimension)
+    batch = np.array(draw(st.lists(vectors, min_size=1, max_size=7)))
+    batch[draw(st.integers(0, len(batch) - 1))] = 0.0
+    budget = draw(st.sampled_from([charfn_module._PHASE_BUDGET, 2 * row.total_atoms, 1]))
+    return row, batch, budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows_and_batches())
+def test_phase_pass_matches_cell_oracle(case):
+    row, batch, budget = case
+    with mock.patch.object(charfn_module, "_PHASE_BUDGET", budget):
+        phis = charfn_module._phase_pass(
+            row, batch, lambda a, cos, sin: charfn_module._cell_transforms(row, cos, sin)
+        )
+        values = row_sum_charfn(row, batch)
+        gaps = charfn_gap(row, batch)
+    assert phis.shape == (len(batch), row.n)
+    assert values.shape == gaps.shape == (len(batch),)
+    for i, t in enumerate(batch):
+        oracle = np.array([cell_charfn(cell, t) for cell in row.cells()])
+        # phases <t, x> are summed in another order than the oracle's
+        # matrix-vector product, so allow a few ulp of the largest phase
+        tol = 1e-15 * (1.0 + np.max(np.abs(row.points @ t))) * row.n
+        assert np.max(np.abs(phis[i] - oracle)) <= tol
+        assert abs(values[i] - np.prod(oracle)) <= tol
+        assert abs(gaps[i] - abs(gaussian_charfn(t) - np.prod(oracle))) <= tol
+        if not np.any(t):
+            assert abs(values[i] - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_batch_entries_match_single_t_calls(dim):
+    rng = np.random.default_rng(dim)
+    if dim == 1:
+        rows = [build_rademacher_row(77), build_eta_row(0.5, 1000)]
+    else:
+        rows = [build_product_row([build_rademacher_row(30)] * dim),
+                build_product_row([build_eta_row(0.4, 20)] * dim)]
+    for row in rows:
+        batch = np.vstack([np.zeros(dim), rng.uniform(-5.0, 5.0, (12, dim))])
+        values, gaps = row_sum_charfn(row, batch), charfn_gap(row, batch)
+        for t, value, gap in zip(batch, values, gaps):
+            if dim == 1:  # one product per phase: the same bits
+                assert value == row_sum_charfn(row, t)
+                assert gap == charfn_gap(row, t)
+            else:  # BLAS may sum <t, x> in another order
+                assert abs(value - row_sum_charfn(row, t)) <= 1e-15
+                assert abs(gap - charfn_gap(row, t)) <= 1e-15
+
+
+def test_batch_shape_errors():
+    row = build_product_row([build_rademacher_row(3), build_rademacher_row(3)])
+    assert charfn_gap(row, np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ShapeError):
+        charfn_gap(row, np.ones((3, 3)))
+    with pytest.raises(ParameterError):
+        row_sum_charfn(row, [[0.0, np.nan]])
+
+
+def test_empirical_charfn_batch_is_one_draw():
+    row = build_eta_row(0.5, 8)
+    batch = np.array([[0.0], [0.7], [1.3], [-2.0]])
+    seed = RngSeed(99, 3)
+    estimates = empirical_charfn(row, batch, 5000, seed)
+    assert estimates == tuple(empirical_charfn(row, t, 5000, seed) for t in batch)
 
 
 def test_empirical_charfn_matches_exact():

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from steinclt import EtaAlphaFamily, RngSeed, empirical_charfn, row_sum_charfn
 from steinclt.cli import _parse_grid, execute
 
 
@@ -118,6 +119,27 @@ def test_reports_are_byte_identical(tmp_path):
     assert execute(argv + ["--output", str(out1)]) == 0
     assert execute(argv + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_charfn_samples_rows_equal_single_t_calls(capsys):
+    t_values = [0.0, 0.5, 1.25, 3.0]
+    code, out, _ = run(
+        ["charfn", "--family", "eta", "--alpha", "0.5", "--n-list", "6,9",
+         "--t-list", ",".join(map(str, t_values)), "--samples", "3000",
+         "--seed", "5", "--stream", "2"],
+        capsys,
+    )
+    assert code == 0
+    header, *rows = csv_rows(out)
+    assert len(rows) == 2 * len(t_values)
+    family = EtaAlphaFamily(0.5)
+    for record in (dict(zip(header, row)) for row in rows):
+        row, t = family.row(int(record["n"])), float(record["t"])
+        exact = row_sum_charfn(row, t)
+        mc = empirical_charfn(row, t, 3000, RngSeed(5, 2))
+        assert [float(record[k]) for k in ("exact_re", "exact_im")] == [exact.real, exact.imag]
+        assert [float(record[k]) for k in ("mc_re", "mc_im", "mc_stderr")] == [
+            mc.value.real, mc.value.imag, mc.stderr]
 
 
 def test_thread_env_does_not_change_output(tmp_path, monkeypatch):

@@ -183,6 +183,21 @@ def test_cell_constructor_rejects_bad_probabilities():
         DiscreteCell(np.array([[1.0], [2.0]]), np.array([1.0]))
 
 
+def test_row_data_is_read_only():
+    row = EtaAlphaFamily(0.5).row(6)
+    for array in (row.points, row.probs, row.offsets, row.squared_norms()):
+        with pytest.raises(ValueError):
+            array[0] = 0.9
+    with pytest.raises(ValueError):
+        row.cell(1).probs[0] = 0.9
+    assert EtaAlphaFamily(0.5).row(6).probs[0] == row.probs[0]
+    # the caller's own arrays keep their flags
+    points, probs = np.array([[-1.0], [1.0]]), np.array([0.5, 0.5])
+    offsets = np.array([0, 2])
+    ArrayRow(1, points, probs, offsets)
+    assert points.flags.writeable and probs.flags.writeable and offsets.flags.writeable
+
+
 def test_row_roundtrip_is_bit_exact():
     row = build_eta_row(0.3, 9)
     loaded = load_row_spec(serialize_row(row))
