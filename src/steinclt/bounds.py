@@ -38,10 +38,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charfn import _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn, row_sum_charfn
-from .errors import CapacityError, ParameterError
+from .errors import ParameterError
 from .indices import _copy_weights, l_sum, lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
-from .rows import DEFAULT_ATOM_CAP, ArrayRow, _require_validated
+from .rows import ArrayRow
 from .util import as_vector, exclusive_products, lift_scalar
 
 __all__ = [
@@ -69,7 +69,6 @@ DEFAULT_BOUND_EPS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05)
 
 def identity_lhs(row: ArrayRow, t) -> complex:
     """Exact left side: phi_Gauss(t) - phi_row(t)."""
-    _require_validated(row, "identity_lhs")
     t = as_vector(t, row.dimension)
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
@@ -88,13 +87,17 @@ def _r_factor(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     out.real = sin * inv - 1.0
     out.imag = (cos - 1.0) * inv
     if np.any(small):
-        w = -1j * a[small]
-        out[small] = w * (1.0 / 2.0 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w / 120.0)))
+        # real temporaries: at the first u-nodes of identity_rhs most atoms
+        # of a large row take this branch
+        b = a[small]
+        b2 = b * b
+        out.real[small] = b2 * (b2 / 120.0 - 1.0 / 6.0)
+        out.imag[small] = b * (b2 / 24.0 - 0.5)
     return out
 
 
 def identity_rhs(
-    row: ArrayRow, t, spec: QuadratureSpec = DEFAULT_QUADRATURE, atom_cap: int = DEFAULT_ATOM_CAP
+    row: ArrayRow, t, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> tuple[complex, float]:
     """Right side of the identity, by one adaptive s-quadrature.
 
@@ -104,10 +107,7 @@ def identity_rhs(
     bounds the memory of atom-heavy rows.  Returns (value, estimated
     quadrature error).
     """
-    _require_validated(row, "identity_rhs")
     t = as_vector(t, row.dimension)
-    if int(np.max(np.diff(row.offsets))) > atom_cap:
-        raise CapacityError(f"a cell exceeds the atom cap {atom_cap}")
     tt = float(t @ t)
     d = row.points @ t
     w = row.probs * d * d
@@ -175,7 +175,6 @@ def truncation_bound_check(
     The small-phase part is controlled by |e^{i theta} - 1| <= |theta|
     <= eps on the complementary event, the rest by the crude bound 2.
     """
-    _require_validated(row, "truncation_bound_check")
     t = as_vector(t, row.dimension)
     if not eps > 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -217,7 +216,6 @@ def master_bound(row: ArrayRow, t, eps):
     the scalar call; the gap is computed once and each tail sum in one
     grid call.
     """
-    _require_validated(row, "master_bound")
     t = as_vector(t, row.dimension)
     grid = np.asarray(eps, dtype=np.float64)
     if grid.ndim > 1:

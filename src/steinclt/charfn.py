@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError, UnsupportedDimensionError
 from .normal_cdf import normal_cdf
 from .rng import RngSeed
-from .rows import ArrayRow, DiscreteCell, _require_validated
+from .rows import ArrayRow, DiscreteCell
 from .util import as_vector
 
 __all__ = [
@@ -108,7 +108,6 @@ def row_sum_charfn(row: ArrayRow, t):
 
     A 2-D (m, N) batch of t gives a complex array of m values.
     """
-    _require_validated(row, "row_sum_charfn")
     batch, is_batch = _as_batch(t, row.dimension)
     values = _phase_pass(
         row, batch, lambda a, cos, sin: np.prod(_cell_transforms(row, cos, sin), axis=1)
@@ -127,7 +126,6 @@ def charfn_gap(row: ArrayRow, t):
 
     A 2-D (m, N) batch of t gives an array of m gaps.
     """
-    _require_validated(row, "charfn_gap")
     batch, is_batch = _as_batch(t, row.dimension)
     gauss = np.exp(-0.5 * np.sum(batch * batch, axis=1))
     gaps = np.abs(gauss - row_sum_charfn(row, batch))
@@ -162,7 +160,6 @@ def empirical_charfn(row: ArrayRow, t, samples: int, seed: RngSeed):
     batch of t gives a tuple of m values, all from one draw of the sums,
     each equal to the single-t call.
     """
-    _require_validated(row, "empirical_charfn")
     batch, is_batch = _as_batch(t, row.dimension)
     sums = sample_row_sums(row, samples, seed.generator())
     values = []
@@ -186,7 +183,6 @@ def kolmogorov_mc(row: ArrayRow, samples: int, seed: RngSeed) -> float:
     package's quantitative statements are about transform gaps, not CDF
     distance.
     """
-    _require_validated(row, "kolmogorov_mc")
     if row.dimension != 1:
         raise UnsupportedDimensionError("kolmogorov_mc supports one-dimensional rows only")
     draws = np.sort(sample_row_sums(row, samples, seed.generator())[:, 0])

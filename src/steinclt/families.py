@@ -21,7 +21,6 @@ from .rows import (
     build_eta_row,
     build_product_row,
     build_rademacher_row,
-    validate_row,
 )
 
 __all__ = [
@@ -40,7 +39,7 @@ SCHEMA_ID = "stein-clt-row/1"
 
 
 class ArrayFamily:
-    """Base class: a generator of validated rows, one per n."""
+    """Base class: a generator of standard rows, one per n."""
 
     kind: str = "abstract"
 
@@ -251,14 +250,10 @@ def _parse_cells(cells_doc, dim: int, ctx: str) -> list[DiscreteCell]:
 
 
 def _row_from_cells(cells, ctx: str) -> ArrayRow:
-    row = ArrayRow.from_cells(cells)
-    report = validate_row(row)
-    if not report.passed:
-        bad = ", ".join(f"cell {k}" for k in report.failing_cells) or "covariance sum"
-        raise RowValidationError(
-            f"{ctx}: row failed validation ({bad}); {report.summary()}", report=report
-        )
-    return row
+    try:
+        return ArrayRow.from_cells(cells)
+    except RowValidationError as exc:
+        raise RowValidationError(f"{ctx}: {exc}", report=exc.report) from None
 
 
 def _family_from_doc(doc: dict, ctx: str):

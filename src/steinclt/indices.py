@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rows import ArrayRow, _require_validated
+from .rows import ArrayRow
 from .util import as_vector
 
 __all__ = [
@@ -71,7 +71,6 @@ def _copy_weights(row: ArrayRow, copy: str) -> np.ndarray:
 
 def lindeberg_sum(row: ArrayRow, eps) -> float | np.ndarray:
     """Exact sum_k E[|X_k|^2 ; |X_k| > eps] over the row's atoms, per entry of an eps grid."""
-    _require_validated(row, "lindeberg_sum")
     eps = np.asarray(eps, dtype=np.float64)
     if not np.all(eps > 0.0):
         raise ParameterError(f"eps must be positive, got {eps}")
@@ -152,7 +151,6 @@ def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
                         with X0_k an independent copy of X_k, so the
                         expectation factorises exactly.
     """
-    _require_validated(row, "l_sum")
     t = as_vector(t, row.dimension)
     return _tail_sums(np.abs(row.points @ t), _copy_weights(row, copy), threshold)
 
@@ -165,7 +163,6 @@ def infinitesimality_profile(row: ArrayRow, eps: float) -> tuple[float, float]:
     infinitesimal when the first component vanishes as n grows, for
     every eps.
     """
-    _require_validated(row, "infinitesimality_profile")
     if not eps > 0.0:
         raise ParameterError(f"eps must be positive, got {eps}")
     norm2 = row.squared_norms()

@@ -3,11 +3,12 @@
 Three tools live here:
 
 * ``integrate_unit`` -- adaptive integration of a complex-valued function
-  over [0, 1].  Each panel is estimated with a fixed-order Gauss-Legendre
+  over [0, 1], always in u = sqrt(s): it integrates 2u f(u^2) du.  Every
+  s-integrand of the package depends on s through sqrt(s), so in s it
+  has a sqrt(s) kink or an s^{-1/2} blow-up at 0, while in u it is
+  smooth.  Each panel is estimated with a fixed-order Gauss-Legendre
   rule and the error is taken from order doubling; the worst panel is
-  bisected until the global error estimate meets the tolerance.  An
-  inverse-square-root endpoint singularity at 0 (integrands behaving like
-  s^{-1/2}) is handled by the substitution s = u^2 before adaptation.
+  bisected until the global error estimate meets the tolerance.
 
 * ``gauss_hermite_expect`` -- tensor-product Gauss-Hermite evaluation of
   E[g(Z)] for a standard normal vector Z on R^N, with weights normalised
@@ -52,26 +53,19 @@ _GL_HIGH = 20
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and options for ``integrate_unit``.
+    """Tolerances for ``integrate_unit``.
 
-    singularity:
-        "none" or "inverse_sqrt_at_zero".  The latter declares that
-        f(s) * sqrt(s) stays bounded as s -> 0 and triggers the s = u^2
-        substitution.
     max_subdivisions:
         Cap on panel bisections before giving up with ConvergenceError.
     """
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    singularity: str = "none"
     max_subdivisions: int = 512
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ParameterError("quadrature tolerances must be positive")
-        if self.singularity not in ("none", "inverse_sqrt_at_zero"):
-            raise ParameterError(f"unknown singularity option {self.singularity!r}")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be >= 1")
 
@@ -114,20 +108,18 @@ def integrate_unit(
     """Integrate a complex-valued ``f`` over [0, 1].
 
     The estimated error of the returned value is at most
-    ``max(abs_tol, rel_tol * |result|)``.  With
-    ``singularity="inverse_sqrt_at_zero"`` the integral is rewritten as
-    ``int_0^1 2u f(u^2) du`` first, which removes an s^{-1/2} endpoint
-    blow-up; interior nodes only, so f is never evaluated at 0 or 1.
+    ``max(abs_tol, rel_tol * |result|)``.  The integral is computed as
+    ``int_0^1 2u f(u^2) du``, which is smooth for integrands that are
+    smooth in sqrt(s) and removes an s^{-1/2} endpoint blow-up; interior
+    nodes only, so f is never evaluated at 0 or 1.
 
     Returns the complex estimate, or ``(estimate, error_bound)`` when
     ``return_error`` is set.  Raises ConvergenceError (carrying the best
     estimate) if the tolerance is not met within ``max_subdivisions``
     bisections, and DomainError on non-finite integrand values.
     """
-    if spec.singularity == "inverse_sqrt_at_zero":
-        g = lambda u: 2.0 * u * np.asarray(f(u * u))
-    else:
-        g = f
+    def g(u):
+        return 2.0 * u * np.asarray(f(u * u))
 
     # Max-heap of panels keyed by error estimate (heapq is a min-heap,
     # hence the sign flip).  Ties broken by insertion order.

@@ -3,6 +3,9 @@
 A *standard* row of size n consists of n independent cells; each cell is
 a finitely supported distribution on R^N with mean zero, and the cell
 covariances add up to the identity, so the row sum has unit covariance.
+Every ``ArrayRow`` is standard by construction: building one runs
+``validate_row`` once and raises RowValidationError if the row fails,
+so no function taking a row has to check it again.
 
 Rows keep their atoms in flat concatenated arrays (``points``, ``probs``
 plus ``offsets`` marking cell boundaries) so that row-level reductions
@@ -29,7 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, ConstructionError, ParameterError, ShapeError
+from .errors import (
+    CapacityError,
+    ConstructionError,
+    ParameterError,
+    RowValidationError,
+    ShapeError,
+)
 
 __all__ = [
     "DiscreteCell",
@@ -56,8 +65,8 @@ class DiscreteCell:
 
     ``points`` has shape (m, N) and ``probs`` shape (m,); probabilities
     must be in (0, 1].  Whether they sum to one and the mean vanishes is
-    checked by ``validate_row``, not at construction, so that defective
-    cells can be built, validated and reported.
+    checked when cells are assembled into an ``ArrayRow``, whose
+    validation report names the failing cells.
     """
 
     points: np.ndarray
@@ -94,14 +103,15 @@ class DiscreteCell:
 
 @dataclass
 class ArrayRow:
-    """Row of independent cells, stored as flat concatenated atoms.
+    """Standard row of independent cells, stored as flat concatenated atoms.
 
     ``offsets`` has length n+1; cell k occupies
-    ``points[offsets[k]:offsets[k+1]]``.  Atom data is read-only after
-    construction (writing into ``points``, ``probs``, ``offsets`` or
-    ``squared_norms()`` raises ValueError), since families hand out one
-    shared cached row; ``validated`` is the one mutable flag and is set
-    by ``validate_row``.
+    ``points[offsets[k]:offsets[k+1]]``.  Construction validates the row
+    with the default tolerances and raises RowValidationError (carrying
+    the ValidationReport) if it is not standard.  Atom data is read-only
+    after construction (writing into ``points``, ``probs``, ``offsets``
+    or ``squared_norms()`` raises ValueError), since families hand out
+    one shared cached row.
     """
 
     dimension: int
@@ -109,7 +119,6 @@ class ArrayRow:
     probs: np.ndarray  # (total_atoms,)
     offsets: np.ndarray  # (n + 1,), int64
     meta: dict = field(default_factory=dict)
-    validated: bool = False
     _norm2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,6 +135,12 @@ class ArrayRow:
         # handles only and the caller's arrays stay writable
         for array in (self.points, self.probs, self.offsets):
             array.setflags(write=False)
+        report = validate_row(self)
+        if not report.passed:
+            bad = ", ".join(f"cell {k}" for k in report.failing_cells) or "covariance sum"
+            raise RowValidationError(
+                f"row failed validation ({bad}); {report.summary()}", report=report
+            )
 
     @property
     def n(self) -> int:
@@ -220,11 +235,13 @@ class ValidationReport:
 def validate_row(
     row: ArrayRow, tol_mean: float = DEFAULT_MEAN_TOL, tol_cov: float = DEFAULT_COV_TOL
 ) -> ValidationReport:
-    """Check the standard-row properties and mark the row accordingly.
+    """Check the standard-row properties of ``row`` against the tolerances.
 
-    Failures are reported, never raised: the report lists per-cell
-    residuals and the row is marked validated only if probabilities,
-    means and the covariance sum are all within tolerance.
+    A pure function: failures are reported, never raised, and the row is
+    left untouched.  The report lists per-cell residuals and passes only
+    if probabilities, means and the covariance sum are all within
+    tolerance.  ``ArrayRow`` runs it with the default tolerances on
+    construction; stricter or looser calls only inspect.
     """
     starts = row.starts
     prob_sums = np.add.reduceat(row.probs, starts)
@@ -242,7 +259,7 @@ def validate_row(
 
     cell_ok = (prob_residuals <= tol_mean) & (mean_residuals <= tol_mean)
     passed = bool(np.all(cell_ok)) and float(np.max(np.abs(cov_residual_matrix))) <= tol_cov
-    report = ValidationReport(
+    return ValidationReport(
         n=row.n,
         dimension=row.dimension,
         prob_residuals=prob_residuals,
@@ -254,13 +271,6 @@ def validate_row(
         passed=passed,
         failing_cells=tuple(int(k) for k in np.nonzero(~cell_ok)[0]),
     )
-    row.validated = report.passed
-    return report
-
-
-def _require_validated(row: ArrayRow, what: str) -> None:
-    if not row.validated:
-        raise ParameterError(f"{what} requires a validated row; run validate_row first")
 
 
 def build_rademacher_row(n: int) -> ArrayRow:
@@ -271,9 +281,7 @@ def build_rademacher_row(n: int) -> ArrayRow:
     points = np.tile([[-scale], [scale]], (n, 1))
     probs = np.full(2 * n, 0.5)
     offsets = 2 * np.arange(n + 1, dtype=np.int64)
-    row = ArrayRow(1, points, probs, offsets, meta={"family": "rademacher_iid", "n": n})
-    validate_row(row)
-    return row
+    return ArrayRow(1, points, probs, offsets, meta={"family": "rademacher_iid", "n": n})
 
 
 def _eta_params(alpha: float) -> tuple[float, int]:
@@ -371,15 +379,11 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     meta = {"family": "eta_alpha", "alpha": alpha, "n": n, "scale_squared": s2}
     if beta > 1.0:
         meta["shifted_start"] = k0
-    row = ArrayRow(1, points, probs, offsets, meta=meta)
-    report = validate_row(row)
-    if not report.passed:
-        raise ConstructionError(f"two-scale row failed validation: {report.summary()}")
-    return row
+    return ArrayRow(1, points, probs, offsets, meta=meta)
 
 
 def build_product_row(coordinate_rows, atom_cap: int = DEFAULT_ATOM_CAP) -> ArrayRow:
-    """Coordinate-wise product of validated 1-D rows of equal size.
+    """Coordinate-wise product of 1-D rows of equal size.
 
     Cell k of the result is the product distribution of the k-th cells of
     the factors: atom set is the Cartesian product, probabilities
@@ -390,7 +394,6 @@ def build_product_row(coordinate_rows, atom_cap: int = DEFAULT_ATOM_CAP) -> Arra
         raise ParameterError("need at least one coordinate row")
     n = factors[0].n
     for idx, factor in enumerate(factors):
-        _require_validated(factor, "build_product_row")
         if factor.dimension != 1:
             raise ShapeError(f"coordinate row {idx} has dimension {factor.dimension}, expected 1")
         if factor.n != n:
@@ -413,6 +416,4 @@ def build_product_row(coordinate_rows, atom_cap: int = DEFAULT_ATOM_CAP) -> Arra
         pr = pr.ravel()
         order = np.lexsort(pts.T[::-1])  # lexicographic by coordinates
         cells.append(DiscreteCell(pts[order], pr[order]))
-    row = ArrayRow.from_cells(cells, meta={"family": "product", "n": n, "dimension": dim})
-    validate_row(row)
-    return row
+    return ArrayRow.from_cells(cells, meta={"family": "product", "n": n, "dimension": dim})

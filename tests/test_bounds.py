@@ -2,9 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import r_factor_exp_form
 from steinclt import (
+    ArrayRow,
+    DiscreteCell,
     EtaAlphaFamily,
     ParameterError,
     RademacherFamily,
@@ -21,6 +25,7 @@ from steinclt import (
     theorem_bound_report,
     truncation_bound_check,
 )
+from strategies import centred_rows
 
 # frozen: e^{-1/2} - cos(1), mpmath 40 digits
 LHS_COIN_T1 = 0.0662283538444937
@@ -69,7 +74,7 @@ def test_identity_eta(alpha, n, t):
 def test_identity_asymmetric_cells():
     # asymmetric cells break the even-in-sqrt(s) structure of the
     # built-in families, leaving a genuine sqrt(s) kink at the origin of
-    # the s-integrand; the adaptive bisection has to resolve it
+    # the s-integrand; integrate_unit works in u = sqrt(s), where it is smooth
     import steinclt as sc
 
     b = np.sqrt(0.5) / 2.0
@@ -87,6 +92,46 @@ def test_identity_product_row():
     report = decomposition_check(row, [1.0, -1.0])
     assert report.passed
     assert report.residual < 1e-8
+
+
+def test_identity_atom_heavy_cells():
+    # the phase-pass budget bounds memory whatever the cell size, so cells
+    # far above build_product_row's atom cap still go through
+    grid = np.linspace(-1.0, 1.0, 20001)
+    points = grid * np.sqrt(0.5 / np.mean(grid * grid))
+    cell = DiscreteCell(points[:, None], np.full(grid.size, 1.0 / grid.size))
+    row = ArrayRow.from_cells([cell, cell])
+    for t in (0.5, 2.0, 4.0):
+        report = decomposition_check(row, t)
+        assert report.passed
+        assert report.residual < 1e-12
+
+
+@st.composite
+def rows_and_t(draw):
+    """(row, t) with a random asymmetric row in dims 1-3 and |t| <= 6."""
+    row = draw(centred_rows())
+    coords = st.floats(-6.0, 6.0, allow_subnormal=False)
+    t = np.array(draw(st.lists(coords, min_size=row.dimension, max_size=row.dimension)))
+    norm = float(np.linalg.norm(t))
+    return row, t if norm <= 6.0 else t * (6.0 / norm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_t())
+def test_identity_holds_on_random_rows(case):
+    row, t = case
+    report = decomposition_check(row, t)
+    assert report.passed
+    assert report.residual <= 1e-6
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_t())
+def test_master_bound_holds_on_random_rows(case):
+    row, t = case
+    reports = master_bound(row, t, (1.0, 0.5, 0.2, 0.1, 0.05, 0.01))
+    assert all(report.slack >= 0.0 and report.passed for report in reports)
 
 
 def test_identity_rhs_node_chunking_is_transparent(monkeypatch):

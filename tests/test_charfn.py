@@ -2,12 +2,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
 from steinclt import (
-    ArrayRow,
     DiscreteCell,
     ParameterError,
     RngSeed,
@@ -23,8 +22,8 @@ from steinclt import (
     gaussian_charfn,
     kolmogorov_mc,
     row_sum_charfn,
-    validate_row,
 )
+from strategies import centred_rows
 
 # frozen: cos(0.2)**25 and exp(-1/2) - cos(0.2)**25, mpmath 40 digits
 COS25 = 0.6044904989166917
@@ -81,30 +80,6 @@ def test_row_transform_bounded_and_conjugate_symmetric():
             assert abs(value) <= 1.0 + 1e-12
             assert row_sum_charfn(row, -t) == pytest.approx(np.conj(value), abs=1e-14)
             assert 0.0 <= charfn_gap(row, t) <= 2.0
-
-
-@st.composite
-def centred_rows(draw):
-    """Explicit rows of mean-zero cells with 2-4 atoms of unequal mass,
-    whitened so the cell covariances sum to the identity.  The cells are
-    not symmetric, so their transforms have imaginary parts."""
-    dim = draw(st.integers(1, 3))
-    n = draw(st.integers(dim, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    cells = []
-    for _ in range(n):
-        atoms = int(rng.integers(2, 5))
-        x = rng.normal(size=(atoms, dim))
-        q = rng.uniform(0.1, 1.0, atoms)
-        q /= q.sum()
-        cells.append((x - q @ x, q))
-    cov = sum(np.einsum("a,ai,aj->ij", q, x, x) for x, q in cells)
-    vals, vecs = np.linalg.eigh(cov)
-    assume(vals.min() > 1e-3 * vals.max())
-    white = vecs @ np.diag(vals**-0.5) @ vecs.T
-    row = ArrayRow.from_cells(DiscreteCell(x @ white, q) for x, q in cells)
-    assume(validate_row(row).passed)
-    return row
 
 
 @st.composite

@@ -12,7 +12,7 @@ from steinclt import (
     outer_product,
 )
 
-SQRT_SPEC = QuadratureSpec(singularity="inverse_sqrt_at_zero")
+SQRT_SPEC = QuadratureSpec()
 
 
 def test_constant_integrand():
@@ -81,8 +81,6 @@ def test_non_finite_integrand_is_domain_error():
 def test_bad_spec_rejected():
     with pytest.raises(ParameterError):
         QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ParameterError):
-        QuadratureSpec(singularity="pole")
     with pytest.raises(ParameterError):
         QuadratureSpec(max_subdivisions=0)
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from steinclt import (
     ArrayRow,
@@ -18,12 +19,14 @@ from steinclt import (
     build_eta_row,
     build_product_row,
     build_rademacher_row,
+    charfn_gap,
     eta_scale_squared,
     load_row_spec,
     serialize_family,
     serialize_row,
     validate_row,
 )
+from strategies import centred_rows
 
 
 def test_rademacher_atoms():
@@ -141,12 +144,26 @@ def test_product_shape_and_capacity_errors():
 
 def test_validate_detects_bad_mean():
     cell = DiscreteCell(np.array([[1.0], [-1.0]]), np.array([0.6, 0.4]))
-    row = ArrayRow.from_cells([cell])
-    report = validate_row(row)
+    with pytest.raises(RowValidationError, match="cell 0") as excinfo:
+        ArrayRow.from_cells([cell])
+    report = excinfo.value.report
     assert not report.passed
     assert report.mean_residuals[0] == pytest.approx(0.2, abs=1e-15)
     assert report.failing_cells == (0,)
-    assert not row.validated
+
+
+def test_strict_validation_leaves_cached_row_usable():
+    # validate_row only inspects: a failed strict check must not disable
+    # the shared family row for later callers
+    family = EtaAlphaFamily(0.5)
+    row = family.row(1000)
+    before, meta = dict(vars(row)), dict(row.meta)
+    assert validate_row(row).passed
+    assert not validate_row(row, tol_mean=1e-30, tol_cov=1e-30).passed
+    assert vars(row).keys() == before.keys()
+    assert all(vars(row)[key] is value for key, value in before.items())
+    assert row.meta == meta
+    assert charfn_gap(family.row(1000), 1.0) == charfn_gap(build_eta_row(0.5, 1000), 1.0)
 
 
 def test_validate_clean_row_residuals_zero():
@@ -205,7 +222,15 @@ def test_row_roundtrip_is_bit_exact():
     assert np.array_equal(loaded.points, row.points)
     assert np.array_equal(loaded.probs, row.probs)
     assert np.array_equal(loaded.offsets, row.offsets)
-    assert loaded.validated
+
+
+@settings(max_examples=60, deadline=None)
+@given(centred_rows())
+def test_random_row_roundtrip_is_bit_exact(row):
+    loaded = load_row_spec(serialize_row(row))
+    assert np.array_equal(loaded.points, row.points)
+    assert np.array_equal(loaded.probs, row.probs)
+    assert np.array_equal(loaded.offsets, row.offsets)
 
 
 def test_family_roundtrips():
