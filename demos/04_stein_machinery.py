@@ -8,8 +8,9 @@ the representation for general test functions carries a 1/(1-s) endpoint
 factor that is numerically hopeless, and for e_t it cancels exactly.
 
 Every formula is cross-checked against an independent route below:
-finite differences of the solution, tensor-product Gauss-Hermite for the
-Gaussian-expectation reductions, and the defining equation itself.
+finite differences of the solution, the Gauss-Hermite product rule on
+R^N (summed as products of 1-D factors, so any dimension is cheap) for
+the Gaussian-expectation reductions, and the defining equation itself.
 """
 
 import numpy as np

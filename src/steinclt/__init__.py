@@ -66,7 +66,6 @@ from .indices import (
 from .normal_cdf import normal_cdf
 from .quadrature import (
     QuadratureSpec,
-    gauss_hermite_expect,
     integrate_unit,
     outer_product,
 )

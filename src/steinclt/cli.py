@@ -496,6 +496,8 @@ def _cmd_kolmogorov(args) -> int:
 def _cmd_stein_check(args) -> int:
     spec = _quad_spec(args)
     dim = args.dim
+    if dim < 1:
+        raise SteinCltError(f"--dim must be >= 1 (got {dim})")
     t_values = _collect_grid(args, "t", float, default=[1.0, 2.0, 3.0])
     x_values = _collect_grid(args, "x", float, default=[0.0, 0.7, 2.5])
     t_dir = _direction(args)
@@ -618,8 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stein-check", help="Stein machinery verification battery")
     _add_common(p, grids=("t", "x"), source=False, quad=True)
-    p.add_argument("--dim", type=int, default=1, choices=[1, 2, 3, 4])
-    p.add_argument("--level", type=int, default=60, help="Gauss-Hermite level")
+    p.add_argument("--dim", type=int, default=1,
+                   help="dimension of t and x (any N >= 1: the Gaussian moment checks "
+                        "multiply 1-D Gauss-Hermite sums, O(N * level) each)")
+    p.add_argument("--level", type=int, default=60, help="1-D Gauss-Hermite level")
     p.add_argument("--trials", type=int, default=10_000,
                    help="random draws for the shift identities")
     p.add_argument("--seed", type=int, default=0)

@@ -10,10 +10,11 @@ Three tools live here:
   rule and the error is taken from order doubling; the worst panel is
   bisected until the global error estimate meets the tolerance.
 
-* ``gauss_hermite_expect`` -- tensor-product Gauss-Hermite evaluation of
-  E[g(Z)] for a standard normal vector Z on R^N, with weights normalised
-  so that E[1] = 1 exactly.  Each (level, dim) grid is built once and
-  held in memory, read-only: level^dim * (dim + 1) * 8 bytes.
+* ``_hermite_rule`` -- the 1-D probabilists' Gauss-Hermite rule for
+  E[g(Z)], Z ~ N(0, 1), with weights normalised so that E[1] = 1
+  exactly; built once per level and shared read-only.  The Gaussian
+  moment checks in ``stein`` take products of 1-D sums over it, so no
+  tensor grid is ever formed and any dimension is served.
 
 * ``outer_product`` -- the rank-one matrix t t^T, which satisfies
   <x, (t t^T) x> = <x, t>^2.
@@ -31,18 +32,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    ParameterError,
-    UnsupportedDimensionError,
-)
+from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "integrate_unit",
-    "gauss_hermite_expect",
     "outer_product",
 ]
 
@@ -168,49 +163,6 @@ def _hermite_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-_MAX_GH_DIM = 4
-
-
-@lru_cache(maxsize=2)
-def _hermite_grid(level: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(level^dim, dim) points and unit-sum weights, frozen because shared.
-
-    The cache is small: a level-60 grid in dim 4 takes 0.5 GB.
-    """
-    if dim < 1:
-        raise ParameterError("dimension must be >= 1")
-    if dim > _MAX_GH_DIM:
-        raise UnsupportedDimensionError(
-            f"tensor-product Gauss-Hermite supports dim <= {_MAX_GH_DIM} "
-            f"(got {dim}); use Monte Carlo instead"
-        )
-    nodes, weights = _hermite_rule(level)
-    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
-    points = np.stack([grid.ravel() for grid in grids], axis=-1)
-    w = weights
-    for _ in range(dim - 1):
-        w = np.multiply.outer(w, weights)
-    w = w.ravel()
-    points.setflags(write=False)
-    w.setflags(write=False)
-    return points, w
-
-
-def gauss_hermite_expect(
-    g: Callable[[np.ndarray], np.ndarray], level: int, dim: int = 1
-) -> complex:
-    """E[g(Z)] for Z standard normal on R^dim, by tensor-product quadrature.
-
-    ``g`` receives the shared read-only (M, dim) array of evaluation
-    points (writing into it raises ValueError) and must return M values.
-    Weights are normalised so g = 1 integrates to exactly 1.  Dimensions
-    above 4 are refused (node count level^dim): use Monte Carlo for those.
-    """
-    points, w = _hermite_grid(level, dim)
-    values = np.asarray(g(points)).reshape(points.shape[0])
-    return complex(np.sum(w * values))
 
 
 def outer_product(t: np.ndarray) -> np.ndarray:

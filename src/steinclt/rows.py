@@ -101,7 +101,7 @@ class DiscreteCell:
         return second - np.outer(mu, mu)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArrayRow:
     """Standard row of independent cells, stored as flat concatenated atoms.
 
@@ -110,8 +110,9 @@ class ArrayRow:
     with the default tolerances and raises RowValidationError (carrying
     the ValidationReport) if it is not standard.  Atom data is read-only
     after construction (writing into ``points``, ``probs``, ``offsets``
-    or ``squared_norms()`` raises ValueError), since families hand out
-    one shared cached row.
+    or ``squared_norms()`` raises ValueError, rebinding a field raises
+    ``dataclasses.FrozenInstanceError``), since families hand out one
+    shared cached row.
     """
 
     dimension: int
@@ -122,9 +123,11 @@ class ArrayRow:
     _norm2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, self.dimension)
-        self.probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        self.offsets = np.asarray(self.offsets, dtype=np.int64).ravel()
+        object.__setattr__(
+            self, "points", np.asarray(self.points, dtype=np.float64).reshape(-1, self.dimension)
+        )
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64).ravel())
+        object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64).ravel())
         if self.points.shape[0] != self.probs.shape[0]:
             raise ShapeError("points and probs must have one entry per atom")
         if self.offsets[0] != 0 or self.offsets[-1] != self.points.shape[0]:
@@ -171,7 +174,7 @@ class ArrayRow:
         if self._norm2 is None:
             norm2 = np.sum(self.points**2, axis=1)
             norm2.setflags(write=False)
-            self._norm2 = norm2
+            object.__setattr__(self, "_norm2", norm2)
         return self._norm2
 
     @classmethod

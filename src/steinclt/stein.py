@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_grid, integrate_unit, outer_product
-from .util import as_vector
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_rule, integrate_unit, outer_product
+from .util import as_vector, exclusive_products
 
 __all__ = [
     "SteinEval",
@@ -114,7 +114,7 @@ def stein_gradient(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     Uses the analytically reduced integrand (the Gaussian first-moment
     expectation in closed form), leaving a single s-quadrature;
     ``gradient_reduction_residual`` verifies that reduction against
-    tensor-product Gauss-Hermite.
+    Gauss-Hermite quadrature.
     """
     t, x, tt, a = _pair(t, x)
     integral, _ = _oscillatory_integral(tt, a, spec, half_power=True)
@@ -238,35 +238,47 @@ def hessian_difference(t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np
     return 0.5 * integral * outer_product(t)
 
 
-def _interp_phase(t: np.ndarray, x: np.ndarray, s: float, level: int):
-    """Gauss-Hermite points z and weights times e_t(sqrt(s) x + sqrt(1-s) z).
+def _hermite_factors(t: np.ndarray, x: np.ndarray, s: float, level: int):
+    """Shift e^{-i sqrt(s) <t,x>} and the 1-D Gauss-Hermite factor sums
+    m[k, l] = sum_j w_j z_j^k e^{-i sqrt(1-s) t_l z_j}, k = 0, 1, 2.
 
-    Every Gaussian moment below is a contraction of this one weighted
-    phase array with the (shared, read-only) grid points.
+    The product rule's phase e^{-i sqrt(1-s) <t, z>} factorises over the
+    coordinates, so every Gaussian moment below is a product of these
+    sums: O(dim * level) work in any dimension, and no tensor grid.
     """
-    points, weights = _hermite_grid(level, t.size)
-    shift = np.sqrt(s) * float(t @ x)
-    return points, weights * np.exp(-1j * (shift + np.sqrt(1.0 - s) * (points @ t)))
+    nodes, weights = _hermite_rule(level)
+    phase = weights * np.exp(-1j * np.sqrt(1.0 - s) * np.multiply.outer(t, nodes))
+    shift = np.exp(-1j * np.sqrt(s) * float(t @ x))
+    return shift, (phase @ np.vander(nodes, 3, increasing=True)).T
+
+
+def _first_moment(t: np.ndarray, x: np.ndarray, s: float, level: int) -> np.ndarray:
+    """E[e_t(sqrt(s) x + sqrt(1-s) Z) Z] by Gauss-Hermite: entry l is
+    shift * m_1[l] * prod_{j != l} m_0[j]."""
+    shift, (m0, m1, _) = _hermite_factors(t, x, s, level)
+    return shift * m1 * exclusive_products(m0)
 
 
 def _second_moment(t: np.ndarray, x: np.ndarray, s: float, level: int) -> np.ndarray:
     """E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)] by Gauss-Hermite.
 
-    The real and imaginary parts are contracted separately: forming the
-    entries as one (points x entries) complex array would double the
-    peak memory of a level-60 grid.
+    Entry (l, k) is shift * m_1[l] m_1[k] * prod_{j != l, k} m_0[j] off
+    the diagonal and shift * (m_2[l] - m_0[l]) * prod_{j != l} m_0[j] on
+    it; the exclusive products use no division, so a zero factor stays
+    exact.
     """
-    points, phase = _interp_phase(t, x, s, level)
-    moment = (points * phase.real[:, None]).T @ points
-    moment = moment + 1j * ((points * phase.imag[:, None]).T @ points)
-    return moment - np.sum(phase) * np.eye(t.size)
+    shift, (m0, m1, m2) = _hermite_factors(t, x, s, level)
+    eye = np.eye(t.size, dtype=bool)
+    others = exclusive_products(np.where(eye, 1.0, m0))
+    return shift * others * np.where(eye, m2 - m0, np.outer(m1, m1))
 
 
 def gaussian_expectation_identity(t, x, s: float, level: int = 60) -> np.ndarray:
     """Residual of the closed-form Gaussian second-moment expectation.
 
-    Compares E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)], computed by
-    Gauss-Hermite quadrature, against the closed form
+    Compares E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)], computed by the
+    level-``level`` Gauss-Hermite product rule on R^N (summed as products
+    of 1-D factors, so any N is cheap), against the closed form
     -(1-s) t t^T exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2).  The returned
     matrix is (quadrature - closed form); its max magnitude certifies
     that the 1/(1-s) factor of the general Hessian representation
@@ -288,7 +300,8 @@ def gaussian_expectation_identity(t, x, s: float, level: int = 60) -> np.ndarray
 def gradient_reduction_residual(t, x, s: float, level: int = 60) -> float:
     """Max residual of the closed-form Gaussian first-moment expectation.
 
-    Checks E[e_t(sqrt(s) x + sqrt(1-s) Z) Z] against
+    Checks E[e_t(sqrt(s) x + sqrt(1-s) Z) Z], by the Gauss-Hermite
+    product rule summed as 1-D factors, against
     -i sqrt(1-s) t exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2), the reduction
     used by ``stein_gradient``.
     """
@@ -296,8 +309,7 @@ def gradient_reduction_residual(t, x, s: float, level: int = 60) -> float:
     x = as_vector(x, t.size, name="x")
     if not 0.0 <= s <= 1.0:
         raise ValueError("s must lie in [0, 1]")
-    points, phase = _interp_phase(t, x, s, level)
-    quadrature = phase.real @ points + 1j * (phase.imag @ points)
+    quadrature = _first_moment(t, x, s, level)
     tt = float(t @ t)
     closed = (
         -1j

@@ -99,3 +99,33 @@ def fd_hessian_of_solution(t, x, step: float = 1e-4, spec=None) -> np.ndarray:
             ) / (4 * step**2)
             matrix[i, j] = matrix[j, i] = mixed
     return matrix
+
+
+def tensor_gauss_hermite_moments(t, x, s: float, level: int):
+    """E[e_t(sqrt(s) x + sqrt(1-s) Z) Z] and E[e_t(...)(Z Z^T - I)] by
+    summing over a level^dim tensor Gauss-Hermite grid point by point.
+
+    The grid is built here from ``hermegauss`` (weights normalised to sum
+    to one), so the library's 1-D factorisation of the same product rule
+    is checked against the plain tensor sum.  Each entry is one pairwise
+    ``np.sum`` over the grid: a BLAS contraction of the 216k terms in
+    dim 3 rounds E[Z] at s = 1 to 1e-14.  The shift e^{-i sqrt(s) <t, x>}
+    is one factor common to every point; it is applied once rather than
+    folded into each point's angle, whose rounding (|angle| times the
+    unit roundoff) would also reach 1e-14.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    dim = t.size
+    nodes, weights = np.polynomial.hermite_e.hermegauss(level)
+    weights = weights / weights.sum()
+    grids = np.meshgrid(*([nodes] * dim), indexing="ij")
+    coords = [grid.ravel() for grid in grids]
+    w = weights
+    for _ in range(dim - 1):
+        w = np.multiply.outer(w, weights)
+    phase = w.ravel() * np.exp(-1j * np.sqrt(1.0 - s) * sum(tl * z for tl, z in zip(t, coords)))
+    shift = np.exp(-1j * np.sqrt(s) * float(t @ x))
+    first = np.array([np.sum(phase * z) for z in coords])
+    second = np.array([[np.sum(phase * zl * zk) for zk in coords] for zl in coords])
+    return shift * first, shift * (second - np.sum(phase) * np.eye(dim))

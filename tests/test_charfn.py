@@ -18,11 +18,11 @@ from steinclt import (
     cell_charfn,
     charfn_gap,
     empirical_charfn,
-    gauss_hermite_expect,
     gaussian_charfn,
     kolmogorov_mc,
     row_sum_charfn,
 )
+from steinclt.quadrature import _hermite_rule
 from strategies import centred_rows
 
 # frozen: cos(0.2)**25 and exp(-1/2) - cos(0.2)**25, mpmath 40 digits
@@ -55,7 +55,8 @@ def test_row_sum_charfn_is_product():
 def test_gaussian_charfn():
     assert gaussian_charfn(0.0) == 1.0
     assert gaussian_charfn([1.0, 1.0]) == pytest.approx(np.exp(-1.0), abs=1e-15)
-    quad = gauss_hermite_expect(lambda p: np.exp(-1j * p[:, 0]), 40)
+    nodes, weights = _hermite_rule(40)
+    quad = weights @ np.exp(-1j * nodes)
     assert gaussian_charfn(1.0) == pytest.approx(quad.real, abs=1e-12)
 
 

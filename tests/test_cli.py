@@ -195,6 +195,20 @@ def test_stein_check_small_battery(capsys):
             "hessian_difference", "shift_identity_scalar"} <= checks
 
 
+def test_stein_check_any_dimension(capsys):
+    code, out, _ = run(
+        ["stein-check", "--dim", "8", "--t-list", "1.7", "--x-list", "1.3",
+         "--trials", "200"],
+        capsys,
+    )
+    assert code == 0
+    header, *data = csv_rows(out)
+    rows = [dict(zip(header, row)) for row in data]
+    assert {row["check"] for row in rows} >= {"gaussian_moment1", "gaussian_moment2"}
+    assert all(row["dim"] == "8" and row["passed"] == "true" for row in rows)
+    assert run(["stein-check", "--dim", "0"], capsys)[0] == 2
+
+
 def test_l_sum_command(capsys):
     code, out, _ = run(
         ["l-sum", "--family", "rademacher", "--n", "25", "--t", "1",

@@ -6,11 +6,10 @@ from steinclt import (
     DomainError,
     ParameterError,
     QuadratureSpec,
-    UnsupportedDimensionError,
-    gauss_hermite_expect,
     integrate_unit,
     outer_product,
 )
+from steinclt.quadrature import _hermite_rule
 
 SQRT_SPEC = QuadratureSpec()
 
@@ -86,47 +85,32 @@ def test_bad_spec_rejected():
 
 
 def test_gauss_hermite_normalisation_and_variance():
-    assert gauss_hermite_expect(lambda p: np.ones(p.shape[0]), 2) == pytest.approx(1.0)
-    assert gauss_hermite_expect(lambda p: p[:, 0] ** 2, 2).real == pytest.approx(1.0)
+    nodes, weights = _hermite_rule(2)
+    assert np.sum(weights) == pytest.approx(1.0)
+    assert weights @ nodes**2 == pytest.approx(1.0)
 
 
 def test_gauss_hermite_moments_through_eight():
     # E[Z^k] = 0 (odd), 1, 3, 15, 105 (even); exact for level >= 8
     expected = {1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0, 7: 0.0, 8: 105.0}
+    nodes, weights = _hermite_rule(8)
     for k, target in expected.items():
-        value = gauss_hermite_expect(lambda p, k=k: p[:, 0] ** k, 8)
-        assert value.real == pytest.approx(target, abs=1e-10 * max(1.0, target))
-        assert value.imag == 0.0
+        assert weights @ nodes**k == pytest.approx(target, abs=1e-10 * max(1.0, target))
 
 
 def test_gauss_hermite_characteristic_function():
-    value = gauss_hermite_expect(lambda p: np.exp(-1j * p[:, 0]), 40)
-    assert value == pytest.approx(np.exp(-0.5), abs=1e-12)
+    nodes, weights = _hermite_rule(40)
+    assert weights @ np.exp(-1j * nodes) == pytest.approx(np.exp(-0.5), abs=1e-12)
 
 
-def test_gauss_hermite_multivariate():
-    value = gauss_hermite_expect(lambda p: p[:, 0] ** 2 * p[:, 1] ** 2, 8, dim=2)
-    assert value.real == pytest.approx(1.0, abs=1e-10)
-    phi = gauss_hermite_expect(
-        lambda p: np.exp(-1j * (p[:, 0] + p[:, 1])), 40, dim=2
-    )
-    assert phi == pytest.approx(np.exp(-1.0), abs=1e-12)
-
-
-def test_gauss_hermite_grid_is_read_only():
-    # the grid is cached and shared, so a g that writes into it must fail
-    def scribble(points):
-        points[0, 0] = 1.0
-        return np.ones(points.shape[0])
-
-    with pytest.raises(ValueError):
-        gauss_hermite_expect(scribble, 8, dim=2)
-    assert gauss_hermite_expect(lambda p: p[:, 0] ** 2, 8, dim=2).real == pytest.approx(1.0)
-
-
-def test_gauss_hermite_dimension_cap():
-    with pytest.raises(UnsupportedDimensionError, match="Monte Carlo"):
-        gauss_hermite_expect(lambda p: np.ones(p.shape[0]), 4, dim=5)
+def test_hermite_rule_is_read_only():
+    # the rule is cached and shared, so writing into it must fail
+    nodes, weights = _hermite_rule(8)
+    for array in (nodes, weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert _hermite_rule(8)[0] is nodes
+    assert weights @ nodes**2 == pytest.approx(1.0)
 
 
 def test_outer_product_examples():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -213,6 +214,21 @@ def test_row_data_is_read_only():
     offsets = np.array([0, 2])
     ArrayRow(1, points, probs, offsets)
     assert points.flags.writeable and probs.flags.writeable and offsets.flags.writeable
+
+
+def test_row_fields_cannot_be_rebound():
+    # a rebound field would bypass the build-time validation and, on a
+    # family row, change the shared cached row
+    family = EtaAlphaFamily(0.5)
+    row = family.row(10)
+    for name in ("dimension", "points", "probs", "offsets", "meta", "_norm2"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(row, name, getattr(row, name))
+    with pytest.raises(FrozenInstanceError):
+        row.probs = np.full(row.probs.size, 0.9)
+    assert family.row(10) is row
+    assert charfn_gap(row, 1.0) == charfn_gap(build_eta_row(0.5, 10), 1.0)
+    assert row.squared_norms() is row.squared_norms()
 
 
 def test_row_roundtrip_is_bit_exact():

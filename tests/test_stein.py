@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import steinclt.stein as stein_module
 from steinclt import (
     QuadratureSpec,
     alpha_identities,
@@ -15,7 +18,7 @@ from steinclt import (
     stein_solution,
 )
 
-from oracles import midpoint_solution
+from oracles import midpoint_solution, tensor_gauss_hermite_moments
 
 # frozen oracle (mpmath quad to 20 digits and a 1e6-panel midpoint rule
 # agree): int_0^1 (2s)^{-1} [e^{-1/2} - e^{-(1-s)/2}] ds
@@ -57,11 +60,19 @@ def test_gradient_is_parallel_to_t():
     assert np.max(np.abs(cross)) < 1e-12
 
 
+# (t, x) beyond the reach of a tensor grid (60^8 points in dim 8)
+HIGH_DIM_CASES = (
+    ([0.9, -1.1, 0.3, 0.6], [0.4, -1.3, 0.8, 0.2]),
+    ([0.5, -0.8, 0.0, 1.1, -0.3, 0.7, 0.2, -0.6],
+     [1.2, 0.3, -0.9, 0.4, 0.0, -1.5, 0.7, 0.1]),
+)
+
+
 def test_gradient_reduction_verified_by_gauss_hermite():
     worst = max(
         gradient_reduction_residual(t, x, s, level=60)
         for t, x in (([1.0], [0.7]), ([2.0, -1.0], [0.5, 1.0]),
-                     ([1.2, -0.7, 0.4], [0.3, 1.1, -0.8]))
+                     ([1.2, -0.7, 0.4], [0.3, 1.1, -0.8]), *HIGH_DIM_CASES)
         for s in (0.0, 0.25, 0.5, 0.9, 1.0)
     )
     assert worst < 1e-12
@@ -137,11 +148,34 @@ def test_gaussian_expectation_identity_closed_value():
 def test_gaussian_expectation_identity_on_s_grid():
     worst = 0.0
     for t, x in (([1.0], [3.0]), ([3.0], [1.0]), ([1.0, 1.0], [0.3, -0.7]),
-                 ([2.0, -1.0], [1.5, 0.5]), ([1.2, -0.7, 0.4], [0.3, 1.1, -0.8])):
+                 ([2.0, -1.0], [1.5, 0.5]), ([1.2, -0.7, 0.4], [0.3, 1.1, -0.8]),
+                 *HIGH_DIM_CASES):
         for s in np.linspace(0.0, 1.0, 21):
             residual = gaussian_expectation_identity(t, x, float(s), level=60)
             worst = max(worst, float(np.max(np.abs(residual))))
     assert worst < 1e-9
+
+
+@st.composite
+def moment_inputs(draw):
+    """(t, x, s, level) in dims 1-3: |t| <= 5 with zero components drawn
+    often, s on [0, 1] with both endpoints drawn often."""
+    dim = draw(st.integers(1, 3))
+    coord = st.one_of(st.just(0.0), st.floats(-5.0, 5.0, allow_subnormal=False))
+    t = np.array(draw(st.lists(coord, min_size=dim, max_size=dim)))
+    x = np.array(draw(st.lists(st.floats(-5.0, 5.0, allow_subnormal=False),
+                               min_size=dim, max_size=dim)))
+    s = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return t, x, s, draw(st.integers(1, 60))
+
+
+@settings(max_examples=60, deadline=None)
+@given(moment_inputs())
+def test_factorised_moments_match_tensor_grid(case):
+    t, x, s, level = case
+    first, second = tensor_gauss_hermite_moments(t, x, s, level)
+    assert np.max(np.abs(stein_module._first_moment(t, x, s, level) - first)) <= 1e-14
+    assert np.max(np.abs(stein_module._second_moment(t, x, s, level) - second)) <= 1e-14
 
 
 def test_alpha_identities_degenerate_cases():
