@@ -17,7 +17,6 @@ from .bounds import (
     gap_table_with_lambda_f,
     identity_lhs,
     identity_rhs,
-    lambda_f_estimate,
     master_bound,
     master_bound_best,
     theorem_bound_report,

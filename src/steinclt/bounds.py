@@ -28,7 +28,8 @@ with S_same / S_indep the directional truncated second-moment sums of
 the indices module at threshold eps.  This holds for every row, every t
 and every eps, with no tolerance; asymptotic versions (sup over t,
 limsup over n) are estimated on finite grids with explicit truncation
-metadata.
+metadata, t as an (m, N) batch and the n grid and tail window checked
+by the indices module's ``_tail_window`` rule before any row is built.
 """
 
 from __future__ import annotations
@@ -37,12 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn, row_sum_charfn
-from .errors import ParameterError
-from .indices import _copy_weights, l_sum, lindeberg_index_estimate
+from .charfn import _as_batch, _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn
+from .charfn import row_sum_charfn
+from .errors import ParameterError, ShapeError
+from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _tail_window, l_sum
+from .indices import lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
 from .rows import ArrayRow
-from .util import as_vector, exclusive_products, lift_scalar
+from .util import as_vector, exclusive_products
 
 __all__ = [
     "IdentityReport",
@@ -56,7 +59,6 @@ __all__ = [
     "master_bound",
     "master_bound_best",
     "theorem_bound_report",
-    "lambda_f_estimate",
     "gap_table_with_lambda_f",
     "DEFAULT_BOUND_EPS_GRID",
     "SLACK_FLOOR",
@@ -273,9 +275,10 @@ class AsymptoticReport:
     All limsups are max over the trailing ``tail_window`` entries of the
     n-grid and all sups are maxima over the stated grids, so every
     number carries finite-truncation error that the grids themselves
-    document.  Entries whose slack is below -slack_floor are listed in
-    ``flagged``; small negative slack is expected truncation noise on an
-    asymptotic statement, large negative slack indicates a bug.
+    document.  Entries whose slack is below -slack_floor (the constant
+    ``SLACK_FLOOR``) are listed in ``flagged``; small negative slack is
+    expected truncation noise on an asymptotic statement, large negative
+    slack indicates a bug.
     """
 
     family_label: str
@@ -295,44 +298,34 @@ class AsymptoticReport:
     flagged: tuple[int, ...]
 
 
-def _vector_grid(t_grid, dim: int, direction=None) -> list[np.ndarray]:
-    vectors = []
-    for entry in t_grid:
-        if np.ndim(entry) == 0:
-            vectors.append(lift_scalar(float(entry), dim, direction))
-        else:
-            vectors.append(as_vector(entry, dim))
-    return vectors
+def _t_grid(t_grid, dim: int) -> np.ndarray:
+    """The t grid as a non-empty (m, N) batch; a 1-D family also takes plain scalars."""
+    if dim == 1 and np.ndim(t_grid) < 2:
+        t_grid = np.reshape(t_grid, (-1, 1))
+    batch, is_batch = _as_batch(t_grid, dim)
+    if not is_batch:
+        raise ShapeError(f"t grid must be an (m, {dim}) batch of vectors")
+    if not batch.shape[0]:
+        raise ParameterError("t grid must be non-empty")
+    return batch
 
 
 def gap_table_with_lambda_f(
-    family, t_grid, n_grid, tail_window: int = 3, direction=None
+    family, t_grid, n_grid, tail_window: int = DEFAULT_TAIL_WINDOW
 ) -> tuple[np.ndarray, float]:
     """Transform gaps on the (t, n) grid and the lambda_f estimate from them.
 
-    The table has one row per t-grid entry and one column per n-grid
-    entry.  lambda_f is the max of the trailing ``tail_window`` columns,
-    clamped to [0, 2]: a finite-grid truncation of sup_t limsup_n of the
-    gap.  Enlarging either grid can only reveal a larger value, so treat
-    the number as a lower estimate.
+    The table has one row per t (an (m, N) batch) and one column per
+    n-grid entry.  lambda_f is the max of the trailing ``tail_window``
+    columns, clamped to [0, 2]: a finite-grid truncation of sup_t
+    limsup_n of the gap.  Enlarging either grid can only reveal a larger
+    value, so treat the number as a lower estimate.
     """
-    n_grid = tuple(int(n) for n in n_grid)
-    if not n_grid or not len(t_grid):
-        raise ParameterError("grids must be non-empty")
-    vectors = _vector_grid(t_grid, family.dimension, direction)
-    window = min(max(1, tail_window), len(n_grid))
-    batch = np.array(vectors)
-    table = np.empty((len(vectors), len(n_grid)))
-    for j, n in enumerate(n_grid):
-        table[:, j] = charfn_gap(family.row(n), batch)
+    n_grid, window = _tail_window(n_grid, tail_window)
+    batch = _t_grid(t_grid, family.dimension)
+    table = np.stack([charfn_gap(family.row(n), batch) for n in n_grid], axis=1)
     lambda_f = float(min(max(np.max(table[:, -window:]), 0.0), 2.0))
     return table, lambda_f
-
-
-def lambda_f_estimate(family, t_grid, n_grid, tail_window: int = 3, direction=None) -> float:
-    """The lambda_f of ``gap_table_with_lambda_f``, building only the tail rows."""
-    tail = tuple(n_grid)[-max(1, tail_window):]
-    return gap_table_with_lambda_f(family, t_grid, tail, tail_window, direction)[1]
 
 
 def theorem_bound_report(
@@ -340,31 +333,28 @@ def theorem_bound_report(
     t_grid,
     n_grid,
     eps_grid=DEFAULT_BOUND_EPS_GRID,
-    tail_window: int = 3,
-    direction=None,
-    slack_floor: float = SLACK_FLOOR,
+    tail_window: int = DEFAULT_TAIL_WINDOW,
 ) -> AsymptoticReport:
     """Check the asymptotic gap bounds for a family on finite grids.
 
-    Per t, the gap tail-max is compared against
+    Per t (an (m, N) batch), the gap tail-max is compared against
     2 (1 - e^{-|t|^2/2}) (L_same + L_indep), where the directional-sum
     estimates take a sup over the t- and eps-grids jointly (scaling t by
     1/eps sweeps thresholds, so the eps-grid enriches the effective
     t-grid); the uniform bound 2 * (Lindeberg index estimate) is checked
-    alongside.  Violations beyond ``slack_floor`` are flagged.
+    alongside.  Violations beyond ``SLACK_FLOOR`` are flagged.
     """
-    n_grid = tuple(int(n) for n in n_grid)
+    n_grid, window = _tail_window(n_grid, tail_window)
+    batch = _t_grid(t_grid, family.dimension)
     eps_grid = tuple(float(e) for e in eps_grid)
-    if not n_grid or not len(t_grid) or not eps_grid:
-        raise ParameterError("grids must be non-empty")
-    vectors = _vector_grid(t_grid, family.dimension, direction)
-    window = min(max(1, tail_window), len(n_grid))
+    if not eps_grid or min(eps_grid) <= 0:
+        raise ParameterError("eps grid must be non-empty and positive")
 
-    gap_table, lambda_f = gap_table_with_lambda_f(family, vectors, n_grid, tail_window)
+    gap_table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, tail_window)
 
     tail_rows = [family.row(n) for n in n_grid[-window:]]
     l_same, l_indep = (
-        max(float(np.max(l_sum(row, mode, t, eps_grid))) for t in vectors for row in tail_rows)
+        max(float(np.max(l_sum(row, mode, t, eps_grid))) for t in batch for row in tail_rows)
         for mode in ("same", "independent")
     )
 
@@ -373,7 +363,7 @@ def theorem_bound_report(
 
     entries = []
     flagged = []
-    for i, t in enumerate(vectors):
+    for i, t in enumerate(batch):
         gap_tail = float(np.max(gap_table[i, -window:]))
         envelope = 1.0 - gaussian_charfn(t)
         theorem_rhs = 2.0 * envelope * (l_same + l_indep)
@@ -384,9 +374,9 @@ def theorem_bound_report(
             gap_tail_max=gap_tail,
             theorem_rhs=theorem_rhs,
             theorem_slack=theorem_slack,
-            theorem_ok=theorem_slack >= -slack_floor,
+            theorem_ok=theorem_slack >= -SLACK_FLOOR,
             corollary_slack=corollary_slack,
-            corollary_ok=corollary_slack >= -slack_floor,
+            corollary_ok=corollary_slack >= -SLACK_FLOOR,
         )
         entries.append(entry)
         if not entry.theorem_ok:
@@ -395,11 +385,11 @@ def theorem_bound_report(
     return AsymptoticReport(
         family_label=family.label,
         dimension=family.dimension,
-        t_grid=tuple(vectors),
+        t_grid=tuple(batch),
         n_grid=n_grid,
         eps_grid=eps_grid,
         tail_window=tail_window,
-        slack_floor=slack_floor,
+        slack_floor=SLACK_FLOOR,
         gap_table=gap_table,
         l_same_estimate=l_same,
         l_indep_estimate=l_indep,

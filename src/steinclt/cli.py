@@ -56,7 +56,8 @@ from .errors import (
     SteinCltError,
 )
 from .families import ArrayFamily, EtaAlphaFamily, ProductFamily, RademacherFamily, load_row_spec
-from .indices import DEFAULT_EPS_GRID, l_sum, lindeberg_index_estimate, lindeberg_sum
+from .indices import DEFAULT_EPS_GRID, DEFAULT_TAIL_WINDOW, l_sum, lindeberg_index_estimate
+from .indices import lindeberg_sum
 from .quadrature import QuadratureSpec
 from .rng import RngSeed
 from .rows import ArrayRow, validate_row
@@ -433,13 +434,10 @@ def _cmd_bound(args) -> int:
 
 def _cmd_report(args) -> int:
     family = _family_only(_resolve_source(args))
-    t_values = _collect_grid(args, "t", float)
+    t_values, batch = _t_batch(args, family.dimension)
     n_grid = sorted(set(_collect_grid(args, "n", int)))
     eps_grid = _collect_grid(args, "eps", float, default=DEFAULT_BOUND_EPS_GRID)
-    report = theorem_bound_report(
-        family, t_values, n_grid, eps_grid,
-        tail_window=args.tail_window, direction=_direction(args),
-    )
+    report = theorem_bound_report(family, batch, n_grid, eps_grid, args.tail_window)
     out = []
     for tval, entry in zip(t_values, report.entries):
         out.append([tval, entry.gap_tail_max, entry.theorem_rhs, entry.theorem_slack,
@@ -464,11 +462,9 @@ def _cmd_report(args) -> int:
 
 def _cmd_lambda_f(args) -> int:
     family = _family_only(_resolve_source(args))
-    t_values = _collect_grid(args, "t", float)
+    t_values, batch = _t_batch(args, family.dimension)
     n_grid = sorted(set(_collect_grid(args, "n", int)))
-    table, lambda_f = gap_table_with_lambda_f(
-        family, t_values, n_grid, args.tail_window, _direction(args)
-    )
+    table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, args.tail_window)
     out = [[n, tval, table[i, j]]
            for j, n in enumerate(n_grid) for i, tval in enumerate(t_values)]
     metadata = {
@@ -498,6 +494,8 @@ def _cmd_stein_check(args) -> int:
     dim = args.dim
     if dim < 1:
         raise SteinCltError(f"--dim must be >= 1 (got {dim})")
+    if args.trials < 1:
+        raise SteinCltError(f"--trials must be >= 1 (got {args.trials})")
     t_values = _collect_grid(args, "t", float, default=[1.0, 2.0, 3.0])
     x_values = _collect_grid(args, "x", float, default=[0.0, 0.7, 2.5])
     t_dir = _direction(args)
@@ -607,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lindeberg", help="Lindeberg sums and index estimate")
     _add_common(p, grids=("n", "eps"))
-    p.add_argument("--tail-window", type=int, default=3)
+    p.add_argument("--tail-window", type=int, default=DEFAULT_TAIL_WINDOW)
     p.set_defaults(func=_cmd_lindeberg)
 
     p = sub.add_parser("l-sum", help="directional truncated second-moment sums")
@@ -625,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "multiply 1-D Gauss-Hermite sums, O(N * level) each)")
     p.add_argument("--level", type=int, default=60, help="1-D Gauss-Hermite level")
     p.add_argument("--trials", type=int, default=10_000,
-                   help="random draws for the shift identities")
+                   help="random draws for the shift identities (>= 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--direction", default=None)
     p.set_defaults(func=_cmd_stein_check)
@@ -636,12 +634,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="asymptotic bound report for a family")
     _add_common(p, grids=("n", "t", "eps"))
-    p.add_argument("--tail-window", type=int, default=3)
+    p.add_argument("--tail-window", type=int, default=DEFAULT_TAIL_WINDOW)
     p.set_defaults(func=_cmd_report)
 
     p = sub.add_parser("lambda-f", help="transform-gap sup/limsup estimate")
     _add_common(p, grids=("n", "t"))
-    p.add_argument("--tail-window", type=int, default=3)
+    p.add_argument("--tail-window", type=int, default=DEFAULT_TAIL_WINDOW)
     p.set_defaults(func=_cmd_lambda_f)
 
     p = sub.add_parser("kolmogorov", help="Monte Carlo Kolmogorov diagnostic (N=1)")

@@ -25,7 +25,8 @@ class DomainError(SteinCltError, ValueError):
 
 
 class UnsupportedDimensionError(SteinCltError, ValueError):
-    """Tensor-product quadrature requested beyond the supported dimension."""
+    """An operation that supports only some dimensions was asked for another
+    (``kolmogorov_mc`` is defined for N = 1 only)."""
 
 
 class ConvergenceError(SteinCltError, RuntimeError):

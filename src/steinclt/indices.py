@@ -22,7 +22,9 @@ grid gives an array in input order, each entry equal to the scalar call.
 Estimators here are honest finite truncations: a limsup is reported as
 the max over a trailing window of the n-grid, together with flags when
 the sums are still moving (so the caller can see that the asymptotic
-value may be under-resolved).  No convergence claim is made.
+value may be under-resolved).  No convergence claim is made.  Every
+finite-grid estimator, here and in the bounds module, checks its n grid
+and tail window with ``_tail_window`` before it builds a row.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .util import as_vector
 
 __all__ = [
     "DEFAULT_EPS_GRID",
+    "DEFAULT_TAIL_WINDOW",
     "IndexEstimate",
     "lindeberg_sum",
     "lindeberg_index_estimate",
@@ -48,6 +51,23 @@ __all__ = [
 # sup over eps is approached from small eps, hence a log grid down to 1e-3
 DEFAULT_EPS_GRID = tuple(float(e) for e in np.geomspace(1.0, 1e-3, 13))
 DEFAULT_TAIL_WINDOW = 3
+
+
+def _tail_window(n_grid, tail_window: int) -> tuple[tuple[int, ...], int]:
+    """(n grid as ints, window): the one grid rule of every finite-grid estimator.
+
+    A limsup over n is read as the max over the last ``window`` =
+    min(tail_window, len(n_grid)) columns, which means something only on a
+    non-empty, strictly increasing grid with ``tail_window >= 1``.
+    """
+    n_grid = tuple(int(n) for n in n_grid)
+    if not n_grid:
+        raise ParameterError("n grid must be non-empty")
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ParameterError("n grid must be strictly increasing")
+    if tail_window < 1:
+        raise ParameterError(f"tail_window must be >= 1, got {tail_window}")
+    return n_grid, min(tail_window, len(n_grid))
 
 
 def _tail_sums(values: np.ndarray, weights: np.ndarray, thresholds):
@@ -105,24 +125,14 @@ def lindeberg_index_estimate(
     tail_window: int = DEFAULT_TAIL_WINDOW,
 ) -> IndexEstimate:
     """Estimate the Lindeberg index of a family on finite grids."""
+    n_grid, window = _tail_window(n_grid, tail_window)
     eps_grid = tuple(float(e) for e in eps_grid)
-    n_grid = tuple(int(n) for n in n_grid)
-    if not eps_grid or not n_grid:
-        raise ParameterError("eps and n grids must be non-empty")
-    if any(e <= 0 for e in eps_grid):
-        raise ParameterError("eps grid entries must be positive")
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ParameterError("n grid must be strictly increasing")
-    if tail_window < 1:
-        raise ParameterError("tail_window must be >= 1")
+    if not eps_grid or min(eps_grid) <= 0:
+        raise ParameterError("eps grid must be non-empty and positive")
 
-    per_point = np.empty((len(eps_grid), len(n_grid)))
-    for j, n in enumerate(n_grid):
-        per_point[:, j] = lindeberg_sum(family.row(n), eps_grid)
-
-    window = min(tail_window, len(n_grid))
+    per_point = np.stack([lindeberg_sum(family.row(n), eps_grid) for n in n_grid], axis=1)
     tail = per_point[:, -window:]
-    value = float(np.max(np.max(tail, axis=1)))
+    value = float(np.max(tail))
     increasing = []
     wandering = []
     for i, eps in enumerate(eps_grid):

@@ -36,7 +36,3 @@ class RngSeed:
         """Fresh generator for this (seed, stream); counter starts at zero."""
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def substream(self, offset: int) -> "RngSeed":
-        """Derived stream for partitioning work (e.g. one per worker)."""
-        return RngSeed(self.seed, (self.stream + offset) % _U64)

@@ -92,27 +92,20 @@ class DiscreteCell:
     def atom_count(self) -> int:
         return self.points.shape[0]
 
-    def mean(self) -> np.ndarray:
-        return self.probs @ self.points
-
-    def covariance(self) -> np.ndarray:
-        mu = self.mean()
-        second = np.einsum("a,ai,aj->ij", self.probs, self.points, self.points)
-        return second - np.outer(mu, mu)
-
 
 @dataclass(frozen=True)
 class ArrayRow:
     """Standard row of independent cells, stored as flat concatenated atoms.
 
     ``offsets`` has length n+1; cell k occupies
-    ``points[offsets[k]:offsets[k+1]]``.  Construction validates the row
-    with the default tolerances and raises RowValidationError (carrying
-    the ValidationReport) if it is not standard.  Atom data is read-only
-    after construction (writing into ``points``, ``probs``, ``offsets``
-    or ``squared_norms()`` raises ValueError, rebinding a field raises
-    ``dataclasses.FrozenInstanceError``), since families hand out one
-    shared cached row.
+    ``points[offsets[k]:offsets[k+1]]``.  Construction rejects atom
+    probabilities outside (0, 1] with ParameterError, then validates the
+    row with the default tolerances and raises RowValidationError
+    (carrying the ValidationReport) if it is not standard.  Atom data is
+    read-only after construction (writing into ``points``, ``probs``,
+    ``offsets`` or ``squared_norms()`` raises ValueError, rebinding a
+    field raises ``dataclasses.FrozenInstanceError``), since families
+    hand out one shared cached row.
     """
 
     dimension: int
@@ -134,6 +127,8 @@ class ArrayRow:
             raise ShapeError("offsets must span the atom arrays")
         if np.any(np.diff(self.offsets) < 1):
             raise ParameterError("every cell needs at least one atom")
+        if np.any(self.probs <= 0.0) or np.any(self.probs > 1.0):
+            raise ParameterError("atom probabilities must lie in (0, 1]")
         # reshape/ravel return new array objects, so the flag binds the row's
         # handles only and the caller's arrays stay writable
         for array in (self.points, self.probs, self.offsets):

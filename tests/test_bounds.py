@@ -11,15 +11,18 @@ from steinclt import (
     DiscreteCell,
     EtaAlphaFamily,
     ParameterError,
+    ProductFamily,
     RademacherFamily,
+    ShapeError,
     build_eta_row,
     build_product_row,
     build_rademacher_row,
     charfn_gap,
     decomposition_check,
+    gap_table_with_lambda_f,
     identity_lhs,
     identity_rhs,
-    lambda_f_estimate,
+    lindeberg_index_estimate,
     master_bound,
     master_bound_best,
     theorem_bound_report,
@@ -322,7 +325,7 @@ def test_theorem_report_eta_respects_bounds():
 
 
 def test_lambda_f_rademacher_small_at_fixed_t():
-    estimate = lambda_f_estimate(
+    _, estimate = gap_table_with_lambda_f(
         RademacherFamily(), t_grid=np.arange(0.5, 5.01, 0.5),
         n_grid=(1000, 5000, 10_000), tail_window=2,
     )
@@ -344,4 +347,87 @@ def test_sup_over_t_does_not_vanish_even_when_fixed_t_gaps_do():
 
 def test_lambda_f_requires_grids():
     with pytest.raises(ParameterError):
-        lambda_f_estimate(RademacherFamily(), t_grid=[], n_grid=(10,))
+        gap_table_with_lambda_f(RademacherFamily(), t_grid=[], n_grid=(10,))
+
+
+class CountingFamily(RademacherFamily):
+    """Rademacher rows that count how many were built."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = 0
+
+    def _build(self, n):
+        self.builds += 1
+        return super()._build(n)
+
+
+ESTIMATORS = {
+    "lindeberg_index_estimate":
+        lambda family, n_grid, w: lindeberg_index_estimate(family, (0.5, 0.1), n_grid, w),
+    "gap_table_with_lambda_f":
+        lambda family, n_grid, w: gap_table_with_lambda_f(family, [0.5, 1.0], n_grid, w),
+    "theorem_bound_report":
+        lambda family, n_grid, w: theorem_bound_report(family, [0.5, 1.0], n_grid, (0.5,), w),
+}
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+@pytest.mark.parametrize("n_grid, tail_window", [
+    ((), 1), ((10_000, 100, 10), 1), ((10, 10), 1), ((10, 100), 0), ((10, 100), -1),
+])
+def test_estimators_share_one_grid_rule(estimator, n_grid, tail_window):
+    family = CountingFamily()
+    with pytest.raises(ParameterError):
+        ESTIMATORS[estimator](family, n_grid, tail_window)
+    assert family.builds == 0
+    ESTIMATORS[estimator](family, (10, 100), 1)
+    assert family.builds == 2
+
+
+def test_theorem_report_checks_eps_before_building():
+    for eps_grid in ((), (0.5, 0.0), (-0.1,)):
+        family = CountingFamily()
+        with pytest.raises(ParameterError):
+            theorem_bound_report(family, [0.5, 1.0], (10, 100), eps_grid)
+        assert family.builds == 0
+
+
+@pytest.mark.parametrize("tail_window", [1, 2, 5])
+def test_lambda_f_and_gap_tails_read_the_tail_window(tail_window):
+    family = EtaAlphaFamily(0.5)
+    t_grid, n_grid = [0.5, 1.0, 2.0, 4.0], (10, 30, 100)
+    window = min(tail_window, len(n_grid))
+    table, lambda_f = gap_table_with_lambda_f(family, t_grid, n_grid, tail_window)
+    assert table.shape == (4, 3)
+    assert lambda_f == np.clip(np.max(table[:, -window:]), 0.0, 2.0)
+    report = theorem_bound_report(family, t_grid, n_grid, (0.5, 0.1), tail_window)
+    assert np.array_equal(report.gap_table, table)
+    assert report.lambda_f == lambda_f
+    for i, entry in enumerate(report.entries):
+        assert entry.gap_tail_max == np.max(report.gap_table[i, -window:])
+
+
+def test_scalar_t_grid_is_an_m_by_1_batch_on_1d_families():
+    family, n_grid = EtaAlphaFamily(0.3), (20, 50)
+    scalars = [0.5, 1.0, 3.0]
+    batch = np.array(scalars)[:, None]
+    table, lambda_f = gap_table_with_lambda_f(family, scalars, n_grid)
+    batch_table, batch_lambda_f = gap_table_with_lambda_f(family, batch, n_grid)
+    assert np.array_equal(table, batch_table) and lambda_f == batch_lambda_f
+    report = theorem_bound_report(family, scalars, n_grid)
+    batch_report = theorem_bound_report(family, batch, n_grid)
+    assert np.array_equal(report.gap_table, batch_report.gap_table)
+    assert [e.theorem_slack for e in report.entries] == \
+        [e.theorem_slack for e in batch_report.entries]
+
+
+def test_t_grid_on_nd_family_must_be_a_batch():
+    family = ProductFamily([RademacherFamily(), RademacherFamily()])
+    for t_grid in ([0.5, 1.0], 1.0, [[0.5, 1.0, 2.0]]):
+        with pytest.raises(ShapeError):
+            gap_table_with_lambda_f(family, t_grid, (10, 100))
+        with pytest.raises(ShapeError):
+            theorem_bound_report(family, t_grid, (10, 100))
+    table, _ = gap_table_with_lambda_f(family, [[0.5, 1.0]], (10, 100))
+    assert table.shape == (1, 2)

@@ -94,6 +94,17 @@ def test_tail_window_only_on_commands_that_read_it(capsys):
         assert '"tail_window":1' in out
 
 
+@pytest.mark.parametrize("command", [["lindeberg", "--eps", "0.5"], ["report", "--t", "1"],
+                                     ["lambda-f", "--t", "1"]])
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_tail_window_below_one_exits_two(command, window, capsys):
+    code, out, err = run(command + ["--family", "rademacher", "--n-list", "10,20,30",
+                                    "--tail-window", window], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tail_window must be >= 1" in err
+
+
 def test_malformed_spec_exits_two(tmp_path, capsys):
     doc = tmp_path / "broken.json"
     doc.write_text("{not json")
@@ -207,6 +218,16 @@ def test_stein_check_any_dimension(capsys):
     assert {row["check"] for row in rows} >= {"gaussian_moment1", "gaussian_moment2"}
     assert all(row["dim"] == "8" and row["passed"] == "true" for row in rows)
     assert run(["stein-check", "--dim", "0"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_stein_check_needs_trials(trials, capsys):
+    # zero draws would report the shift identities as passed with residual 0
+    code, out, err = run(["stein-check", "--t-list", "1", "--x-list", "0.7",
+                          "--trials", trials], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--trials must be >= 1" in err
 
 
 def test_l_sum_command(capsys):

@@ -18,12 +18,6 @@ def test_streams_differ():
     assert not np.array_equal(a, c)
 
 
-def test_substream_offsets():
-    base = RngSeed(9, 5)
-    assert base.substream(3) == RngSeed(9, 8)
-    assert base.substream(0) == base
-
-
 def test_key_range_validated():
     with pytest.raises(ParameterError):
         RngSeed(-1)

@@ -201,6 +201,16 @@ def test_cell_constructor_rejects_bad_probabilities():
         DiscreteCell(np.array([[1.0], [2.0]]), np.array([1.0]))
 
 
+def test_row_constructor_rejects_signed_measures():
+    # validate_row passes this row (masses sum to one, mean zero, unit
+    # variance), but -3 is not a probability: its "transform gap" at 2 pi
+    # was 7.0, outside [0, 2]
+    with pytest.raises(ParameterError, match=r"\(0, 1\]"):
+        ArrayRow(1, [-0.5, 0.0, 0.5], [2.0, -3.0, 2.0], [0, 3])
+    with pytest.raises(ParameterError, match=r"\(0, 1\]"):
+        ArrayRow(1, [-1.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0, 3])
+
+
 def test_row_data_is_read_only():
     row = EtaAlphaFamily(0.5).row(6)
     for array in (row.points, row.probs, row.offsets, row.squared_norms()):
