@@ -90,6 +90,8 @@ from .stein import (
     hessian_difference,
     hessian_finite_difference,
     hessian_quadrature_representation,
+    shift_identity_check,
+    stein_check_battery,
     stein_gradient,
     stein_residual,
     stein_solution,

@@ -14,12 +14,15 @@ Subcommands map one-to-one onto library operations:
   lambda-f     transform-gap sup/limsup estimate
   kolmogorov   Monte Carlo Kolmogorov distance diagnostic (N = 1)
 
-Grids use ``start:stop:step`` (inclusive) via --t/--n/--eps or comma
-lists via --t-list/--n-list/--eps-list.  Reports embed the full resolved
-configuration and tool version and contain no timestamps, so identical
-argv (and seed) produce byte-identical files.  Exit codes: 0 all checks
-passed, 1 check failure, 2 usage/parse error, 3 quadrature convergence
-failure.
+Each command parses, lifts scalar t along --direction, loops over
+library calls and writes a report.  A grid axis (--n/--t/--eps/--x) is
+one option with an alias --<axis>-list; each takes ``start:stop:step``
+(inclusive), a comma list or one value, and repeats concatenate.  n
+must be integral, and --n with a --spec row is a usage error.  Reports
+embed the resolved configuration and tool version and contain no
+timestamps, so identical argv (and seed) produce byte-identical files.
+Exit codes: 0 all checks passed, 1 check failure, 2 usage/parse error,
+3 quadrature convergence failure.
 
 The environment variable STEIN_CLT_THREADS caps the threads of the
 ``identity`` command, the only one that runs grid cells in parallel
@@ -56,22 +59,12 @@ from .errors import (
     SteinCltError,
 )
 from .families import ArrayFamily, EtaAlphaFamily, ProductFamily, RademacherFamily, load_row_spec
-from .indices import DEFAULT_EPS_GRID, DEFAULT_TAIL_WINDOW, l_sum, lindeberg_index_estimate
-from .indices import lindeberg_sum
+from .indices import DEFAULT_EPS_GRID, DEFAULT_TAIL_WINDOW, _tail_window, l_sum
+from .indices import lindeberg_index_estimate, lindeberg_sum
 from .quadrature import QuadratureSpec
 from .rng import RngSeed
 from .rows import ArrayRow, validate_row
-from .stein import (
-    alpha_identities,
-    gaussian_expectation_identity,
-    gradient_finite_difference,
-    gradient_reduction_residual,
-    hessian_closed_form,
-    hessian_difference,
-    hessian_finite_difference,
-    stein_gradient,
-    stein_residual,
-)
+from .stein import shift_identity_check, stein_check_battery
 from .util import lift_scalar
 
 REPORT_SCHEMA = "stein-clt-report/1"
@@ -91,34 +84,47 @@ def _parse_grid(text: str, cast):
         if step <= 0:
             raise argparse.ArgumentTypeError("grid step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        if count < 1:
-            raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
-        return [cast(start + i * step) for i in range(count)]
-    if "," in text:
-        return [cast(float(p)) for p in text.split(",") if p.strip()]
-    return [cast(float(text))]
-
-
-def _grid_option(parser, name, help_text):
-    parser.add_argument(f"--{name}", metavar="GRID", default=None,
-                        help=f"{help_text} (start:stop:step or single value)")
-    parser.add_argument(f"--{name}-list", metavar="LIST", default=None,
-                        help=f"{help_text} (comma-separated list)")
-
-
-def _collect_grid(args, name: str, cast=float, default=None):
-    values = []
-    spec = getattr(args, name.replace("-", "_"))
-    listed = getattr(args, f"{name.replace('-', '_')}_list")
-    if spec is not None:
-        values.extend(_parse_grid(spec, cast))
-    if listed is not None:
-        values.extend(cast(float(p)) for p in listed.split(",") if p.strip())
+        values = [start + i * step for i in range(max(count, 0))]
+    else:
+        values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
+        raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
+    return [cast(value) for value in values]
+
+
+def _whole(value: float) -> int:
+    """Cast for the n axis: an integer-valued float, else a usage error."""
+    if not float(value).is_integer():
+        raise argparse.ArgumentTypeError(f"n grid values must be integers (got {value!r})")
+    return int(value)
+
+
+def _vector(text: str) -> list[float]:
+    """A comma-separated vector, as given to --direction."""
+    return [float(p) for p in text.split(",")]
+
+
+def _grid_option(parser, name, cast):
+    def grid(text):
+        return _parse_grid(text, cast)
+
+    parser.add_argument(f"--{name}", f"--{name}-list", action="extend", type=grid,
+                        metavar="GRID", default=None,
+                        help=f"{name} grid: start:stop:step (inclusive), a comma list or "
+                             "one value; repeats concatenate")
+
+
+def _collect_grid(args, name: str, default=None):
+    values = getattr(args, name)
+    if values is None:
         if default is None:
             raise SteinCltError(f"missing required grid --{name}")
         values = list(default)
     return values
+
+
+def _n_grid(args) -> list[int]:
+    return sorted(set(_collect_grid(args, "n")))
 
 
 def _source_options(parser):
@@ -132,7 +138,7 @@ def _source_options(parser):
                         help="dimension for --family product (default 2)")
     parser.add_argument("--base", choices=["rademacher", "eta"], default="rademacher",
                         help="coordinate family for --family product")
-    parser.add_argument("--direction", default=None,
+    parser.add_argument("--direction", type=_vector, default=None,
                         help="comma-separated direction for scalar t on N-dim rows")
 
 
@@ -141,6 +147,8 @@ def _resolve_source(args):
     if args.spec and args.family:
         raise SteinCltError("give either --spec or --family, not both")
     if args.spec:
+        if args.n is not None:
+            raise SteinCltError("--n sweeps a family; a --spec row has a fixed n")
         with open(args.spec, "r", encoding="utf-8") as fh:
             return load_row_spec(fh.read())
     if args.family == "rademacher":
@@ -160,11 +168,11 @@ def _resolve_source(args):
     raise SteinCltError("no input: give --spec or --family")
 
 
-def _rows_for(args, source) -> list[tuple[int, ArrayRow]]:
+def _rows_for(args) -> list[tuple[int, ArrayRow]]:
+    source = _resolve_source(args)
     if isinstance(source, ArrayRow):
         return [(source.n, source)]
-    n_grid = sorted(set(_collect_grid(args, "n", int)))
-    return [(n, source.row(n)) for n in n_grid]
+    return [(n, source.row(n)) for n in _n_grid(args)]
 
 
 def _family_only(source) -> ArrayFamily:
@@ -173,22 +181,10 @@ def _family_only(source) -> ArrayFamily:
     return source
 
 
-def _direction(args):
-    if args.direction is None:
-        return None
-    return [float(p) for p in args.direction.split(",")]
-
-
-def _t_vectors(args, dim, default=None):
-    values = _collect_grid(args, "t", float, default=default)
-    direction = _direction(args)
-    return [(tval, lift_scalar(tval, dim, direction)) for tval in values]
-
-
-def _t_batch(args, dim):
+def _t_batch(args, dim, default=None):
     """The t grid as its scalar values and as one (m, N) batch of vectors."""
-    pairs = _t_vectors(args, dim)
-    return [tval for tval, _ in pairs], np.array([tvec for _, tvec in pairs])
+    t_values = _collect_grid(args, "t", default)
+    return t_values, np.array([lift_scalar(t, dim, args.direction) for t in t_values])
 
 
 def _quad_spec(args) -> QuadratureSpec:
@@ -219,27 +215,12 @@ def _pmap(fn, items):
 # ---------------------------------------------------------------------------
 # report writing (deterministic: no timestamps, repr floats, sorted keys)
 
-_CONFIG_SKIP = {"func", "output"}
-
-
-def _config_dict(args) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in _CONFIG_SKIP or callable(value):
-            continue
-        config[key] = value
-    return config
-
-
 def _format_cell(value) -> str:
+    value = _jsonable(value)
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     return str(value)
 
 
@@ -260,14 +241,14 @@ def _jsonable(value):
 
 
 def _write_report(args, command: str, columns, rows, metadata) -> None:
+    config = _jsonable({key: value for key, value in vars(args).items()
+                        if key not in ("func", "output")})
     if args.format == "csv":
         buffer = io.StringIO()
         buffer.write(f"# schema={REPORT_SCHEMA}\n")
         buffer.write(f"# tool={TOOL}\n")
         buffer.write(f"# command={command}\n")
-        config = json.dumps(_jsonable(_config_dict(args)), sort_keys=True,
-                            separators=(",", ":"))
-        buffer.write(f"# config={config}\n")
+        buffer.write(f"# config={json.dumps(config, sort_keys=True, separators=(',', ':'))}\n")
         for key in sorted(metadata):
             buffer.write(f"# {key}={_format_cell(metadata[key])}\n")
         writer = csv.writer(buffer, lineterminator="\n")
@@ -280,7 +261,7 @@ def _write_report(args, command: str, columns, rows, metadata) -> None:
             "schema": REPORT_SCHEMA,
             "tool": TOOL,
             "command": command,
-            "config": _jsonable(_config_dict(args)),
+            "config": config,
             "metadata": _jsonable(metadata),
             "columns": list(columns),
             "rows": [_jsonable(list(row)) for row in rows],
@@ -297,13 +278,10 @@ def _write_report(args, command: str, columns, rows, metadata) -> None:
 # subcommand implementations (each returns process exit code)
 
 def _cmd_validate(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
+    # every row passed validate_row with these tolerances when it was built
     out = []
-    all_ok = True
-    for n, row in rows:
+    for n, row in _rows_for(args):
         report = validate_row(row)
-        all_ok &= report.passed
         out.append([
             n, row.n, float(np.max(report.prob_residuals)),
             float(np.max(report.mean_residuals)), report.cov_residual,
@@ -314,15 +292,13 @@ def _cmd_validate(args) -> int:
                    "cov_residual", "second_moment_sum", "second_moment_residual",
                    "passed"],
                   out, {})
-    return 0 if all_ok else 1
+    return 0
 
 
 def _cmd_charfn(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
     seed = _seed(args)
     out = []
-    for n, row in rows:
+    for n, row in _rows_for(args):
         t_values, batch = _t_batch(args, row.dimension)
         exact = row_sum_charfn(row, batch)
         if args.samples:
@@ -339,10 +315,8 @@ def _cmd_charfn(args) -> int:
 
 
 def _cmd_gap(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
     out = []
-    for n, row in rows:
+    for n, row in _rows_for(args):
         t_values, batch = _t_batch(args, row.dimension)
         out.extend([n, tval, gap] for tval, gap in zip(t_values, charfn_gap(row, batch)))
     _write_report(args, "gap", ["n", "t", "gap"], out, {})
@@ -351,16 +325,16 @@ def _cmd_gap(args) -> int:
 
 def _cmd_lindeberg(args) -> int:
     source = _resolve_source(args)
-    eps_grid = _collect_grid(args, "eps", float, default=DEFAULT_EPS_GRID)
+    eps_grid = _collect_grid(args, "eps", default=DEFAULT_EPS_GRID)
     out = []
     metadata = {}
     if isinstance(source, ArrayRow):
+        _tail_window([source.n], args.tail_window)
         sums = lindeberg_sum(source, eps_grid)
         out = [[eps, source.n, value] for eps, value in zip(eps_grid, sums.tolist())]
         metadata["max_sum"] = max(row[2] for row in out)
     else:
-        n_grid = sorted(set(_collect_grid(args, "n", int)))
-        estimate = lindeberg_index_estimate(source, eps_grid, n_grid, args.tail_window)
+        estimate = lindeberg_index_estimate(source, eps_grid, _n_grid(args), args.tail_window)
         for i, eps in enumerate(estimate.eps_grid):
             for j, n in enumerate(estimate.n_grid):
                 out.append([eps, n, float(estimate.per_point[i, j])])
@@ -373,13 +347,11 @@ def _cmd_lindeberg(args) -> int:
 
 
 def _cmd_l_sum(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
-    thresholds = _collect_grid(args, "eps", float, default=[1.0])
+    thresholds = _collect_grid(args, "eps", default=[1.0])
     modes = ("same", "independent")
     out = []
-    for n, row in rows:
-        for tval, tvec in _t_vectors(args, row.dimension):
+    for n, row in _rows_for(args):
+        for tval, tvec in zip(*_t_batch(args, row.dimension)):
             sums = {mode: l_sum(row, mode, tvec, thresholds).tolist() for mode in modes}
             for i, threshold in enumerate(thresholds):
                 out.extend([n, tval, threshold, mode, sums[mode][i]] for mode in modes)
@@ -388,12 +360,10 @@ def _cmd_l_sum(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
     spec = _quad_spec(args)
     cases = [(n, row, tval, tvec)
-             for n, row in rows
-             for tval, tvec in _t_vectors(args, row.dimension)]
+             for n, row in _rows_for(args)
+             for tval, tvec in zip(*_t_batch(args, row.dimension))]
     reports = _pmap(lambda case: decomposition_check(case[1], case[3], spec), cases)
     out = []
     all_ok = True
@@ -409,18 +379,14 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
-    eps_grid = _collect_grid(args, "eps", float, default=None) \
-        if (args.eps or args.eps_list) else None
     out = []
     all_ok = True
-    for n, row in rows:
-        for tval, tvec in _t_vectors(args, row.dimension):
-            if eps_grid is None:
+    for n, row in _rows_for(args):
+        for tval, tvec in zip(*_t_batch(args, row.dimension)):
+            if args.eps is None:
                 reports = [master_bound_best(row, tvec)]
             else:
-                reports = master_bound(row, tvec, eps_grid)
+                reports = master_bound(row, tvec, args.eps)
             for rep in reports:
                 all_ok &= rep.passed
                 out.append([n, tval, rep.eps, rep.lhs_gap, rep.term_eps, rep.term_same,
@@ -435,9 +401,8 @@ def _cmd_bound(args) -> int:
 def _cmd_report(args) -> int:
     family = _family_only(_resolve_source(args))
     t_values, batch = _t_batch(args, family.dimension)
-    n_grid = sorted(set(_collect_grid(args, "n", int)))
-    eps_grid = _collect_grid(args, "eps", float, default=DEFAULT_BOUND_EPS_GRID)
-    report = theorem_bound_report(family, batch, n_grid, eps_grid, args.tail_window)
+    eps_grid = _collect_grid(args, "eps", default=DEFAULT_BOUND_EPS_GRID)
+    report = theorem_bound_report(family, batch, _n_grid(args), eps_grid, args.tail_window)
     out = []
     for tval, entry in zip(t_values, report.entries):
         out.append([tval, entry.gap_tail_max, entry.theorem_rhs, entry.theorem_slack,
@@ -463,7 +428,7 @@ def _cmd_report(args) -> int:
 def _cmd_lambda_f(args) -> int:
     family = _family_only(_resolve_source(args))
     t_values, batch = _t_batch(args, family.dimension)
-    n_grid = sorted(set(_collect_grid(args, "n", int)))
+    n_grid = _n_grid(args)
     table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, args.tail_window)
     out = [[n, tval, table[i, j]]
            for j, n in enumerate(n_grid) for i, tval in enumerate(t_values)]
@@ -477,11 +442,9 @@ def _cmd_lambda_f(args) -> int:
 
 
 def _cmd_kolmogorov(args) -> int:
-    source = _resolve_source(args)
-    rows = _rows_for(args, source)
     seed = _seed(args)
     out = []
-    for n, row in rows:
+    for n, row in _rows_for(args):
         out.append([n, args.samples, args.seed, args.stream,
                     kolmogorov_mc(row, args.samples, seed)])
     _write_report(args, "kolmogorov",
@@ -490,76 +453,30 @@ def _cmd_kolmogorov(args) -> int:
 
 
 def _cmd_stein_check(args) -> int:
-    spec = _quad_spec(args)
     dim = args.dim
     if dim < 1:
         raise SteinCltError(f"--dim must be >= 1 (got {dim})")
     if args.trials < 1:
         raise SteinCltError(f"--trials must be >= 1 (got {args.trials})")
-    t_values = _collect_grid(args, "t", float, default=[1.0, 2.0, 3.0])
-    x_values = _collect_grid(args, "x", float, default=[0.0, 0.7, 2.5])
-    t_dir = _direction(args)
-    x_dir = ([1.0] + [-1.0] * (dim - 1)) if dim > 1 else None
-    rows = []
-    all_ok = True
-
-    def record(check, tval, xval, residual, tol):
-        nonlocal all_ok
-        ok = residual <= tol
-        all_ok &= ok
-        rows.append([check, dim, tval, xval, residual, tol, ok])
-
-    s_grid = np.linspace(0.0, 1.0, 21)
-    for tval in t_values:
-        tvec = lift_scalar(tval, dim, t_dir)
+    spec = _quad_spec(args)
+    t_values, t_batch = _t_batch(args, dim, default=[1.0, 2.0, 3.0])
+    x_values = _collect_grid(args, "x", default=[0.0, 0.7, 2.5])
+    x_dir = [1.0] + [-1.0] * (dim - 1)  # off the default t diagonal
+    checks = []
+    for tval, tvec in zip(t_values, t_batch):
         for xval in x_values:
             xvec = lift_scalar(xval, dim, x_dir)
-            fd_grad = gradient_finite_difference(tvec, xvec, spec)
-            record("gradient_fd", tval, xval,
-                   float(np.max(np.abs(fd_grad - stein_gradient(tvec, xvec, spec)))), 1e-6)
-            fd_hess = hessian_finite_difference(tvec, xvec, spec)
-            closed = hessian_closed_form(tvec, xvec, spec)
-            record("hessian_fd", tval, xval,
-                   float(np.max(np.abs(fd_hess.matrix - closed.matrix))), 1e-5)
-            record("stein_equation", tval, xval,
-                   abs(stein_residual(tvec, xvec, spec)), 1e-7)
-            moment2 = max(
-                float(np.max(np.abs(gaussian_expectation_identity(tvec, xvec, s, args.level))))
-                for s in s_grid
-            )
-            record("gaussian_moment2", tval, xval, moment2, 1e-9)
-            moment1 = max(
-                gradient_reduction_residual(tvec, xvec, s, args.level) for s in s_grid
-            )
-            record("gaussian_moment1", tval, xval, moment1, 1e-9)
-    # Hessian-difference self consistency over (t, x, y) triples
-    for tval in t_values:
-        tvec = lift_scalar(tval, dim, t_dir)
-        for xval in x_values:
-            xvec = lift_scalar(xval, dim, x_dir)
-            yvec = lift_scalar(xval * 0.5 - 0.3, dim, t_dir)
-            direct = hessian_difference(tvec, xvec, yvec, spec)
-            split = hessian_closed_form(tvec, xvec, spec).matrix \
-                - hessian_closed_form(tvec, yvec, spec).matrix
-            record("hessian_difference", tval, xval,
-                   float(np.max(np.abs(direct - split))), 1e-8)
-    # algebraic shift identities on seeded random draws
-    rng = np.random.default_rng(args.seed)
-    worst1 = worst2 = 0.0
-    for _ in range(args.trials):
-        y = rng.uniform(-5.0, 5.0, dim)
-        t = rng.uniform(-5.0, 5.0, dim)
-        s = rng.uniform(0.0, 1.0)
-        r1, r2 = alpha_identities(y, t, s)
-        worst1 = max(worst1, r1)
-        worst2 = max(worst2, r2)
-    record("shift_identity_scalar", None, None, worst1, 1e-12)
-    record("shift_identity_matrix", None, None, worst2, 1e-12)
-
+            yvec = lift_scalar(xval * 0.5 - 0.3, dim, args.direction)
+            checks.extend((tval, xval, *check) for check in
+                          stein_check_battery(tvec, xvec, yvec, spec, args.level))
+    checks.extend((None, None, *check)
+                  for check in shift_identity_check(dim, args.trials, args.seed))
+    rows = [[check, dim, tval, xval, residual, tol, residual <= tol]
+            for tval, xval, check, residual, tol in checks]
     _write_report(args, "stein-check",
                   ["check", "dim", "t", "x", "residual", "tolerance", "passed"],
                   rows, {"trials": args.trials, "level": args.level})
-    return 0 if all_ok else 1
+    return 0 if all(row[-1] for row in rows) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +486,7 @@ def _add_common(parser, *, grids=(), source=True, quad=False, mc=False):
     if source:
         _source_options(parser)
     for grid in grids:
-        _grid_option(parser, grid, f"{grid} grid")
+        _grid_option(parser, grid, _whole if grid == "n" else float)
     if quad:
         parser.add_argument("--abs-tol", type=float, default=1e-9)
         parser.add_argument("--rel-tol", type=float, default=1e-9)
@@ -625,7 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000,
                    help="random draws for the shift identities (>= 1)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--direction", default=None)
+    p.add_argument("--direction", type=_vector, default=None,
+                   help="comma-separated direction for t and the Hessian-difference point")
     p.set_defaults(func=_cmd_stein_check)
 
     p = sub.add_parser("bound", help="master-inequality terms and slack")

@@ -22,6 +22,9 @@ numerically treacherous for arbitrary h, while for e_t the factor
 cancels exactly.  ``gaussian_expectation_identity`` certifies that
 cancellation numerically, and ``alpha_identities`` checks the two
 algebraic identities (complex shift alpha = y + i sqrt(1-s) t) behind it.
+``stein_check_battery`` and ``shift_identity_check`` run every one of
+these checks against its residual ceiling; ``stein-clt stein-check``
+reports them.
 
 General bounded-C^2 test functions are deliberately out of numerical
 scope here; the identity checks in the bounds module cover the one place
@@ -34,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ParameterError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_rule, integrate_unit, outer_product
 from .util import as_vector, exclusive_products
 
@@ -51,7 +55,12 @@ __all__ = [
     "gradient_reduction_residual",
     "alpha_identities",
     "stein_residual",
+    "stein_check_battery",
+    "shift_identity_check",
 ]
+
+# s nodes at which the Gaussian moment checks are maximised.
+_CHECK_S_GRID = np.linspace(0.0, 1.0, 21)
 
 
 @dataclass(frozen=True)
@@ -368,3 +377,57 @@ def stein_residual(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
     lhs = complex(x @ gradient) - complex(np.trace(hessian.matrix))
     rhs = np.exp(-0.5 * tt) - np.exp(-1j * a)
     return lhs - rhs
+
+
+def stein_check_battery(
+    t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE, level: int = 60
+) -> list[tuple[str, float, float]]:
+    """Every Stein check at one (t, x, y) triple, as (check, residual, tolerance).
+
+    In order: the gradient against central differences of the solution,
+    the closed-form Hessian against second differences, the defining
+    equation, the Gaussian second- and first-moment identities (max over
+    21 equispaced s in [0, 1], level-``level`` Gauss-Hermite), and
+    ``hessian_difference(t, x, y)`` against the difference of two
+    closed-form Hessians.  A check passes when residual <= tolerance.
+    """
+    t, x, _, _ = _pair(t, x)
+    closed = hessian_closed_form(t, x, spec).matrix
+    gradient = gradient_finite_difference(t, x, spec) - stein_gradient(t, x, spec)
+    hessian = hessian_finite_difference(t, x, spec).matrix - closed
+    moment2 = max(
+        float(np.max(np.abs(gaussian_expectation_identity(t, x, s, level))))
+        for s in _CHECK_S_GRID
+    )
+    moment1 = max(gradient_reduction_residual(t, x, s, level) for s in _CHECK_S_GRID)
+    split = closed - hessian_closed_form(t, y, spec).matrix
+    difference = hessian_difference(t, x, y, spec) - split
+    return [
+        ("gradient_fd", float(np.max(np.abs(gradient))), 1e-6),
+        ("hessian_fd", float(np.max(np.abs(hessian))), 1e-5),
+        ("stein_equation", float(abs(stein_residual(t, x, spec))), 1e-7),
+        ("gaussian_moment2", moment2, 1e-9),
+        ("gaussian_moment1", moment1, 1e-9),
+        ("hessian_difference", float(np.max(np.abs(difference))), 1e-8),
+    ]
+
+
+def shift_identity_check(dim: int, trials: int, seed: int = 0) -> list[tuple[str, float, float]]:
+    """Worst ``alpha_identities`` residuals over seeded random draws.
+
+    Each of the ``trials`` draws takes y and t uniform on [-5, 5]^dim and
+    s uniform on [0, 1] from ``numpy.random.default_rng(seed)``.  Returns
+    (check, residual, tolerance) for the scalar and the matrix identity.
+    """
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1 (got {trials})")
+    rng = np.random.default_rng(seed)
+    worst1 = worst2 = 0.0
+    for _ in range(trials):
+        y = rng.uniform(-5.0, 5.0, dim)
+        t = rng.uniform(-5.0, 5.0, dim)
+        s = rng.uniform(0.0, 1.0)
+        r1, r2 = alpha_identities(y, t, s)
+        worst1 = max(worst1, r1)
+        worst2 = max(worst2, r2)
+    return [("shift_identity_scalar", worst1, 1e-12), ("shift_identity_matrix", worst2, 1e-12)]

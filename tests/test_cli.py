@@ -1,10 +1,28 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from steinclt import EtaAlphaFamily, RngSeed, empirical_charfn, row_sum_charfn
-from steinclt.cli import _parse_grid, execute
+from steinclt import (
+    EtaAlphaFamily,
+    RngSeed,
+    empirical_charfn,
+    row_sum_charfn,
+    shift_identity_check,
+    stein_check_battery,
+)
+from steinclt.cli import _parse_grid, build_parser, execute
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+GOOD_ROW = ('{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,'
+            ' "cells": [{"atoms": [{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}]}]}')
+SOURCE_COMMANDS = [["validate"], ["charfn", "--t", "1"], ["gap", "--t", "1"],
+                   ["lindeberg"], ["l-sum", "--t", "1"], ["identity", "--t", "1"],
+                   ["bound", "--t", "1"], ["report", "--t", "1"], ["lambda-f", "--t", "1"],
+                   ["kolmogorov", "--samples", "100"]]
 
 
 def run(argv, capsys):
@@ -63,14 +81,77 @@ def test_validate_bad_spec_exits_one(tmp_path, capsys):
 
 def test_validate_good_spec(tmp_path, capsys):
     good = tmp_path / "row.json"
-    good.write_text(
-        '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,'
-        ' "cells": [{"atoms": [{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}]}]}'
-    )
+    good.write_text(GOOD_ROW)
     code, out, _ = run(["validate", "--spec", str(good)], capsys)
     assert code == 0
     header, row = csv_rows(out)
     assert dict(zip(header, row))["passed"] == "true"
+
+
+@pytest.mark.parametrize("axis", ["n", "t", "eps"])
+def test_grid_axis_is_one_option_with_a_list_alias(axis):
+    parser = build_parser()
+    args = parser.parse_args(["l-sum", f"--{axis}", "1", f"--{axis}-list", "2,3",
+                              f"--{axis}", "4:6:2"])
+    assert getattr(args, axis) == [1, 2, 3, 4, 6]
+    assert not hasattr(args, f"{axis}_list")
+    spelled = parser.parse_args(["l-sum", f"--{axis}-list", "1:3:1"])
+    assert getattr(spelled, axis) == [1, 2, 3]
+
+
+def test_stein_check_x_axis_is_one_option():
+    args = build_parser().parse_args(["stein-check", "--x-list", "0.5", "--x", "1,2"])
+    assert args.x == [0.5, 1.0, 2.0]
+    assert not hasattr(args, "x_list")
+
+
+@pytest.mark.parametrize("n, t, message", [
+    ("2.5", "1", "n grid values must be integers"),
+    ("1,2.5", "1", "n grid values must be integers"),
+    ("1:2:0.5", "1", "n grid values must be integers"),
+    ("5", "1:2", "is not start:stop:step"),
+    ("5", ",", "is empty"),
+])
+def test_bad_grid_is_a_usage_error(n, t, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        execute(["gap", "--family", "rademacher", "--n", n, "--t", t])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", SOURCE_COMMANDS, ids=lambda argv: argv[0])
+def test_single_row_source_rejects_an_n_grid(command, tmp_path, capsys):
+    spec = tmp_path / "row.json"
+    spec.write_text(GOOD_ROW)
+    code, out, err = run(command + ["--spec", str(spec), "--n", "5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "--spec row has a fixed n" in err
+
+
+@pytest.mark.parametrize("window", ["0", "-5"])
+def test_single_row_lindeberg_checks_the_tail_window(window, tmp_path, capsys):
+    spec = tmp_path / "row.json"
+    spec.write_text(GOOD_ROW)
+    code, out, err = run(["lindeberg", "--spec", str(spec), "--tail-window", window], capsys)
+    assert code == 2
+    assert out == ""
+    assert "tail_window must be >= 1" in err
+    assert run(["lindeberg", "--spec", str(spec), "--tail-window", "1"], capsys)[0] == 0
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    lines = [line for line in block.splitlines() if line.startswith("stein-clt ")]
+    assert len(lines) >= 8
+    (tmp_path / "my_row.json").write_text(GOOD_ROW)
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code, out, err = run(shlex.split(line)[1:], capsys)
+        assert (line, code, err) == (line, 0, "")
+        assert "# schema=stein-clt-report/1" in out
 
 
 def test_usage_errors_exit_two(capsys):
@@ -218,6 +299,20 @@ def test_stein_check_any_dimension(capsys):
     assert {row["check"] for row in rows} >= {"gaussian_moment1", "gaussian_moment2"}
     assert all(row["dim"] == "8" and row["passed"] == "true" for row in rows)
     assert run(["stein-check", "--dim", "0"], capsys)[0] == 2
+
+
+def test_stein_check_rows_come_from_the_library(capsys):
+    code, out, _ = run(["stein-check", "--dim", "2", "--t", "1.3", "--x", "0.7",
+                        "--direction", "1,2", "--trials", "30", "--seed", "5",
+                        "--level", "40"], capsys)
+    assert code == 0
+    header, *data = csv_rows(out)
+    unit = np.array([1.0, 2.0]) / np.sqrt(5.0)
+    x = 0.7 * (np.array([1.0, -1.0]) / np.sqrt(2.0))
+    expected = stein_check_battery(1.3 * unit, x, (0.7 * 0.5 - 0.3) * unit, level=40)
+    expected += shift_identity_check(2, 30, seed=5)
+    assert [(row[0], row[4], row[5]) for row in data] == [
+        (check, repr(residual), repr(tol)) for check, residual, tol in expected]
 
 
 @pytest.mark.parametrize("trials", ["0", "-3"])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import steinclt.stein as stein_module
 from steinclt import (
+    ParameterError,
     QuadratureSpec,
     alpha_identities,
     gaussian_expectation_identity,
@@ -13,6 +14,8 @@ from steinclt import (
     hessian_closed_form,
     hessian_difference,
     hessian_finite_difference,
+    shift_identity_check,
+    stein_check_battery,
     stein_gradient,
     stein_residual,
     stein_solution,
@@ -215,3 +218,28 @@ def test_quadrature_spec_is_honoured():
     result = stein_solution([2.0], [1.0], loose)
     tight = stein_solution([2.0], [1.0])
     assert abs(result.value - tight.value) <= max(1e-6, result.est_error + tight.est_error)
+
+
+def test_stein_check_battery_runs_every_check_in_order():
+    t, x, y = [1.2, -0.4], [0.7, -0.7], [0.1, 0.2]
+    checks = stein_check_battery(t, x, y, level=40)
+    assert [name for name, _, _ in checks] == [
+        "gradient_fd", "hessian_fd", "stein_equation", "gaussian_moment2",
+        "gaussian_moment1", "hessian_difference"]
+    assert all(residual <= tol for _, residual, tol in checks)
+    split = hessian_closed_form(t, x).matrix - hessian_closed_form(t, y).matrix
+    assert checks[-1][1] == float(np.max(np.abs(hessian_difference(t, x, y) - split)))
+    assert checks[2][1] == abs(stein_residual(t, x))
+
+
+def test_shift_identity_check_takes_the_worst_seeded_draw():
+    rng = np.random.default_rng(4)
+    worst = [0.0, 0.0]
+    for _ in range(50):
+        y, t, s = rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 3), rng.uniform(0.0, 1.0)
+        worst = [max(w, r) for w, r in zip(worst, alpha_identities(y, t, s))]
+    assert shift_identity_check(3, 50, seed=4) == [
+        ("shift_identity_scalar", worst[0], 1e-12), ("shift_identity_matrix", worst[1], 1e-12)]
+    # zero draws would report both identities as holding with residual 0
+    with pytest.raises(ParameterError, match="trials must be >= 1"):
+        shift_identity_check(3, 0)
