@@ -54,6 +54,7 @@ print(f"  Hessian-difference self-check     = {np.max(np.abs(diff - split)):.2e}
 print("\n== the Gaussian-expectation reduction, certified by quadrature ==")
 print("  E[e_t(sqrt(s)x + sqrt(1-s)Z)(Z Z^T - I)] versus the closed form")
 print("  -(1-s) t t^T exp(-i sqrt(s)<t,x> - (1-s)|t|^2/2):")
-for s in (0.0, 0.25, 0.5, 0.75, 1.0):
-    residual = gaussian_expectation_identity(t, x, s, level=60)
+grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+residuals = gaussian_expectation_identity(t, x, grid)  # one matrix per s
+for s, residual in zip(grid, residuals):
     print(f"    s = {s:4}: max residual {np.max(np.abs(residual)):.2e}")

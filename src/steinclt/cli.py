@@ -64,7 +64,7 @@ from .indices import lindeberg_index_estimate, lindeberg_sum
 from .quadrature import QuadratureSpec
 from .rng import RngSeed
 from .rows import ArrayRow, validate_row
-from .stein import shift_identity_check, stein_check_battery
+from .stein import DEFAULT_HERMITE_LEVEL, shift_identity_check, stein_check_battery
 from .util import lift_scalar
 
 REPORT_SCHEMA = "stein-clt-report/1"
@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=1,
                    help="dimension of t and x (any N >= 1: the Gaussian moment checks "
                         "multiply 1-D Gauss-Hermite sums, O(N * level) each)")
-    p.add_argument("--level", type=int, default=60, help="1-D Gauss-Hermite level")
+    p.add_argument("--level", type=int, default=DEFAULT_HERMITE_LEVEL, help="1-D Gauss-Hermite level")
     p.add_argument("--trials", type=int, default=10_000,
                    help="random draws for the shift identities (>= 1)")
     p.add_argument("--seed", type=int, default=0)

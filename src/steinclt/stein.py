@@ -7,24 +7,24 @@ For a test function h the Gaussian-interpolation solution of
 is f_h(x) = int_0^1 (2s)^{-1} E[h(Z) - h(sqrt(s) x + sqrt(1-s) Z)] ds
 (substitute s = e^{-2u} in the Ornstein-Uhlenbeck semigroup solution to
 see the sign).  Everything here specialises h to e_t(x) = exp(-i <t, x>),
-for which the Gaussian expectations collapse to closed forms:
+for which the Gaussian expectations collapse to closed forms in one
+kernel, K(s) = exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2):
 
-    solution:  f(x)      = int_0^1 (2s)^{-1} [ e^{-|t|^2/2}
-                            - e^{-i sqrt(s) <t,x> - (1-s)|t|^2/2} ] ds
-    gradient:  grad f(x) = (i t / 2) int_0^1 s^{-1/2}
-                            e^{-i sqrt(s) <t,x> - (1-s)|t|^2/2} ds
-    Hessian:   Hess f(x) = (t t^T / 2) int_0^1
-                            e^{-i sqrt(s) <t,x> - (1-s)|t|^2/2} ds
+    solution:  f(x)      = int_0^1 (2s)^{-1} [ K(0) - K(s) ] ds
+    gradient:  grad f(x) = (i t / 2) int_0^1 s^{-1/2} K(s) ds
+    Hessian:   Hess f(x) = (t t^T / 2) int_0^1 K(s) ds
 
-The Hessian form is the reason this specialisation matters: the general
-integral representation carries a 1/(1-s) endpoint factor that makes it
-numerically treacherous for arbitrary h, while for e_t the factor
-cancels exactly.  ``gaussian_expectation_identity`` certifies that
-cancellation numerically, and ``alpha_identities`` checks the two
-algebraic identities (complex shift alpha = y + i sqrt(1-s) t) behind it.
+with K(0) = e^{-|t|^2/2}.  The Hessian form is the reason this
+specialisation matters: the general integral representation carries a
+1/(1-s) endpoint factor that makes it numerically treacherous for
+arbitrary h, while for e_t the factor cancels exactly.
+``gaussian_expectation_identity`` certifies that cancellation
+numerically, and ``alpha_identities`` checks the two algebraic
+identities (complex shift alpha = y + i sqrt(1-s) t) behind it.
 ``stein_check_battery`` and ``shift_identity_check`` run every one of
 these checks against its residual ceiling; ``stein-clt stein-check``
-reports them.
+reports them.  Each check is one array pass over its s grid or its
+batch of random draws.
 
 General bounded-C^2 test functions are deliberately out of numerical
 scope here; the identity checks in the bounds module cover the one place
@@ -59,8 +59,15 @@ __all__ = [
     "shift_identity_check",
 ]
 
+# 1-D Gauss-Hermite level of every moment check (and of ``stein-check``).
+DEFAULT_HERMITE_LEVEL = 60
 # s nodes at which the Gaussian moment checks are maximised.
 _CHECK_S_GRID = np.linspace(0.0, 1.0, 21)
+# Central-difference steps: truncation against rounding at the default tolerance.
+_GRADIENT_STEP = 1e-5
+_HESSIAN_STEP = 1e-4
+# Matrix entries (draws * dim^2) per batch of shift-identity draws.
+_SHIFT_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,10 +91,28 @@ class HessianEval:
     est_error: float
 
 
-def _pair(t, x) -> tuple[np.ndarray, np.ndarray, float, float]:
+def _pair(t, x, name: str = "x") -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(t, x) as non-empty vectors of one length, with |t|^2 and <t, x>."""
     t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
+    if t.size == 0:
+        raise ParameterError("t must have at least one component")
+    x = as_vector(x, t.size, name=name)
     return t, x, float(t @ t), float(t @ x)
+
+
+def _unit_s(s) -> np.ndarray:
+    """s as a float array (0-d for a scalar), every entry in [0, 1]."""
+    s = np.asarray(s, dtype=np.float64)
+    if not np.all((0.0 <= s) & (s <= 1.0)):
+        raise ParameterError("s must lie in [0, 1]")
+    return s
+
+
+def _kernel(tt: float, a: float, s):
+    """K(s) = exp(-i sqrt(s) a - (1-s) tt / 2) for scalar or array s, with
+    tt = |t|^2 and a = <t, x>; at tt = 0 it is the bare phase
+    e^{-i sqrt(s) a}."""
+    return np.exp(-1j * np.sqrt(s) * a - 0.5 * (1.0 - s) * tt)
 
 
 def stein_solution(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SteinEval:
@@ -97,24 +122,15 @@ def stein_solution(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SteinEval
     in u = sqrt(s), where it is smooth.
     """
     t, x, tt, a = _pair(t, x)
+    # K(0) by the real exponential: the complex one rounds its real part
+    # differently for about 1 in 20 values of |t|^2, moving those solutions.
     limit_value = np.exp(-0.5 * tt)
 
     def integrand(s):
-        return (0.5 / s) * (limit_value - np.exp(-1j * np.sqrt(s) * a - 0.5 * (1.0 - s) * tt))
+        return (0.5 / s) * (limit_value - _kernel(tt, a, s))
 
     value, err = integrate_unit(integrand, spec, return_error=True)
     return SteinEval(t=t, x=x, value=complex(value), est_error=err)
-
-
-def _oscillatory_integral(tt: float, a: float, spec: QuadratureSpec, *, half_power: bool):
-    """int_0^1 s^{-1/2 or 0} exp(-i sqrt(s) a - (1-s) tt / 2) ds with error."""
-
-    def integrand(s):
-        root = np.sqrt(s)
-        value = np.exp(-1j * root * a - 0.5 * (1.0 - s) * tt)
-        return value / root if half_power else value
-
-    return integrate_unit(integrand, spec, return_error=True)
 
 
 def stein_gradient(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE):
@@ -126,69 +142,53 @@ def stein_gradient(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE):
     Gauss-Hermite quadrature.
     """
     t, x, tt, a = _pair(t, x)
-    integral, _ = _oscillatory_integral(tt, a, spec, half_power=True)
+    integral = integrate_unit(lambda s: _kernel(tt, a, s) / np.sqrt(s), spec)
     return 0.5j * integral * t.astype(np.complex128)
 
 
-def gradient_finite_difference(
-    t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, step: float = 1e-5
-) -> np.ndarray:
-    """grad f(x) by central differences of the solution (step ~ 1e-5
-    balances truncation against rounding at the default quadrature
-    tolerance); an independent check of ``stein_gradient``."""
-    t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
-    gradient = np.empty(t.size, dtype=np.complex128)
-    for l in range(t.size):
-        offset = np.zeros_like(x)
-        offset[l] = step
-        plus = stein_solution(t, x + offset, spec).value
-        minus = stein_solution(t, x - offset, spec).value
-        gradient[l] = (plus - minus) / (2.0 * step)
-    return gradient
+def gradient_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
+    """grad f(x) by central differences of the solution; an independent
+    check of ``stein_gradient``."""
+    t, x, _, _ = _pair(t, x)
+    # each entry divides as a Python complex; numpy would multiply by 1/(2h)
+    return np.array([
+        (stein_solution(t, x + e, spec).value - stein_solution(t, x - e, spec).value)
+        / (2.0 * _GRADIENT_STEP) for e in _GRADIENT_STEP * np.eye(t.size)])
 
 
 def hessian_quadrature_representation(
-    t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, level: int = 40
+    t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, level: int = DEFAULT_HERMITE_LEVEL
 ) -> HessianEval:
     """Hess f(x) through the general integral representation.
 
     Evaluates -int_0^1 (2(1-s))^{-1} E[e_t(sqrt(s)x + sqrt(1-s)Z)
     (Z Z^T - I)] ds entrywise, with the Gaussian expectation done by
-    Gauss-Hermite quadrature rather than in closed form.  The 1/(1-s)
-    endpoint factor is cancelled analytically by the expectation but not
-    by its quadrature error, so this route is for cross-checking at
-    moderate tolerances; production work uses ``hessian_closed_form``.
+    Gauss-Hermite quadrature rather than in closed form (one moment pass
+    over each panel's s nodes).  The 1/(1-s) endpoint factor is cancelled
+    analytically by the expectation but not by its quadrature error, so
+    this route is for cross-checking at moderate tolerances; production
+    work uses ``hessian_closed_form``.
     """
-    t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
+    t, x, _, _ = _pair(t, x)
     dim = t.size
     matrix = np.empty((dim, dim), dtype=np.complex128)
     worst_err = 0.0
-    for l in range(dim):
-        for m in range(l, dim):
-            def integrand(s, l=l, m=m):
-                s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-                values = np.array(
-                    [_second_moment(t, x, float(s_value), level)[l, m] for s_value in s]
-                )
-                return -values / (2.0 * (1.0 - s))
+    for l, m in zip(*np.triu_indices(dim)):
+        def integrand(s, l=l, m=m):
+            return -_second_moment(t, x, s, level)[:, l, m] / (2.0 * (1.0 - s))
 
-            value, err = integrate_unit(integrand, spec, return_error=True)
-            matrix[l, m] = matrix[m, l] = value
-            worst_err = max(worst_err, err)
+        value, err = integrate_unit(integrand, spec, return_error=True)
+        matrix[l, m] = matrix[m, l] = value
+        worst_err = max(worst_err, err)
     return HessianEval(
         t=t, x=x, matrix=matrix, method="quadrature_representation", est_error=worst_err
     )
 
 
-def hessian_finite_difference(
-    t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, step: float = 1e-4
-) -> HessianEval:
+def hessian_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> HessianEval:
     """Hess f(x) by second central differences of the solution."""
-    t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
-    dim = t.size
+    t, x, _, _ = _pair(t, x)
+    dim, step = t.size, _HESSIAN_STEP
     matrix = np.empty((dim, dim), dtype=np.complex128)
     value = stein_solution(t, x, spec).value
     eye = step * np.eye(dim)
@@ -212,7 +212,7 @@ def hessian_finite_difference(
 def hessian_closed_form(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> HessianEval:
     """Hess f(x) = (t t^T / 2) * scalar integral; singularity-free."""
     t, x, tt, a = _pair(t, x)
-    integral, err = _oscillatory_integral(tt, a, spec, half_power=False)
+    integral, err = integrate_unit(lambda s: _kernel(tt, a, s), spec, return_error=True)
     matrix = 0.5 * integral * outer_product(t)
     max_entry = float(np.max(np.abs(np.outer(t, t)), initial=0.0))
     return HessianEval(
@@ -223,110 +223,107 @@ def hessian_closed_form(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> Hess
 def hessian_difference(t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """Hess f(x) - Hess f(y), evaluated as one integral.
 
-    The integrand groups the two phases as
-    e_{sqrt(s) t}(y) [e_{sqrt(s) t}(x - y) - 1], which vanishes
-    identically at x = y; agreement with the difference of two
+    The integrand is K at y times (e^{-i sqrt(s) <t, x - y>} - 1), which
+    vanishes identically at x = y; agreement with the difference of two
     ``hessian_closed_form`` calls is a standing self-consistency check.
     """
-    t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
-    y = as_vector(y, t.size, name="y")
-    tt = float(t @ t)
-    ay = float(t @ y)
+    t, x, tt, _ = _pair(t, x)
+    _, y, _, ay = _pair(t, y, name="y")
     dxy = float(t @ (x - y))
-
-    def integrand(s):
-        root = np.sqrt(s)
-        return (
-            np.exp(-1j * root * ay)
-            * (np.exp(-1j * root * dxy) - 1.0)
-            * np.exp(-0.5 * (1.0 - s) * tt)
-        )
-
-    integral = integrate_unit(integrand, spec)
+    integral = integrate_unit(lambda s: _kernel(tt, ay, s) * (_kernel(0.0, dxy, s) - 1.0), spec)
     return 0.5 * integral * outer_product(t)
 
 
-def _hermite_factors(t: np.ndarray, x: np.ndarray, s: float, level: int):
+def _hermite_factors(t: np.ndarray, x: np.ndarray, s, level: int):
     """Shift e^{-i sqrt(s) <t,x>} and the 1-D Gauss-Hermite factor sums
-    m[k, l] = sum_j w_j z_j^k e^{-i sqrt(1-s) t_l z_j}, k = 0, 1, 2.
+    m[k, ..., l] = sum_j w_j z_j^k e^{-i sqrt(1-s) t_l z_j}, k = 0, 1, 2,
+    for scalar or array s (the middle axes follow s; the shift carries
+    two trailing unit axes).
 
     The product rule's phase e^{-i sqrt(1-s) <t, z>} factorises over the
     coordinates, so every Gaussian moment below is a product of these
-    sums: O(dim * level) work in any dimension, and no tensor grid.
+    sums: O(dim * level) work per s in any dimension, and no tensor grid.
     """
     nodes, weights = _hermite_rule(level)
+    s = np.asarray(s, dtype=np.float64)[..., None, None]
     phase = weights * np.exp(-1j * np.sqrt(1.0 - s) * np.multiply.outer(t, nodes))
-    shift = np.exp(-1j * np.sqrt(s) * float(t @ x))
-    return shift, (phase @ np.vander(nodes, 3, increasing=True)).T
+    sums = phase @ np.vander(nodes, 3, increasing=True)
+    return _kernel(0.0, float(t @ x), s), np.moveaxis(sums, -1, 0)
 
 
-def _first_moment(t: np.ndarray, x: np.ndarray, s: float, level: int) -> np.ndarray:
+def _first_moment(t: np.ndarray, x: np.ndarray, s, level: int) -> np.ndarray:
     """E[e_t(sqrt(s) x + sqrt(1-s) Z) Z] by Gauss-Hermite: entry l is
-    shift * m_1[l] * prod_{j != l} m_0[j]."""
+    shift * m_1[l] * prod_{j != l} m_0[j]; leading axes follow s."""
     shift, (m0, m1, _) = _hermite_factors(t, x, s, level)
-    return shift * m1 * exclusive_products(m0)
+    return shift[..., 0] * m1 * exclusive_products(m0)
 
 
-def _second_moment(t: np.ndarray, x: np.ndarray, s: float, level: int) -> np.ndarray:
+def _second_moment(t: np.ndarray, x: np.ndarray, s, level: int) -> np.ndarray:
     """E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)] by Gauss-Hermite.
 
     Entry (l, k) is shift * m_1[l] m_1[k] * prod_{j != l, k} m_0[j] off
     the diagonal and shift * (m_2[l] - m_0[l]) * prod_{j != l} m_0[j] on
     it; the exclusive products use no division, so a zero factor stays
-    exact.
+    exact.  Leading axes follow s.
     """
     shift, (m0, m1, m2) = _hermite_factors(t, x, s, level)
     eye = np.eye(t.size, dtype=bool)
-    others = exclusive_products(np.where(eye, 1.0, m0))
-    return shift * others * np.where(eye, m2 - m0, np.outer(m1, m1))
+    others = exclusive_products(np.where(eye, 1.0, m0[..., None, :]))
+    pairs = m1[..., :, None] * m1[..., None, :]
+    return shift * others * np.where(eye, (m2 - m0)[..., None, :], pairs)
 
 
-def gaussian_expectation_identity(t, x, s: float, level: int = 60) -> np.ndarray:
+def gaussian_expectation_identity(t, x, s, level: int = DEFAULT_HERMITE_LEVEL) -> np.ndarray:
     """Residual of the closed-form Gaussian second-moment expectation.
 
     Compares E[e_t(sqrt(s) x + sqrt(1-s) Z)(Z Z^T - I)], computed by the
     level-``level`` Gauss-Hermite product rule on R^N (summed as products
     of 1-D factors, so any N is cheap), against the closed form
-    -(1-s) t t^T exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2).  The returned
-    matrix is (quadrature - closed form); its max magnitude certifies
-    that the 1/(1-s) factor of the general Hessian representation
-    cancels for Fourier test functions.
+    -(1-s) t t^T K(s).  The returned matrix is (quadrature - closed
+    form); its max magnitude certifies that the 1/(1-s) factor of the
+    general Hessian representation cancels for Fourier test functions.
+    For an s grid, one matrix per entry, each equal to the scalar call.
     """
-    t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    tt = float(t @ t)
-    closed = (
-        -(1.0 - s)
-        * outer_product(t)
-        * np.exp(-1j * np.sqrt(s) * float(t @ x) - 0.5 * (1.0 - s) * tt)
-    )
+    t, x, tt, a = _pair(t, x)
+    s = _unit_s(s)
+    grid = s[..., None, None]
+    closed = -(1.0 - grid) * outer_product(t) * _kernel(tt, a, grid)
     return _second_moment(t, x, s, level) - closed
 
 
-def gradient_reduction_residual(t, x, s: float, level: int = 60) -> float:
+def gradient_reduction_residual(t, x, s, level: int = DEFAULT_HERMITE_LEVEL):
     """Max residual of the closed-form Gaussian first-moment expectation.
 
     Checks E[e_t(sqrt(s) x + sqrt(1-s) Z) Z], by the Gauss-Hermite
-    product rule summed as 1-D factors, against
-    -i sqrt(1-s) t exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2), the reduction
-    used by ``stein_gradient``.
+    product rule summed as 1-D factors, against -i sqrt(1-s) t K(s), the
+    reduction used by ``stein_gradient``.  For an s grid, an array of
+    residuals, each equal to the scalar call's float.
     """
-    t = as_vector(t, name="t")
-    x = as_vector(x, t.size, name="x")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    quadrature = _first_moment(t, x, s, level)
-    tt = float(t @ t)
-    closed = (
-        -1j
-        * np.sqrt(1.0 - s)
-        * t
-        * np.exp(-1j * np.sqrt(s) * float(t @ x) - 0.5 * (1.0 - s) * tt)
-    )
-    return float(np.max(np.abs(quadrature - closed)))
+    t, x, tt, a = _pair(t, x)
+    s = _unit_s(s)
+    grid = s[..., None]
+    closed = -1j * np.sqrt(1.0 - grid) * t * _kernel(tt, a, grid)
+    residual = np.max(np.abs(_first_moment(t, x, s, level) - closed), axis=-1)
+    return float(residual) if s.ndim == 0 else residual
+
+
+def _shift_residuals(y: np.ndarray, t: np.ndarray, s: np.ndarray):
+    """Both ``alpha_identities`` residuals for a batch of draws: y and t
+    are (m, N), s is (m,).  Each row is reduced on its own (no BLAS), so a
+    draw's residuals do not depend on the batch it is in."""
+    root = np.sqrt(1.0 - s)
+    alpha = y + 1j * root[:, None] * t
+    lhs1 = -1j * root * np.sum(t * y, axis=1) - 0.5 * np.sum(y * y, axis=1)
+    rhs1 = -0.5 * (1.0 - s) * np.sum(t * t, axis=1) - 0.5 * np.sum(alpha * alpha, axis=1)
+
+    def outer(u, v):
+        return u[:, :, None] * v[:, None, :]
+
+    eye, cross = np.eye(y.shape[1]), 1j * root[:, None, None]
+    lhs2 = outer(y, y) - eye
+    rhs2 = (outer(alpha, alpha) - cross * outer(t, alpha) - cross * outer(alpha, t)
+            - (1.0 - s)[:, None, None] * outer(t, t) - eye)
+    return np.abs(lhs1 - rhs1), np.max(np.abs(lhs2 - rhs2), axis=(1, 2))
 
 
 def alpha_identities(y, t, s: float) -> tuple[float, float]:
@@ -340,28 +337,16 @@ def alpha_identities(y, t, s: float) -> tuple[float, float]:
       (2)  y y^T - I = alpha alpha^T - i sqrt(1-s)(t alpha^T + alpha t^T)
                         - (1-s) t t^T - I
     """
-    y = as_vector(y, name="y")
-    t = as_vector(t, y.size, name="t")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("s must lie in [0, 1]")
-    root = np.sqrt(1.0 - s)
-    alpha = y + 1j * root * t
+    t, y, _, _ = _pair(t, y, name="y")
+    residual1, residual2 = _shift_residuals(y[None], t[None], _unit_s(s).reshape(1))
+    return float(residual1[0]), float(residual2[0])
 
-    lhs1 = -1j * root * float(t @ y) - 0.5 * float(y @ y)
-    rhs1 = -0.5 * (1.0 - s) * float(t @ t) - 0.5 * complex(alpha @ alpha)
-    residual1 = abs(lhs1 - rhs1)
 
-    eye = np.eye(y.size)
-    lhs2 = np.outer(y, y) - eye
-    rhs2 = (
-        np.outer(alpha, alpha)
-        - 1j * root * np.outer(t, alpha)
-        - 1j * root * np.outer(alpha, t)
-        - (1.0 - s) * np.outer(t, t)
-        - eye
-    )
-    residual2 = float(np.max(np.abs(lhs2 - rhs2)))
-    return residual1, residual2
+def _equation_residual(x: np.ndarray, tt: float, a: float, gradient, hessian) -> complex:
+    """<x, grad f(x)> - trace Hess f(x) - (K(0) - K(1)) from a gradient and
+    Hessian already in hand."""
+    lhs = complex(x @ gradient) - complex(np.trace(hessian))
+    return lhs - (np.exp(-0.5 * tt) - _kernel(tt, a, 1.0))
 
 
 def stein_residual(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
@@ -372,43 +357,40 @@ def stein_residual(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
     error when the machinery is consistent.
     """
     t, x, tt, a = _pair(t, x)
-    gradient = stein_gradient(t, x, spec)
-    hessian = hessian_closed_form(t, x, spec)
-    lhs = complex(x @ gradient) - complex(np.trace(hessian.matrix))
-    rhs = np.exp(-0.5 * tt) - np.exp(-1j * a)
-    return lhs - rhs
+    return _equation_residual(x, tt, a, stein_gradient(t, x, spec),
+                              hessian_closed_form(t, x, spec).matrix)
 
 
 def stein_check_battery(
-    t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE, level: int = 60
+    t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE, level: int = DEFAULT_HERMITE_LEVEL
 ) -> list[tuple[str, float, float]]:
     """Every Stein check at one (t, x, y) triple, as (check, residual, tolerance).
 
     In order: the gradient against central differences of the solution,
     the closed-form Hessian against second differences, the defining
     equation, the Gaussian second- and first-moment identities (max over
-    21 equispaced s in [0, 1], level-``level`` Gauss-Hermite), and
-    ``hessian_difference(t, x, y)`` against the difference of two
-    closed-form Hessians.  A check passes when residual <= tolerance.
+    21 equispaced s in [0, 1], level-``level`` Gauss-Hermite, one grid
+    call each), and ``hessian_difference(t, x, y)`` against the
+    difference of two closed-form Hessians.  The closed-form gradient
+    and Hessian at (t, x) are integrated once and shared.  A check passes
+    when residual <= tolerance.
     """
-    t, x, _, _ = _pair(t, x)
+    t, x, tt, a = _pair(t, x)
+    gradient = stein_gradient(t, x, spec)
     closed = hessian_closed_form(t, x, spec).matrix
-    gradient = gradient_finite_difference(t, x, spec) - stein_gradient(t, x, spec)
-    hessian = hessian_finite_difference(t, x, spec).matrix - closed
-    moment2 = max(
-        float(np.max(np.abs(gaussian_expectation_identity(t, x, s, level))))
-        for s in _CHECK_S_GRID
-    )
-    moment1 = max(gradient_reduction_residual(t, x, s, level) for s in _CHECK_S_GRID)
     split = closed - hessian_closed_form(t, y, spec).matrix
-    difference = hessian_difference(t, x, y, spec) - split
+
+    def worst(residual) -> float:
+        return float(np.max(np.abs(residual)))
+
+    # stein_equation takes the builtin abs(), which rounds |z| unlike np.abs
     return [
-        ("gradient_fd", float(np.max(np.abs(gradient))), 1e-6),
-        ("hessian_fd", float(np.max(np.abs(hessian))), 1e-5),
-        ("stein_equation", float(abs(stein_residual(t, x, spec))), 1e-7),
-        ("gaussian_moment2", moment2, 1e-9),
-        ("gaussian_moment1", moment1, 1e-9),
-        ("hessian_difference", float(np.max(np.abs(difference))), 1e-8),
+        ("gradient_fd", worst(gradient_finite_difference(t, x, spec) - gradient), 1e-6),
+        ("hessian_fd", worst(hessian_finite_difference(t, x, spec).matrix - closed), 1e-5),
+        ("stein_equation", float(abs(_equation_residual(x, tt, a, gradient, closed))), 1e-7),
+        ("gaussian_moment2", worst(gaussian_expectation_identity(t, x, _CHECK_S_GRID, level)), 1e-9),
+        ("gaussian_moment1", worst(gradient_reduction_residual(t, x, _CHECK_S_GRID, level)), 1e-9),
+        ("hessian_difference", worst(hessian_difference(t, x, y, spec) - split), 1e-8),
     ]
 
 
@@ -416,18 +398,26 @@ def shift_identity_check(dim: int, trials: int, seed: int = 0) -> list[tuple[str
     """Worst ``alpha_identities`` residuals over seeded random draws.
 
     Each of the ``trials`` draws takes y and t uniform on [-5, 5]^dim and
-    s uniform on [0, 1] from ``numpy.random.default_rng(seed)``.  Returns
-    (check, residual, tolerance) for the scalar and the matrix identity.
+    s uniform on [0, 1] from ``numpy.random.default_rng(seed)``, in that
+    order; the draws are taken and checked in array batches.
+    Returns (check, residual, tolerance) for the scalar and the matrix
+    identity.
     """
+    if dim < 1:
+        raise ParameterError(f"dim must be >= 1 (got {dim})")
     if trials < 1:
         raise ParameterError(f"trials must be >= 1 (got {trials})")
+    # Batches of _SHIFT_BATCH_ENTRIES keep memory flat.  Row k of one stream
+    # holds draw k's doubles of uniform(-5, 5, dim) twice and uniform(0, 1):
+    # Generator.uniform is low + (high - low) * u.
     rng = np.random.default_rng(seed)
+    batch = max(1, _SHIFT_BATCH_ENTRIES // dim**2)
     worst1 = worst2 = 0.0
-    for _ in range(trials):
-        y = rng.uniform(-5.0, 5.0, dim)
-        t = rng.uniform(-5.0, 5.0, dim)
-        s = rng.uniform(0.0, 1.0)
-        r1, r2 = alpha_identities(y, t, s)
-        worst1 = max(worst1, r1)
-        worst2 = max(worst2, r2)
+    for start in range(0, trials, batch):
+        draws = rng.random((min(batch, trials - start), 2 * dim + 1))
+        y = -5.0 + 10.0 * draws[:, :dim]
+        t = -5.0 + 10.0 * draws[:, dim:-1]
+        residual1, residual2 = _shift_residuals(y, t, draws[:, -1])
+        worst1 = max(worst1, float(np.max(residual1)))
+        worst2 = max(worst2, float(np.max(residual2)))
     return [("shift_identity_scalar", worst1, 1e-12), ("shift_identity_matrix", worst2, 1e-12)]

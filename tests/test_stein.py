@@ -14,6 +14,7 @@ from steinclt import (
     hessian_closed_form,
     hessian_difference,
     hessian_finite_difference,
+    hessian_quadrature_representation,
     shift_identity_check,
     stein_check_battery,
     stein_gradient,
@@ -52,7 +53,7 @@ def test_gradient_zero_at_t_zero():
 
 def test_gradient_matches_finite_differences():
     gradient = stein_gradient([1.0], [0.7])
-    fd = gradient_finite_difference([1.0], [0.7], step=1e-5)
+    fd = gradient_finite_difference([1.0], [0.7])
     assert np.max(np.abs(gradient - fd)) < 1e-6
 
 
@@ -98,7 +99,7 @@ def test_hessian_matches_finite_differences():
     for t, x in (([1.0], [0.0]), ([3.0], [2.5]), ([1.0, 1.0], [0.3, -0.7]),
                  ([2.0, -1.0], [1.5, 0.5])):
         closed = hessian_closed_form(t, x).matrix
-        fd = hessian_finite_difference(t, x, step=1e-4).matrix
+        fd = hessian_finite_difference(t, x).matrix
         assert np.max(np.abs(closed - fd)) < 1e-5
 
 
@@ -157,6 +158,27 @@ def test_gaussian_expectation_identity_on_s_grid():
             residual = gaussian_expectation_identity(t, x, float(s), level=60)
             worst = max(worst, float(np.max(np.abs(residual))))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_moment_identities_on_an_s_grid_match_the_scalar_calls(dim):
+    rng = np.random.default_rng(dim)
+    t, x = rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim)
+    grid = np.linspace(0.0, 1.0, 21)
+    second = gaussian_expectation_identity(t, x, grid)
+    first = gradient_reduction_residual(t, x, grid)
+    assert second.shape == (grid.size, dim, dim) and first.shape == grid.shape
+    for k, s in enumerate(grid):
+        assert np.array_equal(second[k], gaussian_expectation_identity(t, x, float(s)))
+        assert first[k] == gradient_reduction_residual(t, x, float(s))
+
+
+def test_moment_identities_reject_s_outside_the_unit_interval():
+    for s in (-0.1, 1.5, np.nan, [0.5, 1.5]):
+        with pytest.raises(ParameterError):
+            gaussian_expectation_identity([1.0], [0.0], s)
+        with pytest.raises(ParameterError):
+            gradient_reduction_residual([1.0], [0.0], s)
 
 
 @st.composite
@@ -232,14 +254,54 @@ def test_stein_check_battery_runs_every_check_in_order():
     assert checks[2][1] == abs(stein_residual(t, x))
 
 
-def test_shift_identity_check_takes_the_worst_seeded_draw():
+@pytest.mark.parametrize("dim", [1, 2, 3, 8])
+def test_shift_identity_check_takes_the_worst_seeded_draw(dim):
     rng = np.random.default_rng(4)
     worst = [0.0, 0.0]
     for _ in range(50):
-        y, t, s = rng.uniform(-5.0, 5.0, 3), rng.uniform(-5.0, 5.0, 3), rng.uniform(0.0, 1.0)
+        y, t, s = rng.uniform(-5.0, 5.0, dim), rng.uniform(-5.0, 5.0, dim), rng.uniform(0.0, 1.0)
         worst = [max(w, r) for w, r in zip(worst, alpha_identities(y, t, s))]
-    assert shift_identity_check(3, 50, seed=4) == [
+    assert shift_identity_check(dim, 50, seed=4) == [
         ("shift_identity_scalar", worst[0], 1e-12), ("shift_identity_matrix", worst[1], 1e-12)]
     # zero draws would report both identities as holding with residual 0
     with pytest.raises(ParameterError, match="trials must be >= 1"):
-        shift_identity_check(3, 0)
+        shift_identity_check(dim, 0)
+
+
+# every public (t, x) function, called with an empty t
+EMPTY_T_CALLS = {
+    "stein_solution": lambda: stein_solution([], []),
+    "stein_gradient": lambda: stein_gradient([], []),
+    "gradient_finite_difference": lambda: gradient_finite_difference([], []),
+    "hessian_closed_form": lambda: hessian_closed_form([], []),
+    "hessian_quadrature_representation": lambda: hessian_quadrature_representation([], []),
+    "hessian_finite_difference": lambda: hessian_finite_difference([], []),
+    "hessian_difference": lambda: hessian_difference([], [], []),
+    "gaussian_expectation_identity": lambda: gaussian_expectation_identity([], [], 0.5),
+    "gradient_reduction_residual": lambda: gradient_reduction_residual([], [], 0.5),
+    "alpha_identities": lambda: alpha_identities([], [], 0.5),
+    "stein_residual": lambda: stein_residual([], []),
+    "stein_check_battery": lambda: stein_check_battery([], [], []),
+}
+
+
+def test_empty_t_calls_cover_every_public_function():
+    assert set(EMPTY_T_CALLS) == set(stein_module.__all__) - {
+        "SteinEval", "HessianEval", "shift_identity_check"}
+
+
+@pytest.mark.parametrize("name", sorted(EMPTY_T_CALLS))
+def test_empty_t_is_a_parameter_error(name):
+    with pytest.raises(ParameterError, match="t must have at least one component"):
+        EMPTY_T_CALLS[name]()
+
+
+def test_shift_identity_check_rejects_dim_zero():
+    with pytest.raises(ParameterError, match="dim must be >= 1"):
+        shift_identity_check(0, 10)
+
+
+def test_shift_identity_check_does_not_depend_on_the_batch_size(monkeypatch):
+    whole = shift_identity_check(3, 100, seed=9)
+    monkeypatch.setattr(stein_module, "_SHIFT_BATCH_ENTRIES", 9 * 7)  # 7 draws a batch
+    assert shift_identity_check(3, 100, seed=9) == whole
