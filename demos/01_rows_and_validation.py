@@ -10,6 +10,8 @@ built-in 1-D families matter most:
   fails "by exactly alpha" while the array stays infinitesimal.
 
 Products of 1-D rows give multivariate rows with independent coordinates.
+A row keeps its atoms in flat arrays; each cell is a (points, probs) pair
+of read-only views into them.
 """
 
 import numpy as np
@@ -25,16 +27,16 @@ from steinclt import (
 
 print("== scaled coins, n = 4 ==")
 row = build_rademacher_row(4)
-for k, cell in enumerate(row.cells()):
-    print(f"  cell {k}: atoms {cell.points.ravel()}, probs {cell.probs}")
+for k, (points, probs) in enumerate(row.cells()):
+    print(f"  cell {k}: atoms {points.ravel()}, probs {probs}")
 report = validate_row(row)
 print(" ", report.summary())
 
 print("\n== two-scale family, alpha = 0.5, n = 5 ==")
 row = build_eta_row(0.5, 5)
 print(f"  normalisation s_n^2 = {row.meta['scale_squared']:.6f}")
-for k, cell in enumerate(row.cells()):
-    print(f"  cell {k}: atoms {np.round(cell.points.ravel(), 4)}, probs {cell.probs}")
+for k, (points, probs) in enumerate(row.cells()):
+    print(f"  cell {k}: atoms {np.round(points.ravel(), 4)}, probs {probs}")
 report = validate_row(row)
 print(f"  second-moment sum = {report.second_moment_sum!r} (should be 1)")
 

@@ -24,7 +24,6 @@ from .bounds import (
 )
 from .charfn import (
     CharfnValue,
-    cell_charfn,
     charfn_gap,
     empirical_charfn,
     gaussian_charfn,
@@ -71,7 +70,6 @@ from .quadrature import (
 from .rng import RngSeed
 from .rows import (
     ArrayRow,
-    DiscreteCell,
     ValidationReport,
     build_eta_row,
     build_product_row,

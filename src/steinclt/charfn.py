@@ -1,4 +1,4 @@
-"""Characteristic functions of cells, rows and the Gaussian limit.
+"""Characteristic functions of rows and the Gaussian limit.
 
 Sign convention, used everywhere in this package: the Fourier transform
 of a random vector H is
@@ -19,7 +19,9 @@ Every exact row transform comes from one phase pass, ``_phase_pass``:
 for an (m, N) batch T it forms a = T x^T over all atoms and cos a,
 sin a, in chunks of at most ``_PHASE_BUDGET`` (t-values x atoms)
 elements, and hands each chunk to a reduction.  The cell transforms
-are the per-cell sums of p cos a - i p sin a; the gap identity of the
+are the per-cell sums of p cos a - i p sin a (``_cell_transforms``, the
+only cell-level transform; a one-cell row gives a single cell's
+transform through ``row_sum_charfn``); the gap identity of the
 bounds module reduces the same chunk to its s-integrand.  The row
 transform and the gap take a single t or a 2-D (m, N) batch; a batch
 returns one entry per row of T.
@@ -34,12 +36,11 @@ import numpy as np
 from .errors import ParameterError, ShapeError, UnsupportedDimensionError
 from .normal_cdf import normal_cdf
 from .rng import RngSeed
-from .rows import ArrayRow, DiscreteCell
+from .rows import ArrayRow
 from .util import as_vector
 
 __all__ = [
     "CharfnValue",
-    "cell_charfn",
     "row_sum_charfn",
     "gaussian_charfn",
     "charfn_gap",
@@ -55,12 +56,6 @@ class CharfnValue:
 
     value: complex
     stderr: float
-
-
-def cell_charfn(cell: DiscreteCell, t) -> complex:
-    """Exact transform of one cell: sum_atoms p * exp(-i <t, x>)."""
-    t = as_vector(t, cell.dimension)
-    return complex(np.sum(cell.probs * np.exp(-1j * (cell.points @ t))))
 
 
 # cap on (t-values x atoms) elements of each phase array in _phase_pass

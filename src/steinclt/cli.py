@@ -147,10 +147,11 @@ def _resolve_source(args):
     if args.spec and args.family:
         raise SteinCltError("give either --spec or --family, not both")
     if args.spec:
-        if args.n is not None:
-            raise SteinCltError("--n sweeps a family; a --spec row has a fixed n")
         with open(args.spec, "r", encoding="utf-8") as fh:
-            return load_row_spec(fh.read())
+            source = load_row_spec(fh.read())
+        if isinstance(source, ArrayRow) and args.n is not None:
+            raise SteinCltError("--n sweeps a family; a --spec row has a fixed n")
+        return source
     if args.family == "rademacher":
         return RademacherFamily()
     if args.family == "eta":

@@ -11,13 +11,11 @@ with full shortest-repr precision).
 from __future__ import annotations
 
 import json
-
-import numpy as np
+import math
 
 from .errors import ConstructionError, RowSpecError, RowValidationError, ShapeError
 from .rows import (
     ArrayRow,
-    DiscreteCell,
     build_eta_row,
     build_product_row,
     build_rademacher_row,
@@ -185,14 +183,10 @@ def _strip_schema(doc: dict) -> dict:
 
 
 def _cells_doc(row: ArrayRow) -> list:
+    points, probs, bounds = row.points.tolist(), row.probs.tolist(), row.offsets.tolist()
     return [
-        {
-            "atoms": [
-                {"x": [float(v) for v in point], "p": float(p)}
-                for point, p in zip(cell.points, cell.probs)
-            ]
-        }
-        for cell in row.cells()
+        {"atoms": [{"x": x, "p": p} for x, p in zip(points[lo:hi], probs[lo:hi])]}
+        for lo, hi in zip(bounds[:-1], bounds[1:])
     ]
 
 
@@ -212,16 +206,25 @@ def serialize_family(family: ArrayFamily) -> str:
     return json.dumps(family.to_doc(), indent=1)
 
 
+_NUMBER = (int, float)
+
+
+def _is_a(value, types) -> bool:
+    """isinstance, except that a JSON true/false is a bool and nothing else."""
+    return isinstance(value, types) and isinstance(value, bool) == (types is bool)
+
+
 def _expect(doc: dict, key: str, types, ctx: str):
     if key not in doc:
         raise RowSpecError(f"{ctx}: missing required field {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    if not _is_a(value, types):
         raise RowSpecError(f"{ctx}.{key}: expected {types}, got {type(value).__name__}")
     return value
 
 
-def _parse_cells(cells_doc, dim: int, ctx: str) -> list[DiscreteCell]:
+def _parse_cells(cells_doc, dim: int, ctx: str) -> list[tuple[list, list]]:
+    """One (points, probs) pair of lists per cell, each atom checked."""
     if not isinstance(cells_doc, list) or not cells_doc:
         raise RowSpecError(f"{ctx}: 'cells' must be a non-empty list")
     cells = []
@@ -238,14 +241,14 @@ def _parse_cells(cells_doc, dim: int, ctx: str) -> list[DiscreteCell]:
             if not isinstance(atom, dict):
                 raise RowSpecError(f"{actx}: expected an object")
             x = _expect(atom, "x", list, actx)
-            if len(x) != dim or not all(isinstance(v, (int, float)) for v in x):
-                raise RowSpecError(f"{actx}.x: expected {dim} numbers")
-            p = _expect(atom, "p", (int, float), actx)
+            if len(x) != dim or not all(_is_a(v, _NUMBER) and math.isfinite(v) for v in x):
+                raise RowSpecError(f"{actx}.x: expected {dim} finite numbers")
+            p = _expect(atom, "p", _NUMBER, actx)
             if not 0.0 < p <= 1.0:
                 raise RowSpecError(f"{actx}.p: probability {p} outside (0, 1]")
             pts.append([float(v) for v in x])
             prs.append(float(p))
-        cells.append(DiscreteCell(np.array(pts), np.array(prs)))
+        cells.append((pts, prs))
     return cells
 
 
@@ -257,19 +260,26 @@ def _row_from_cells(cells, ctx: str) -> ArrayRow:
 
 
 def _family_from_doc(doc: dict, ctx: str):
+    if not isinstance(doc, dict):
+        raise RowSpecError(f"{ctx}: expected an object")
     kind = _expect(doc, "kind", str, ctx)
     if kind == "rademacher_iid":
         return RademacherFamily()
     if kind == "eta_alpha":
-        alpha = _expect(doc, "alpha", (int, float), ctx)
+        alpha = _expect(doc, "alpha", _NUMBER, ctx)
         if not 0.0 < alpha < 1.0:
             raise RowSpecError(f"{ctx}.alpha: must lie in (0, 1), got {alpha}")
-        return EtaAlphaFamily(float(alpha), bool(doc.get("shifted_start", False)))
+        shifted = "shifted_start" in doc and _expect(doc, "shifted_start", bool, ctx)
+        return EtaAlphaFamily(float(alpha), shifted)
     if kind == "product":
         factors_doc = _expect(doc, "factors", list, ctx)
-        factors = [
-            _family_from_doc(sub, f"{ctx}.factors[{i}]") for i, sub in enumerate(factors_doc)
-        ]
+        factors = []
+        for i, sub in enumerate(factors_doc):
+            factor = _family_from_doc(sub, f"{ctx}.factors[{i}]")
+            if not isinstance(factor, ArrayFamily):
+                raise RowSpecError(f"{ctx}.factors[{i}]: a product factor must be a family, "
+                                   "not a single explicit row")
+            factors.append(factor)
         return ProductFamily(factors)
     if kind == "explicit":
         dim = _expect(doc, "N", int, ctx)

@@ -9,7 +9,8 @@ so no function taking a row has to check it again.
 
 Rows keep their atoms in flat concatenated arrays (``points``, ``probs``
 plus ``offsets`` marking cell boundaries) so that row-level reductions
-stay vectorised even at n = 10^5; ``cell(k)`` returns a lightweight view.
+stay vectorised even at n = 10^5.  They are the only form a row is
+assembled in; a cell is a plain ``(points, probs)`` pair of arrays.
 
 Built-in constructions:
 
@@ -28,7 +29,9 @@ Built-in constructions:
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -41,7 +44,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DiscreteCell",
     "ArrayRow",
     "ValidationReport",
     "validate_row",
@@ -59,60 +61,28 @@ DEFAULT_COV_TOL = 1e-10
 DEFAULT_ATOM_CAP = 10_000
 
 
-@dataclass
-class DiscreteCell:
-    """One finitely supported distribution on R^N.
-
-    ``points`` has shape (m, N) and ``probs`` shape (m,); probabilities
-    must be in (0, 1].  Whether they sum to one and the mean vanishes is
-    checked when cells are assembled into an ``ArrayRow``, whose
-    validation report names the failing cells.
-    """
-
-    points: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.points = np.atleast_2d(np.asarray(self.points, dtype=np.float64))
-        self.probs = np.asarray(self.probs, dtype=np.float64).ravel()
-        if self.points.shape[0] != self.probs.shape[0]:
-            raise ShapeError("points and probs must have one entry per atom")
-        if self.points.shape[0] == 0:
-            raise ParameterError("a cell needs at least one atom")
-        if not np.all(np.isfinite(self.points)):
-            raise ParameterError("atom coordinates must be finite")
-        if np.any(self.probs <= 0.0) or np.any(self.probs > 1.0):
-            raise ParameterError("atom probabilities must lie in (0, 1]")
-
-    @property
-    def dimension(self) -> int:
-        return self.points.shape[1]
-
-    @property
-    def atom_count(self) -> int:
-        return self.points.shape[0]
-
-
 @dataclass(frozen=True)
 class ArrayRow:
     """Standard row of independent cells, stored as flat concatenated atoms.
 
     ``offsets`` has length n+1; cell k occupies
-    ``points[offsets[k]:offsets[k+1]]``.  Construction rejects atom
-    probabilities outside (0, 1] with ParameterError, then validates the
-    row with the default tolerances and raises RowValidationError
-    (carrying the ValidationReport) if it is not standard.  Atom data is
-    read-only after construction (writing into ``points``, ``probs``,
-    ``offsets`` or ``squared_norms()`` raises ValueError, rebinding a
-    field raises ``dataclasses.FrozenInstanceError``), since families
-    hand out one shared cached row.
+    ``points[offsets[k]:offsets[k+1]]``.  Construction rejects empty
+    cells, non-finite atom coordinates and atom probabilities outside
+    (0, 1] (NaN included) with ParameterError, then validates the row
+    with the default tolerances and raises RowValidationError (carrying
+    the ValidationReport) if it is not standard.  The row is read-only
+    after construction (writing into ``points``, ``probs``, ``offsets``
+    or ``squared_norms()`` raises ValueError, writing into ``meta``
+    raises TypeError, rebinding a field raises
+    ``dataclasses.FrozenInstanceError``), since families hand out one
+    shared cached row.
     """
 
     dimension: int
     points: np.ndarray  # (total_atoms, N)
     probs: np.ndarray  # (total_atoms,)
     offsets: np.ndarray  # (n + 1,), int64
-    meta: dict = field(default_factory=dict)
+    meta: Mapping = field(default_factory=dict)
     _norm2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,13 +91,16 @@ class ArrayRow:
         )
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64).ravel())
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64).ravel())
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
         if self.points.shape[0] != self.probs.shape[0]:
             raise ShapeError("points and probs must have one entry per atom")
         if self.offsets[0] != 0 or self.offsets[-1] != self.points.shape[0]:
             raise ShapeError("offsets must span the atom arrays")
         if np.any(np.diff(self.offsets) < 1):
             raise ParameterError("every cell needs at least one atom")
-        if np.any(self.probs <= 0.0) or np.any(self.probs > 1.0):
+        if not np.all(np.isfinite(self.points)):
+            raise ParameterError("atom coordinates must be finite")
+        if not np.all((self.probs > 0.0) & (self.probs <= 1.0)):
             raise ParameterError("atom probabilities must lie in (0, 1]")
         # reshape/ravel return new array objects, so the flag binds the row's
         # handles only and the caller's arrays stay writable
@@ -152,11 +125,15 @@ class ArrayRow:
     def total_atoms(self) -> int:
         return self.points.shape[0]
 
-    def cell(self, k: int) -> DiscreteCell:
+    def cell(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cell k as (points, probs): read-only views of the row's arrays."""
+        if not 0 <= k < self.n:
+            raise IndexError(f"cell index {k} out of range for a row of n={self.n} cells")
         lo, hi = self.offsets[k], self.offsets[k + 1]
-        return DiscreteCell(self.points[lo:hi], self.probs[lo:hi])
+        return self.points[lo:hi], self.probs[lo:hi]
 
     def cells(self):
+        """Every cell's (points, probs) pair, in order."""
         for k in range(self.n):
             yield self.cell(k)
 
@@ -173,21 +150,21 @@ class ArrayRow:
         return self._norm2
 
     @classmethod
-    def from_cells(cls, cells, meta: dict | None = None) -> "ArrayRow":
-        cells = list(cells)
+    def from_cells(cls, cells, meta: Mapping | None = None) -> "ArrayRow":
+        """Row from an iterable of (points, probs) pairs, one per cell; an
+        (m, N) points array and m probabilities (a 1-D points array is one atom)."""
+        cells = [(np.atleast_2d(np.asarray(x, dtype=np.float64)),
+                  np.asarray(p, dtype=np.float64).ravel()) for x, p in cells]
         if not cells:
             raise ParameterError("a row needs at least one cell")
-        dim = cells[0].dimension
-        if any(c.dimension != dim for c in cells):
+        if len({x.shape[1] for x, _ in cells}) != 1:
             raise ShapeError("all cells in a row must share one dimension")
-        offsets = np.concatenate([[0], np.cumsum([c.atom_count for c in cells])])
-        return cls(
-            dimension=dim,
-            points=np.concatenate([c.points for c in cells], axis=0),
-            probs=np.concatenate([c.probs for c in cells]),
-            offsets=offsets,
-            meta=meta or {},
-        )
+        if any(x.shape[0] != p.size for x, p in cells):
+            raise ShapeError("points and probs must have one entry per atom")
+        points, probs = zip(*cells)
+        offsets = np.concatenate([[0], np.cumsum([p.size for p in probs])])
+        return cls(points[0].shape[1], np.concatenate(points), np.concatenate(probs), offsets,
+                   meta=meta or {})
 
 
 @dataclass
@@ -380,12 +357,15 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     return ArrayRow(1, points, probs, offsets, meta=meta)
 
 
-def build_product_row(coordinate_rows, atom_cap: int = DEFAULT_ATOM_CAP) -> ArrayRow:
+def build_product_row(coordinate_rows) -> ArrayRow:
     """Coordinate-wise product of 1-D rows of equal size.
 
     Cell k of the result is the product distribution of the k-th cells of
     the factors: atom set is the Cartesian product, probabilities
-    multiply.  Refuses cells whose atom count would exceed ``atom_cap``.
+    multiply in factor order.  Each cell's atoms are sorted
+    lexicographically by coordinates, ties kept in Cartesian order (last
+    factor fastest).  Refuses cells that would hold more than
+    ``DEFAULT_ATOM_CAP`` atoms.
     """
     factors = list(coordinate_rows)
     if not factors:
@@ -398,20 +378,28 @@ def build_product_row(coordinate_rows, atom_cap: int = DEFAULT_ATOM_CAP) -> Arra
             raise ShapeError(f"coordinate row {idx} has n={factor.n}, expected {n}")
 
     dim = len(factors)
-    cells = []
-    for k in range(n):
-        parts = [f.cell(k) for f in factors]
-        count = math.prod(p.atom_count for p in parts)
-        if count > atom_cap:
-            raise CapacityError(
-                f"product cell {k} would hold {count} atoms (cap {atom_cap})"
-            )
-        grids = np.meshgrid(*[p.points[:, 0] for p in parts], indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=-1)
-        pr = parts[0].probs
-        for p in parts[1:]:
-            pr = np.multiply.outer(pr, p.probs)
-        pr = pr.ravel()
-        order = np.lexsort(pts.T[::-1])  # lexicographic by coordinates
-        cells.append(DiscreteCell(pts[order], pr[order]))
-    return ArrayRow.from_cells(cells, meta={"family": "product", "n": n, "dimension": dim})
+    sizes = [np.diff(factor.offsets) for factor in factors]
+    counts = np.prod(sizes, axis=0, dtype=np.float64)  # a float product cannot wrap around
+    over = np.flatnonzero(counts > DEFAULT_ATOM_CAP)
+    if over.size:
+        k = int(over[0])
+        count = math.prod(int(size[k]) for size in sizes)
+        raise CapacityError(f"product cell {k} would hold {count} atoms (cap {DEFAULT_ATOM_CAP})")
+    counts = counts.astype(np.int64)
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    cell_of = np.repeat(np.arange(n), counts)
+    # each atom's place in its cell, split into one atom index per factor
+    # in mixed radix, last factor fastest as meshgrid(indexing="ij") orders them
+    rest = np.arange(offsets[-1]) - offsets[cell_of]
+    atoms = [None] * dim
+    for j in reversed(range(dim)):
+        size = sizes[j][cell_of]
+        atoms[j] = factors[j].offsets[cell_of] + rest % size
+        rest //= size
+    points = np.stack([f.points[a, 0] for f, a in zip(factors, atoms)], axis=1)
+    probs = factors[0].probs[atoms[0]]
+    for factor, a in zip(factors[1:], atoms[1:]):
+        probs = probs * factor.probs[a]
+    order = np.lexsort([*points.T[::-1], cell_of])  # by cell, then x_1, ..., x_N
+    return ArrayRow(dim, points[order], probs[order], offsets,
+                    meta={"family": "product", "n": n, "dimension": dim})

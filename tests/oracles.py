@@ -47,17 +47,49 @@ def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
     ignores t and truncates |x| > threshold, compared as |x|^2 > threshold^2.
     """
     total = 0.0
-    for cell in row.cells():
-        norm2 = np.sum(cell.points**2, axis=1)
-        second = sum(p * q for p, q in zip(cell.probs, norm2))
+    for points, probs in row.cells():
+        norm2 = np.sum(points**2, axis=1)
+        second = sum(p * q for p, q in zip(probs, norm2))
         if copy == "lindeberg":
             exceeds = norm2 > threshold * threshold
         else:
-            exceeds = np.abs(cell.points @ np.atleast_1d(t)) > threshold
-        for p, q, hit in zip(cell.probs, norm2, exceeds):
+            exceeds = np.abs(points @ np.atleast_1d(t)) > threshold
+        for p, q, hit in zip(probs, norm2, exceeds):
             if hit:
                 total += p * (second if copy == "independent" else q)
     return total
+
+
+def cell_charfn(points, probs, t) -> complex:
+    """Exact transform of one cell, sum_atoms p * exp(-i <t, x>), through
+    one complex exp per atom rather than the library's phase pass."""
+    return complex(np.sum(probs * np.exp(-1j * (points @ np.atleast_1d(t)))))
+
+
+def product_row_oracle(factors):
+    """(points, probs, offsets) of the coordinate product of 1-D rows, one
+    cell at a time: meshgrid of the factor cells' atoms, probabilities by
+    repeated outer products, then a stable lexicographic sort per cell."""
+    points, probs, counts = [], [], []
+    for k in range(factors[0].n):
+        parts = [factor.cell(k) for factor in factors]
+        grids = np.meshgrid(*[x[:, 0] for x, _ in parts], indexing="ij")
+        pts = np.stack([g.ravel() for g in grids], axis=-1)
+        pr = parts[0][1]
+        for _, p in parts[1:]:
+            pr = np.multiply.outer(pr, p)
+        order = np.lexsort(pts.T[::-1])
+        points.append(pts[order])
+        probs.append(pr.ravel()[order])
+        counts.append(len(order))
+    return np.concatenate(points), np.concatenate(probs), np.concatenate([[0], np.cumsum(counts)])
+
+
+def cells_doc_oracle(row) -> list:
+    """The array-spec "cells" list of a row, written one cell and one atom
+    at a time with float() on every coordinate and probability."""
+    return [{"atoms": [{"x": [float(v) for v in x], "p": float(p)} for x, p in zip(*cell)]}
+            for cell in row.cells()]
 
 
 def r_factor_exp_form(a) -> np.ndarray:

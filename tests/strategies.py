@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, reject
 from hypothesis import strategies as st
 
-from steinclt import ArrayRow, DiscreteCell, RowValidationError
+from steinclt import ArrayRow, RowValidationError
 
 
 @st.composite
@@ -29,6 +29,6 @@ def centred_rows(draw):
     assume(vals.min() > 1e-3 * vals.max())
     white = vecs @ np.diag(vals**-0.5) @ vecs.T
     try:
-        return ArrayRow.from_cells(DiscreteCell(x @ white, q) for x, q in cells)
+        return ArrayRow.from_cells((x @ white, q) for x, q in cells)
     except RowValidationError:
         reject()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from oracles import r_factor_exp_form
 from steinclt import (
     ArrayRow,
-    DiscreteCell,
     EtaAlphaFamily,
     ParameterError,
     ProductFamily,
@@ -81,7 +80,7 @@ def test_identity_asymmetric_cells():
     import steinclt as sc
 
     b = np.sqrt(0.5) / 2.0
-    cell = sc.DiscreteCell(np.array([[-4 * b], [b]]), np.array([0.2, 0.8]))
+    cell = (np.array([[-4 * b], [b]]), np.array([0.2, 0.8]))
     row = sc.ArrayRow.from_cells([cell, cell])
     assert sc.validate_row(row).passed
     for t in (0.5, 1.0, 2.0, 4.0):
@@ -102,7 +101,7 @@ def test_identity_atom_heavy_cells():
     # far above build_product_row's atom cap still go through
     grid = np.linspace(-1.0, 1.0, 20001)
     points = grid * np.sqrt(0.5 / np.mean(grid * grid))
-    cell = DiscreteCell(points[:, None], np.full(grid.size, 1.0 / grid.size))
+    cell = (points[:, None], np.full(grid.size, 1.0 / grid.size))
     row = ArrayRow.from_cells([cell, cell])
     for t in (0.5, 2.0, 4.0):
         report = decomposition_check(row, t)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
+from oracles import cell_charfn
 from steinclt import (
-    DiscreteCell,
+    ArrayRow,
     ParameterError,
     RngSeed,
     ShapeError,
@@ -15,7 +16,6 @@ from steinclt import (
     build_eta_row,
     build_product_row,
     build_rademacher_row,
-    cell_charfn,
     charfn_gap,
     empirical_charfn,
     gaussian_charfn,
@@ -31,15 +31,12 @@ GAP25 = 0.0020401607959417024
 PHI1_MINUS_HALF = 0.3413447460685429  # Phi(1) - 1/2, the coin's exact sup
 
 
-def coin_cell():
-    return DiscreteCell(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5]))
-
-
 def test_cell_charfn_examples():
-    assert cell_charfn(coin_cell(), 1.0) == pytest.approx(np.cos(1.0), abs=1e-15)
-    assert cell_charfn(coin_cell(), 0.0) == 1.0
-    half = DiscreteCell(np.array([[-0.5], [0.5]]), np.array([0.5, 0.5]))
-    assert cell_charfn(half, np.pi) == pytest.approx(0.0, abs=1e-15)
+    # a one-cell row's transform is its cell's transform: the +-1 coin's is cos t
+    coin = ArrayRow.from_cells([([[-1.0], [1.0]], [0.5, 0.5])])
+    assert row_sum_charfn(coin, 1.0) == pytest.approx(np.cos(1.0), abs=1e-15)
+    assert row_sum_charfn(coin, 0.0) == 1.0
+    assert abs(row_sum_charfn(coin, np.pi / 2)) <= 1e-15
 
 
 def test_row_sum_charfn_is_product():
@@ -109,7 +106,7 @@ def test_phase_pass_matches_cell_oracle(case):
     assert phis.shape == (len(batch), row.n)
     assert values.shape == gaps.shape == (len(batch),)
     for i, t in enumerate(batch):
-        oracle = np.array([cell_charfn(cell, t) for cell in row.cells()])
+        oracle = np.array([cell_charfn(points, probs, t) for points, probs in row.cells()])
         # phases <t, x> are summed in another order than the oracle's
         # matrix-vector product, so allow a few ulp of the largest phase
         tol = 1e-15 * (1.0 + np.max(np.abs(row.points @ t))) * row.n

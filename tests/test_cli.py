@@ -131,6 +131,16 @@ def test_single_row_source_rejects_an_n_grid(command, tmp_path, capsys):
     assert "--spec row has a fixed n" in err
 
 
+@pytest.mark.parametrize("command", SOURCE_COMMANDS, ids=lambda argv: argv[0])
+def test_family_spec_takes_an_n_grid(command, tmp_path, capsys):
+    spec = tmp_path / "rad.json"
+    spec.write_text('{"schema": "stein-clt-row/1", "kind": "rademacher_iid"}')
+    code, out, err = run(command + ["--spec", str(spec), "--n", "10"], capsys)
+    assert (code, err) == (0, "")
+    _, expected, _ = run(command + ["--family", "rademacher", "--n", "10"], capsys)
+    assert csv_rows(out) == csv_rows(expected)
+
+
 @pytest.mark.parametrize("window", ["0", "-5"])
 def test_single_row_lindeberg_checks_the_tail_window(window, tmp_path, capsys):
     spec = tmp_path / "row.json"

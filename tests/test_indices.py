@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from steinclt import (
     ArrayRow,
-    DiscreteCell,
     EtaAlphaFamily,
     ParameterError,
     RademacherFamily,
@@ -232,7 +231,7 @@ def symmetric_rows(draw):
     assume(vals.min() > 1e-3 * vals.max())
     white = vecs @ np.diag(vals**-0.5) @ vecs.T
     row = ArrayRow.from_cells(
-        DiscreteCell(np.concatenate([x @ white, -(x @ white)]), np.concatenate([q, q]) / 2)
+        (np.concatenate([x @ white, -(x @ white)]), np.concatenate([q, q]) / 2)
         for x, q in cells
     )
     assert validate_row(row).passed

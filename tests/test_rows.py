@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import FrozenInstanceError
 
@@ -9,8 +10,8 @@ from steinclt import (
     ArrayRow,
     CapacityError,
     ConstructionError,
-    DiscreteCell,
     EtaAlphaFamily,
+    ExplicitFamily,
     ParameterError,
     ProductFamily,
     RademacherFamily,
@@ -27,6 +28,7 @@ from steinclt import (
     serialize_row,
     validate_row,
 )
+from oracles import cells_doc_oracle, product_row_oracle
 from strategies import centred_rows
 
 
@@ -61,13 +63,13 @@ def test_eta_alpha_half_n2_atoms():
     row = build_eta_row(0.5, 2)
     assert row.meta["scale_squared"] == pytest.approx(2.5, abs=1e-14)
     s = math.sqrt(2.5)
-    cell1, cell2 = row.cell(0), row.cell(1)
-    assert cell1.points.ravel() == pytest.approx([-1 / s, 1 / s])
-    assert cell1.probs == pytest.approx([0.5, 0.5])
-    assert cell2.points.ravel() == pytest.approx(
+    (points1, probs1), (points2, probs2) = row.cell(0), row.cell(1)
+    assert points1.ravel() == pytest.approx([-1 / s, 1 / s])
+    assert probs1 == pytest.approx([0.5, 0.5])
+    assert points2.ravel() == pytest.approx(
         [-math.sqrt(2) / s, -1 / s, 1 / s, math.sqrt(2) / s]
     )
-    assert cell2.probs == pytest.approx([0.25, 0.25, 0.25, 0.25])
+    assert probs2 == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
@@ -96,9 +98,7 @@ def test_eta_shifted_start_override():
     assert report.second_moment_sum == pytest.approx(1.0, abs=1e-12)
     # leading cells are plain coins; at k = 4 the +-1/s pair carries no
     # mass (beta/k = 1), from k = 5 all four atoms are present
-    assert row.cell(0).atom_count == 2
-    assert row.cell(3).atom_count == 2
-    assert row.cell(4).atom_count == 4
+    assert [row.cell(k)[1].size for k in (0, 3, 4)] == [2, 2, 4]
 
 
 def test_eta_scale_grows_monotonically():
@@ -117,12 +117,11 @@ def test_eta_scale_grows_monotonically():
 def test_product_of_two_coins():
     row = build_product_row([build_rademacher_row(1), build_rademacher_row(1)])
     assert row.dimension == 2
-    cell = row.cell(0)
-    assert cell.atom_count == 4
+    points, probs = row.cell(0)
     assert np.array_equal(
-        cell.points, [[-1, -1], [-1, 1], [1, -1], [1, 1]]
+        points, [[-1, -1], [-1, 1], [1, -1], [1, 1]]
     )
-    assert cell.probs == pytest.approx([0.25] * 4)
+    assert probs == pytest.approx([0.25] * 4)
 
 
 def test_product_covariance_is_identity():
@@ -139,12 +138,67 @@ def test_product_shape_and_capacity_errors():
     with pytest.raises(ShapeError):
         two_dim = build_product_row([build_rademacher_row(2), build_rademacher_row(2)])
         build_product_row([two_dim, build_rademacher_row(2)])
-    with pytest.raises(CapacityError):
-        build_product_row([build_rademacher_row(3)] * 2, atom_cap=3)
+    # one cell of 101 x 101 = 10 201 atoms, above the 10 000 cap
+    grid = np.arange(-50, 51)[:, None] / math.sqrt(850.0)  # unit variance
+    wide = ArrayRow.from_cells([(grid, np.full(101, 1 / 101))])
+    with pytest.raises(CapacityError, match="cell 0 would hold 10201 atoms"):
+        build_product_row([wide, wide])
+
+
+def random_coordinate_row(rng):
+    """A standard 1-D row of 1-7 cells with 1-4 unsorted atoms each, drawn
+    from a few integers so coordinates repeat within and across cells."""
+    while True:
+        cells = []
+        for _ in range(int(rng.integers(1, 8))):
+            x = rng.integers(-2, 3, int(rng.integers(1, 5))).astype(float)
+            q = rng.uniform(0.1, 1.0, x.size)
+            q /= q.sum()
+            cells.append((x - q @ x, q))
+        var = sum(q @ (x * x) for x, q in cells)
+        if var > 0:
+            return [(x[:, None] / math.sqrt(var), q) for x, q in cells]
+
+
+def random_products(count):
+    rng = np.random.default_rng(2024)
+    products = []
+    while len(products) < count:
+        first = random_coordinate_row(rng)
+        n, dim = len(first), int(rng.integers(1, 4))
+        factors = [first]
+        while len(factors) < dim:
+            other = random_coordinate_row(rng)
+            if len(other) == n:
+                factors.append(other)
+        try:
+            products.append([ArrayRow.from_cells(cells) for cells in factors])
+        except RowValidationError:
+            continue
+    return products
+
+
+BUILTIN_PRODUCTS = [
+    [build_rademacher_row(40)] * 3,
+    [build_eta_row(0.3, 60), build_eta_row(0.5, 60)],
+    [build_eta_row(0.8, 30, allow_shifted_start=True), build_rademacher_row(30),
+     build_eta_row(0.4, 30)],
+]
+
+
+def test_product_rows_match_the_cell_loop_oracle():
+    # the one-pass builder must reproduce the per-cell construction bit
+    # for bit: same atom order, same product rounding, same offsets
+    for factors in random_products(40) + BUILTIN_PRODUCTS:
+        row = build_product_row(factors)
+        points, probs, offsets = product_row_oracle(factors)
+        assert np.array_equal(row.points, points)
+        assert np.array_equal(row.probs, probs)
+        assert np.array_equal(row.offsets, offsets)
 
 
 def test_validate_detects_bad_mean():
-    cell = DiscreteCell(np.array([[1.0], [-1.0]]), np.array([0.6, 0.4]))
+    cell = (np.array([[1.0], [-1.0]]), np.array([0.6, 0.4]))
     with pytest.raises(RowValidationError, match="cell 0") as excinfo:
         ArrayRow.from_cells([cell])
     report = excinfo.value.report
@@ -194,11 +248,25 @@ def test_builtin_rows_meet_standard_tolerances(factory):
 
 def test_cell_constructor_rejects_bad_probabilities():
     with pytest.raises(ParameterError):
-        DiscreteCell(np.array([[1.0]]), np.array([0.0]))
+        ArrayRow.from_cells([([[1.0]], [0.0])])
     with pytest.raises(ParameterError):
-        DiscreteCell(np.array([[1.0]]), np.array([1.5]))
+        ArrayRow.from_cells([([[1.0]], [1.5])])
     with pytest.raises(ShapeError):
-        DiscreteCell(np.array([[1.0], [2.0]]), np.array([1.0]))
+        ArrayRow.from_cells([([[1.0], [2.0]], [1.0])])
+    with pytest.raises(ShapeError):
+        ArrayRow.from_cells([([[1.0], [2.0]], [1.0]), ([[1.0]], [0.5, 0.5])])
+
+
+@pytest.mark.parametrize("points, probs, message", [
+    ([-np.inf, np.inf], [0.5, 0.5], "coordinates must be finite"),
+    ([-1.0, np.nan], [0.5, 0.5], "coordinates must be finite"),
+    ([-1.0, 1.0], [0.5, np.nan], r"\(0, 1\]"),
+])
+def test_row_constructor_rejects_non_finite_atoms(points, probs, message):
+    # one atom check for every row: before validation, and without a
+    # numpy invalid-value warning
+    with pytest.raises(ParameterError, match=message):
+        ArrayRow(1, points, probs, [0, 2])
 
 
 def test_row_constructor_rejects_signed_measures():
@@ -216,14 +284,37 @@ def test_row_data_is_read_only():
     for array in (row.points, row.probs, row.offsets, row.squared_norms()):
         with pytest.raises(ValueError):
             array[0] = 0.9
+    points, probs = row.cell(1)
     with pytest.raises(ValueError):
-        row.cell(1).probs[0] = 0.9
+        probs[0] = 0.9
+    assert np.shares_memory(points, row.points) and np.shares_memory(probs, row.probs)
     assert EtaAlphaFamily(0.5).row(6).probs[0] == row.probs[0]
     # the caller's own arrays keep their flags
     points, probs = np.array([[-1.0], [1.0]]), np.array([0.5, 0.5])
     offsets = np.array([0, 2])
     ArrayRow(1, points, probs, offsets)
     assert points.flags.writeable and probs.flags.writeable and offsets.flags.writeable
+
+
+def test_row_meta_is_read_only():
+    meta = {"family": "custom"}
+    row = ArrayRow(1, [-1.0, 1.0], [0.5, 0.5], [0, 2], meta=meta)
+    with pytest.raises(TypeError):
+        row.meta["family"] = "other"
+    meta["family"] = "other"  # the caller's dict is copied, not shared
+    assert row.meta == {"family": "custom"}
+    shared = RademacherFamily().row(4)
+    with pytest.raises(TypeError):
+        shared.meta["x"] = 1
+    assert shared.meta == {"family": "rademacher_iid", "n": 4}
+
+
+def test_cell_index_is_checked():
+    row = build_rademacher_row(3)
+    assert row.cell(2)[1].size == 2
+    for k in (-1, 3):
+        with pytest.raises(IndexError, match=f"cell index {k} .* n=3"):
+            row.cell(k)
 
 
 def test_row_fields_cannot_be_rebound():
@@ -289,6 +380,42 @@ def test_spec_parse_errors_have_context():
             '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,'
             ' "cells": [{"atoms": [{"x": [1.0], "p": 1.5}]}]}'
         )
+
+
+ONE_ATOM = '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1, "cells": [{"atoms": [%s]}]}'
+COIN_ROW = ONE_ATOM % '{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}'
+
+
+@pytest.mark.parametrize("doc, field", [
+    ('{"schema": "stein-clt-row/1", "kind": "eta_alpha", "alpha": 0.7, "shifted_start": "false"}',
+     "document.shifted_start"),
+    (ONE_ATOM % '{"x": [true], "p": 1.0}', r"document.cells\[0\].atoms\[0\].x"),
+    (ONE_ATOM % '{"x": [0.0], "p": true}', r"document.cells\[0\].atoms\[0\].p"),
+    (ONE_ATOM % '{"x": [NaN], "p": 1.0}', r"document.cells\[0\].atoms\[0\].x"),
+    (ONE_ATOM % '{"x": [-Infinity], "p": 1.0}', r"document.cells\[0\].atoms\[0\].x"),
+    (COIN_ROW.replace('"N": 1', '"N": true'), "document.N"),
+    ('{"schema": "stein-clt-row/1", "kind": "product", "factors": [%s]}' % COIN_ROW,
+     r"document.factors\[0\]"),
+    ('{"schema": "stein-clt-row/1", "kind": "product", "factors": [5]}', r"document.factors\[0\]"),
+], ids=["string-shifted-start", "bool-x", "bool-p", "nan-x", "inf-x", "bool-N", "row-factor",
+        "number-factor"])
+def test_spec_rejects_mistyped_fields(doc, field):
+    # a JSON boolean is not a number, a string is not a boolean, a
+    # non-finite coordinate is not an atom and a single row is not a family
+    with pytest.raises(RowSpecError, match=field):
+        load_row_spec(doc)
+
+
+def test_serialized_documents_match_the_per_cell_writer():
+    row = build_eta_row(0.5, 1000)
+    expected = {"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,
+                "cells": cells_doc_oracle(row)}
+    assert serialize_row(row) == json.dumps(expected, indent=1)
+    rows = {n: build_product_row([build_eta_row(0.4, n), build_rademacher_row(n)])
+            for n in (3, 5)}
+    expected = {"schema": "stein-clt-row/1", "kind": "explicit", "N": 2,
+                "rows": {str(n): cells_doc_oracle(r) for n, r in rows.items()}}
+    assert serialize_family(ExplicitFamily(rows)) == json.dumps(expected, indent=1)
 
 
 def test_spec_validation_error_names_cell():
