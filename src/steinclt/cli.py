@@ -11,7 +11,6 @@ Subcommands map one-to-one onto library operations:
   stein-check  Stein machinery verification battery
   bound        master-inequality terms and slack
   report       asymptotic bound report (gap tails vs theorem/corollary rhs)
-  lambda-f     transform-gap sup/limsup estimate
   kolmogorov   Monte Carlo Kolmogorov distance diagnostic (N = 1)
 
 Each command parses, lifts scalar t along --direction, loops over
@@ -46,7 +45,6 @@ from . import __version__
 from .bounds import (
     DEFAULT_BOUND_EPS_GRID,
     decomposition_check,
-    gap_table_with_lambda_f,
     master_bound,
     master_bound_best,
     theorem_bound_report,
@@ -426,22 +424,6 @@ def _cmd_report(args) -> int:
     return 0 if not report.flagged else 1
 
 
-def _cmd_lambda_f(args) -> int:
-    family = _family_only(_resolve_source(args))
-    t_values, batch = _t_batch(args, family.dimension)
-    n_grid = _n_grid(args)
-    table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, args.tail_window)
-    out = [[n, tval, table[i, j]]
-           for j, n in enumerate(n_grid) for i, tval in enumerate(t_values)]
-    metadata = {
-        "lambda_f_estimate": lambda_f,
-        "tail_window": args.tail_window,
-        "truncation_note": "sup/limsup estimated on finite grids; see config",
-    }
-    _write_report(args, "lambda-f", ["n", "t", "gap"], out, metadata)
-    return 0
-
-
 def _cmd_kolmogorov(args) -> int:
     seed = _seed(args)
     out = []
@@ -555,11 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, grids=("n", "t", "eps"))
     p.add_argument("--tail-window", type=int, default=DEFAULT_TAIL_WINDOW)
     p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("lambda-f", help="transform-gap sup/limsup estimate")
-    _add_common(p, grids=("n", "t"))
-    p.add_argument("--tail-window", type=int, default=DEFAULT_TAIL_WINDOW)
-    p.set_defaults(func=_cmd_lambda_f)
 
     p = sub.add_parser("kolmogorov", help="Monte Carlo Kolmogorov diagnostic (N=1)")
     _add_common(p, grids=("n",), mc=True)

@@ -33,7 +33,8 @@ class ConvergenceError(SteinCltError, RuntimeError):
     """Adaptive quadrature could not reach the requested tolerance.
 
     Carries the best available estimate and its error bound so callers
-    can decide whether the partial answer is usable.
+    can decide whether the partial answer is usable; both are arrays of
+    the component shape for an array-valued integrand.
     """
 
     def __init__(self, message: str, estimate: complex, error_bound: float):

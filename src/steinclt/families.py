@@ -11,7 +11,7 @@ with full shortest-repr precision).
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 from .errors import ConstructionError, RowSpecError, RowValidationError, ShapeError
 from .rows import (
@@ -241,7 +241,9 @@ def _parse_cells(cells_doc, dim: int, ctx: str) -> list[tuple[list, list]]:
             if not isinstance(atom, dict):
                 raise RowSpecError(f"{actx}: expected an object")
             x = _expect(atom, "x", list, actx)
-            if len(x) != dim or not all(_is_a(v, _NUMBER) and math.isfinite(v) for v in x):
+            # a bound, not math.isfinite, which overflows on a huge JSON integer
+            finite = all(_is_a(v, _NUMBER) and abs(v) <= sys.float_info.max for v in x)
+            if len(x) != dim or not finite:
                 raise RowSpecError(f"{actx}.x: expected {dim} finite numbers")
             p = _expect(atom, "p", _NUMBER, actx)
             if not 0.0 < p <= 1.0:
@@ -276,9 +278,9 @@ def _family_from_doc(doc: dict, ctx: str):
         factors = []
         for i, sub in enumerate(factors_doc):
             factor = _family_from_doc(sub, f"{ctx}.factors[{i}]")
-            if not isinstance(factor, ArrayFamily):
-                raise RowSpecError(f"{ctx}.factors[{i}]: a product factor must be a family, "
-                                   "not a single explicit row")
+            if not isinstance(factor, ArrayFamily) or factor.dimension != 1:
+                raise RowSpecError(f"{ctx}.factors[{i}]: a product factor must be a "
+                                   "one-dimensional family")
             factors.append(factor)
         return ProductFamily(factors)
     if kind == "explicit":

@@ -2,13 +2,14 @@
 
 Three tools live here:
 
-* ``integrate_unit`` -- adaptive integration of a complex-valued function
-  over [0, 1], always in u = sqrt(s): it integrates 2u f(u^2) du.  Every
-  s-integrand of the package depends on s through sqrt(s), so in s it
-  has a sqrt(s) kink or an s^{-1/2} blow-up at 0, while in u it is
-  smooth.  Each panel is estimated with a fixed-order Gauss-Legendre
-  rule and the error is taken from order doubling; the worst panel is
-  bisected until the global error estimate meets the tolerance.
+* ``integrate_unit`` -- adaptive integration of a complex-valued, scalar
+  or array-valued function over [0, 1], always in u = sqrt(s): it
+  integrates 2u f(u^2) du.  Every s-integrand of the package depends on
+  s through sqrt(s), so in s it has a sqrt(s) kink or an s^{-1/2}
+  blow-up at 0, while in u it is smooth.  Each panel is estimated with a
+  fixed-order Gauss-Legendre rule and the error is taken from order
+  doubling.  Panels are bisected in rounds, each round one vectorised
+  integrand call, until every component meets its own tolerance.
 
 * ``_hermite_rule`` -- the 1-D probabilists' Gauss-Hermite rule for
   E[g(Z)], Z ~ N(0, 1), with weights normalised so that E[1] = 1
@@ -18,16 +19,12 @@ Three tools live here:
 
 * ``outer_product`` -- the rank-one matrix t t^T, which satisfies
   <x, (t t^T) x> = <x, t>^2.
-
-Integrands are vectorised: ``f`` receives a 1-D array of abscissae and
-must return an array of the same length (scalar results broadcast).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from heapq import heappush, heappop
 from typing import Callable
 
 import numpy as np
@@ -77,21 +74,28 @@ def _legendre_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _eval_panel(f: Callable, a: float, b: float) -> tuple[complex, float]:
-    """Return (high-order estimate, error estimate) for one panel."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
+def _panels(f: Callable, edges: np.ndarray):
+    """High-order estimates and error estimates of 2u f(u^2) on the panels
+    ``edges`` (one [left, right] row each), from one ``f`` call on all
+    their nodes.  Returns them as (panels, components) arrays, with the
+    component shape of ``f``."""
     xs_lo, ws_lo = _legendre_rule(_GL_LOW)
     xs_hi, ws_hi = _legendre_rule(_GL_HIGH)
-    abscissae = np.concatenate((mid + half * xs_lo, mid + half * xs_hi))
-    values = np.asarray(f(abscissae))
-    if values.shape == ():
-        values = np.broadcast_to(values, abscissae.shape)
-    if not np.all(np.isfinite(values.view(np.float64) if values.dtype.kind == "c" else values)):
-        raise DomainError(f"integrand returned a non-finite value on panel [{a}, {b}]")
-    lo = half * np.sum(ws_lo * values[:_GL_LOW])
-    hi = half * np.sum(ws_hi * values[_GL_LOW:])
-    return hi, abs(hi - lo)
+    half = 0.5 * (edges[:, 1:] - edges[:, :1])
+    mid = 0.5 * (edges[:, :1] + edges[:, 1:])
+    xs = np.concatenate((xs_lo, xs_hi))
+    u = (mid + half * xs).ravel()
+    values = np.asarray(f(u * u))
+    shape = values.shape[1:]
+    values = np.broadcast_to(values, u.shape + shape).reshape(u.size, -1)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"non-finite integrand value for u in [{edges.min()}, {edges.max()}]")
+    # node axis last and contiguous: each component sums as a scalar integrand would
+    values = ((2.0 * u)[:, None] * values).reshape(len(edges), xs.size, -1)
+    values = np.ascontiguousarray(values.swapaxes(1, 2))
+    lo = half * np.sum(ws_lo * values[..., :_GL_LOW], axis=-1)
+    hi = half * np.sum(ws_hi * values[..., _GL_LOW:], axis=-1)
+    return hi, np.abs(hi - lo), shape
 
 
 def integrate_unit(
@@ -100,57 +104,60 @@ def integrate_unit(
     *,
     return_error: bool = False,
 ):
-    """Integrate a complex-valued ``f`` over [0, 1].
+    """Integrate a complex-valued ``f``, scalar or array-valued, over [0, 1].
 
-    The estimated error of the returned value is at most
-    ``max(abs_tol, rel_tol * |result|)``.  The integral is computed as
+    ``f`` maps a 1-D array of s to an array whose leading axis follows s;
+    trailing axes are components (a scalar integrand has none, and a 0-d
+    result broadcasts).  The integral is computed as
     ``int_0^1 2u f(u^2) du``, which is smooth for integrands that are
     smooth in sqrt(s) and removes an s^{-1/2} endpoint blow-up; interior
     nodes only, so f is never evaluated at 0 or 1.
 
-    Returns the complex estimate, or ``(estimate, error_bound)`` when
-    ``return_error`` is set.  Raises ConvergenceError (carrying the best
-    estimate) if the tolerance is not met within ``max_subdivisions``
-    bisections, and DomainError on non-finite integrand values.
+    The panels are refined in rounds, and each round evaluates the nodes
+    of all its new panels in one ``f`` call.  Component c has the
+    tolerance tol_c = max(abs_tol, rel_tol * |total_c|), the one a scalar
+    call on it alone gets.  A panel stays when its error estimate is at
+    most width * tol_c in every component; every other panel is bisected.
+    The rounds stop when every component's total error estimate is at
+    most its tol_c.
+
+    Returns the estimate (a complex, or an array of the component shape),
+    or ``(estimate, error_bound)`` when ``return_error`` is set.  Raises
+    ConvergenceError, carrying every component's estimate and error bound,
+    when a round would take the bisections past ``max_subdivisions``, and
+    DomainError on non-finite integrand values.
     """
-    def g(u):
-        return 2.0 * u * np.asarray(f(u * u))
-
-    # Max-heap of panels keyed by error estimate (heapq is a min-heap,
-    # hence the sign flip).  Ties broken by insertion order.
-    value, err = _eval_panel(g, 0.0, 1.0)
-    total = value
-    total_err = err
-    counter = 0
-    heap = [(-err, counter, 0.0, 1.0, value)]
+    edges = np.array([[0.0, 1.0]])
+    value, err, shape = _panels(f, edges)
     splits = 0
-
-    def tolerance() -> float:
-        return max(spec.abs_tol, spec.rel_tol * abs(total))
-
-    while total_err > tolerance():
-        if splits >= spec.max_subdivisions:
+    while True:
+        total, total_err = np.sum(value, axis=0), np.sum(err, axis=0)
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        if np.all(total_err <= tol):
+            break
+        share = np.max(err / tol, axis=1) / (edges[:, 1] - edges[:, 0])
+        split = share > 1.0
+        if not np.any(split):  # every panel within its share, the sum over by rounding
+            split = share == np.max(share)
+        splits += np.count_nonzero(split)
+        if splits > spec.max_subdivisions:
+            worst = np.argmax(total_err / tol)
             raise ConvergenceError(
-                f"quadrature tolerance {tolerance():.3e} not reached after "
-                f"{splits} bisections (error estimate {total_err:.3e})",
-                estimate=total,
-                error_bound=total_err,
+                f"quadrature tolerance {tol[worst]:.3e} not reached within "
+                f"{spec.max_subdivisions} bisections (error estimate {total_err[worst]:.3e})",
+                estimate=total.reshape(shape)[()],
+                error_bound=total_err.reshape(shape)[()],
             )
-        neg_err, _, a, b, panel_value = heappop(heap)
+        a, b = edges[split].T
         mid = 0.5 * (a + b)
-        left_value, left_err = _eval_panel(g, a, mid)
-        right_value, right_err = _eval_panel(g, mid, b)
-        total += left_value + right_value - panel_value
-        total_err += left_err + right_err - (-neg_err)
-        counter += 1
-        heappush(heap, (-left_err, counter, a, mid, left_value))
-        counter += 1
-        heappush(heap, (-right_err, counter, mid, b, right_value))
-        splits += 1
+        halves = np.column_stack((np.concatenate((a, mid)), np.concatenate((mid, b))))
+        new_value, new_err, _ = _panels(f, halves)
+        edges = np.concatenate((edges[~split], halves))
+        value = np.concatenate((value[~split], new_value))
+        err = np.concatenate((err[~split], new_err))
 
-    if return_error:
-        return total, total_err
-    return total
+    total, total_err = total.reshape(shape)[()], total_err.reshape(shape)[()]
+    return (total, total_err) if return_error else total
 
 
 @lru_cache(maxsize=None)

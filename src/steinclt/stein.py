@@ -24,7 +24,9 @@ identities (complex shift alpha = y + i sqrt(1-s) t) behind it.
 ``stein_check_battery`` and ``shift_identity_check`` run every one of
 these checks against its residual ceiling; ``stein-clt stein-check``
 reports them.  Each check is one array pass over its s grid or its
-batch of random draws.
+batch of random draws, or one array-valued s-integral: the
+finite-difference checks integrate the solutions at their whole stencil
+together.
 
 General bounded-C^2 test functions are deliberately out of numerical
 scope here; the identity checks in the bounds module cover the one place
@@ -115,6 +117,20 @@ def _kernel(tt: float, a: float, s):
     return np.exp(-1j * np.sqrt(s) * a - 0.5 * (1.0 - s) * tt)
 
 
+def _solution_integrand(tt: float, a):
+    """s -> (2s)^{-1} (K(0) - K(s)), the solution's s-integrand, for one
+    a = <t, x> or, one component each, for a 1-D array of them."""
+    # K(0) by the real exponential: the complex one rounds its real part
+    # differently for about 1 in 20 values of |t|^2, moving those solutions.
+    limit_value = np.exp(-0.5 * tt)
+
+    def integrand(s):
+        s = s[:, None] if np.ndim(a) else s
+        return (0.5 / s) * (limit_value - _kernel(tt, a, s))
+
+    return integrand
+
+
 def stein_solution(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SteinEval:
     """Evaluate the solution f(x) for test function e_t.
 
@@ -122,14 +138,7 @@ def stein_solution(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SteinEval
     in u = sqrt(s), where it is smooth.
     """
     t, x, tt, a = _pair(t, x)
-    # K(0) by the real exponential: the complex one rounds its real part
-    # differently for about 1 in 20 values of |t|^2, moving those solutions.
-    limit_value = np.exp(-0.5 * tt)
-
-    def integrand(s):
-        return (0.5 / s) * (limit_value - _kernel(tt, a, s))
-
-    value, err = integrate_unit(integrand, spec, return_error=True)
+    value, err = integrate_unit(_solution_integrand(tt, a), spec, return_error=True)
     return SteinEval(t=t, x=x, value=complex(value), est_error=err)
 
 
@@ -148,12 +157,14 @@ def stein_gradient(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE):
 
 def gradient_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """grad f(x) by central differences of the solution; an independent
-    check of ``stein_gradient``."""
-    t, x, _, _ = _pair(t, x)
-    # each entry divides as a Python complex; numpy would multiply by 1/(2h)
-    return np.array([
-        (stein_solution(t, x + e, spec).value - stein_solution(t, x - e, spec).value)
-        / (2.0 * _GRADIENT_STEP) for e in _GRADIENT_STEP * np.eye(t.size)])
+    check of ``stein_gradient``.  The solutions at the 2N points x +- h e_l
+    are the components of one integral."""
+    t, x, tt, _ = _pair(t, x)
+    steps = _GRADIENT_STEP * np.eye(t.size)
+    points = np.concatenate((x + steps, x - steps))
+    values = integrate_unit(_solution_integrand(tt, points @ t), spec)
+    plus, minus = values.reshape(2, t.size)
+    return (plus - minus) / (2.0 * _GRADIENT_STEP)
 
 
 def hessian_quadrature_representation(
@@ -162,50 +173,48 @@ def hessian_quadrature_representation(
     """Hess f(x) through the general integral representation.
 
     Evaluates -int_0^1 (2(1-s))^{-1} E[e_t(sqrt(s)x + sqrt(1-s)Z)
-    (Z Z^T - I)] ds entrywise, with the Gaussian expectation done by
-    Gauss-Hermite quadrature rather than in closed form (one moment pass
-    over each panel's s nodes).  The 1/(1-s) endpoint factor is cancelled
-    analytically by the expectation but not by its quadrature error, so
-    this route is for cross-checking at moderate tolerances; production
-    work uses ``hessian_closed_form``.
+    (Z Z^T - I)] ds as one integral over the upper triangle, with the
+    Gaussian expectation done by Gauss-Hermite quadrature rather than in
+    closed form (one moment pass over each round's s nodes).  The 1/(1-s)
+    endpoint factor is cancelled analytically by the expectation but not
+    by its quadrature error, so this route is for cross-checking at
+    moderate tolerances; production work uses ``hessian_closed_form``.
     """
     t, x, _, _ = _pair(t, x)
     dim = t.size
-    matrix = np.empty((dim, dim), dtype=np.complex128)
-    worst_err = 0.0
-    for l, m in zip(*np.triu_indices(dim)):
-        def integrand(s, l=l, m=m):
-            return -_second_moment(t, x, s, level)[:, l, m] / (2.0 * (1.0 - s))
+    rows, cols = np.triu_indices(dim)
 
-        value, err = integrate_unit(integrand, spec, return_error=True)
-        matrix[l, m] = matrix[m, l] = value
-        worst_err = max(worst_err, err)
+    def integrand(s):
+        return -_second_moment(t, x, s, level)[:, rows, cols] / (2.0 * (1.0 - s))[:, None]
+
+    values, errors = integrate_unit(integrand, spec, return_error=True)
+    matrix = np.empty((dim, dim), dtype=np.complex128)
+    matrix[rows, cols] = matrix[cols, rows] = values
     return HessianEval(
-        t=t, x=x, matrix=matrix, method="quadrature_representation", est_error=worst_err
+        t=t, x=x, matrix=matrix, method="quadrature_representation",
+        est_error=float(np.max(errors)),
     )
 
 
 def hessian_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> HessianEval:
-    """Hess f(x) by second central differences of the solution."""
-    t, x, _, _ = _pair(t, x)
+    """Hess f(x) by second central differences of the solution.
+
+    The solutions at the whole stencil (x, x +- h e_l and the four corners
+    x +- h e_l +- h e_m for l < m) are the components of one integral.
+    """
+    t, x, tt, _ = _pair(t, x)
     dim, step = t.size, _HESSIAN_STEP
-    matrix = np.empty((dim, dim), dtype=np.complex128)
-    value = stein_solution(t, x, spec).value
     eye = step * np.eye(dim)
-
-    def f(point):
-        return stein_solution(t, point, spec).value
-
-    for l in range(dim):
-        matrix[l, l] = (f(x + eye[l]) - 2.0 * value + f(x - eye[l])) / step**2
-        for m in range(l + 1, dim):
-            mixed = (
-                f(x + eye[l] + eye[m])
-                - f(x + eye[l] - eye[m])
-                - f(x - eye[l] + eye[m])
-                + f(x - eye[l] - eye[m])
-            ) / (4.0 * step**2)
-            matrix[l, m] = matrix[m, l] = mixed
+    rows, cols = np.triu_indices(dim, 1)
+    el, em = eye[rows], eye[cols]
+    points = np.concatenate((x[None], x + eye, x - eye, x + el + em, x + el - em,
+                             x - el + em, x - el - em))
+    values = integrate_unit(_solution_integrand(tt, points @ t), spec)
+    plus, minus = values[1:1 + dim], values[1 + dim:1 + 2 * dim]
+    corners = values[1 + 2 * dim:].reshape(4, -1)
+    matrix = np.diag((plus - 2.0 * values[0] + minus) / step**2)
+    matrix[rows, cols] = matrix[cols, rows] = (
+        corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * step**2)
     return HessianEval(t=t, x=x, matrix=matrix, method="finite_difference", est_error=float("nan"))
 
 

@@ -106,6 +106,14 @@ def r_factor_exp_form(a) -> np.ndarray:
     return out
 
 
+def fd_gradient_of_solution(t, x, step: float = 1e-5) -> np.ndarray:
+    """Central differences of the Stein solution, one solution per point."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.array([(stein_solution(t, x + e).value - stein_solution(t, x - e).value) / (2 * step)
+                     for e in step * np.eye(x.size)])
+
+
 def fd_hessian_of_solution(t, x, step: float = 1e-4, spec=None) -> np.ndarray:
     """Second central differences of the Stein solution."""
     t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -8,8 +8,10 @@ import pytest
 
 from steinclt import (
     EtaAlphaFamily,
+    RademacherFamily,
     RngSeed,
     empirical_charfn,
+    gap_table_with_lambda_f,
     row_sum_charfn,
     shift_identity_check,
     stein_check_battery,
@@ -21,7 +23,7 @@ GOOD_ROW = ('{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,'
             ' "cells": [{"atoms": [{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}]}]}')
 SOURCE_COMMANDS = [["validate"], ["charfn", "--t", "1"], ["gap", "--t", "1"],
                    ["lindeberg"], ["l-sum", "--t", "1"], ["identity", "--t", "1"],
-                   ["bound", "--t", "1"], ["report", "--t", "1"], ["lambda-f", "--t", "1"],
+                   ["bound", "--t", "1"], ["report", "--t", "1"],
                    ["kolmogorov", "--samples", "100"]]
 
 
@@ -179,14 +181,14 @@ def test_tail_window_only_on_commands_that_read_it(capsys):
                  "--tail-window", "3"])
     assert excinfo.value.code == 2
     common = ["--family", "rademacher", "--n-list", "10,20", "--tail-window", "1"]
-    for argv in (["lindeberg", "--eps", "0.5"], ["report", "--t", "1"], ["lambda-f", "--t", "1"]):
+    for argv in (["lindeberg", "--eps", "0.5"], ["report", "--t", "1"]):
         code, out, _ = run(argv + common, capsys)
         assert code == 0
         assert '"tail_window":1' in out
 
 
 @pytest.mark.parametrize("command", [["lindeberg", "--eps", "0.5"], ["report", "--t", "1"],
-                                     ["lambda-f", "--t", "1"]])
+                                     ["report", "--t", "1", "--format", "json"]])
 @pytest.mark.parametrize("window", ["0", "-5"])
 def test_tail_window_below_one_exits_two(command, window, capsys):
     code, out, err = run(command + ["--family", "rademacher", "--n-list", "10,20,30",
@@ -202,6 +204,14 @@ def test_malformed_spec_exits_two(tmp_path, capsys):
     code, _, err = run(["validate", "--spec", str(doc)], capsys)
     assert code == 2
     assert "line" in err
+
+
+def test_spec_with_an_oversized_integer_exits_two(tmp_path, capsys):
+    doc = tmp_path / "huge.json"
+    doc.write_text(GOOD_ROW.replace('"x": [1.0]', '"x": [1' + "0" * 400 + ']'))
+    code, out, err = run(["validate", "--spec", str(doc)], capsys)
+    assert (code, out) == (2, "")
+    assert "document.cells[0].atoms[0].x" in err
 
 
 def test_convergence_failure_exits_three(capsys):
@@ -351,19 +361,24 @@ def test_l_sum_command(capsys):
     assert by_key[("0.1", "same")] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_lambda_f_command_metadata(capsys):
-    code, out, _ = run(
-        ["lambda-f", "--family", "rademacher", "--n-list", "100,1000,5000",
-         "--t", "0.5:2:0.5"],
-        capsys,
-    )
+def test_report_metadata_carries_lambda_f(capsys):
+    # the lambda_f estimate of the gap table over the family's n grid
+    argv = ["--family", "rademacher", "--n-list", "100,1000,5000", "--t", "0.5:2:0.5"]
+    code, out, _ = run(["report"] + argv, capsys)
     assert code == 0
     meta = dict(
         line[2:].split("=", 1) for line in out.splitlines()
         if line.startswith("# ") and "=" in line
     )
-    assert 0.0 <= float(meta["lambda_f_estimate"]) <= 2.0
+    _, lambda_f = gap_table_with_lambda_f(RademacherFamily(), np.arange(0.5, 2.01, 0.5)[:, None],
+                                          [100, 1000, 5000])
+    assert meta["lambda_f_estimate"] == repr(lambda_f)
+    assert 0.0 <= lambda_f <= 2.0
     assert "truncation_note" in meta
+    # no separate lambda-f command: its table was the gap command over the n grid
+    with pytest.raises(SystemExit) as excinfo:
+        execute(["lambda-f"] + argv)
+    assert excinfo.value.code == 2
 
 
 def test_kolmogorov_command(capsys):

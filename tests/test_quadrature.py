@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinclt import (
     ConvergenceError,
@@ -70,6 +72,80 @@ def test_convergence_error_carries_estimate():
         integrate_unit(lambda s: np.sin(50.0 / (s + 1e-3)), spec)
     assert excinfo.value.error_bound > 0
     assert np.isfinite(abs(excinfo.value.estimate))
+
+
+def test_convergence_error_on_an_array_integrand_carries_arrays():
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12, max_subdivisions=3)
+    with pytest.raises(ConvergenceError) as excinfo:
+        integrate_unit(lambda s: np.stack((np.sin(50.0 / (s + 1e-3)), np.ones_like(s)), -1), spec)
+    estimate, error = excinfo.value.estimate, excinfo.value.error_bound
+    assert estimate.shape == error.shape == (2,)
+    assert error[0] > 1e-12 and error[1] <= 1e-12
+    assert estimate[1] == pytest.approx(1.0, abs=1e-12)
+
+
+def _components(coeffs, omega, s):
+    """A polynomial, an oscillatory and a 1e-12-scaled component, and
+    their exact integrals over [0, 1]."""
+    poly = 2.0 + np.polyval(np.append(coeffs, 0.0), s)
+    wave = 2.0 + np.exp(1j * omega * s)
+    tiny = 1e-12 * (2.0 + np.cos(omega * np.sqrt(s)))
+    exact = (2.0 + sum(c / (len(coeffs) + 1 - j) for j, c in enumerate(coeffs)),
+             2.0 + (np.exp(1j * omega) - 1.0) / (1j * omega),
+             1e-12 * (2.0 + 2.0 * (np.cos(omega) + omega * np.sin(omega) - 1.0) / omega**2))
+    return np.stack((poly, wave, tiny), axis=-1), exact
+
+
+@settings(max_examples=40, deadline=None)
+@given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       omega=st.floats(1.0, 60.0), rel_tol=st.sampled_from([1e-6, 1e-9, 1e-11]))
+def test_array_components_meet_their_own_scalar_tolerance(coeffs, omega, rel_tol):
+    # abs_tol far below the tiny component, so every component is held to
+    # rel_tol of its own size, as a scalar call on it alone would be
+    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=rel_tol)
+    values, errors = integrate_unit(lambda s: _components(coeffs, omega, s)[0], spec,
+                                    return_error=True)
+    _, exact = _components(coeffs, omega, 0.5)
+    assert values.shape == errors.shape == (3,)
+    for c in range(3):
+        scalar, scalar_err = integrate_unit(lambda s: _components(coeffs, omega, s)[0][:, c],
+                                            spec, return_error=True)
+        tol = max(spec.abs_tol, rel_tol * abs(scalar))
+        assert scalar_err <= tol
+        assert errors[c] <= max(spec.abs_tol, rel_tol * abs(values[c]))
+        assert abs(values[c] - scalar) <= tol
+        assert abs(values[c] - exact[c]) <= tol
+
+
+def test_component_axes_keep_their_shape():
+    def f(s):
+        return np.stack((np.stack((s, s * s), -1), np.stack((np.ones_like(s), s**3), -1)), -2)
+
+    value = integrate_unit(f)
+    assert value.shape == (2, 2)
+    assert np.allclose(value, [[1 / 2, 1 / 3], [1.0, 1 / 4]], atol=1e-12)
+    # a 0-d result broadcasts over the nodes
+    assert integrate_unit(lambda s: np.float64(1.5)) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_oscillatory_integrand_takes_few_rounds():
+    # every panel that misses its share is bisected in the same round, so
+    # the integrand is called once per round rather than once per panel
+    calls = []
+
+    def f(s):
+        calls.append(s.size)
+        return np.sin(50.0 / (s + 0.05))
+
+    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
+    value, err = integrate_unit(f, spec, return_error=True)
+    assert len(calls) <= 12
+    assert err <= 1e-12
+    # reference: 64 equal u-panels, 40-node Gauss-Legendre on each
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    u = ((np.arange(64)[:, None] + 0.5 * (nodes + 1.0)) / 64).ravel()
+    reference = np.sum(np.tile(weights, 64) * 2.0 * u * np.sin(50.0 / (u * u + 0.05))) / 128
+    assert abs(value - reference) <= 1e-12
 
 
 def test_non_finite_integrand_is_domain_error():

@@ -397,11 +397,16 @@ COIN_ROW = ONE_ATOM % '{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}'
     ('{"schema": "stein-clt-row/1", "kind": "product", "factors": [%s]}' % COIN_ROW,
      r"document.factors\[0\]"),
     ('{"schema": "stein-clt-row/1", "kind": "product", "factors": [5]}', r"document.factors\[0\]"),
+    (ONE_ATOM % ('{"x": [1%s], "p": 1.0}' % ("0" * 400)), r"document.cells\[0\].atoms\[0\].x"),
+    ('{"schema": "stein-clt-row/1", "kind": "product", "factors": [{"kind": "product", '
+     '"factors": [{"kind": "rademacher_iid"}, {"kind": "rademacher_iid"}]}]}',
+     r"document.factors\[0\]"),
 ], ids=["string-shifted-start", "bool-x", "bool-p", "nan-x", "inf-x", "bool-N", "row-factor",
-        "number-factor"])
+        "number-factor", "huge-integer-x", "nested-product-factor"])
 def test_spec_rejects_mistyped_fields(doc, field):
     # a JSON boolean is not a number, a string is not a boolean, a
-    # non-finite coordinate is not an atom and a single row is not a family
+    # non-finite coordinate (or an integer beyond the float range) is not
+    # an atom, and a single row or a multivariate family is not a factor
     with pytest.raises(RowSpecError, match=field):
         load_row_spec(doc)
 

@@ -7,6 +7,7 @@ import steinclt.stein as stein_module
 from steinclt import (
     ParameterError,
     QuadratureSpec,
+    integrate_unit,
     alpha_identities,
     gaussian_expectation_identity,
     gradient_finite_difference,
@@ -22,7 +23,8 @@ from steinclt import (
     stein_solution,
 )
 
-from oracles import midpoint_solution, tensor_gauss_hermite_moments
+from oracles import (fd_gradient_of_solution, fd_hessian_of_solution, midpoint_solution,
+                     tensor_gauss_hermite_moments)
 
 # frozen oracle (mpmath quad to 20 digits and a 1e6-panel midpoint rule
 # agree): int_0^1 (2s)^{-1} [e^{-1/2} - e^{-(1-s)/2}] ds
@@ -113,6 +115,42 @@ def test_hessian_general_representation_agrees():
         closed = hessian_closed_form(t, x)
         assert general.method == "quadrature_representation"
         assert np.max(np.abs(general.matrix - closed.matrix)) < 1e-8
+
+
+@pytest.mark.parametrize("t, x", [([1.3], [0.4]), ([2.0, -1.0], [1.5, 0.5]),
+                                  ([1.0, -0.5, 2.0], [0.3, -0.7, 1.1])])
+def test_finite_differences_match_the_per_point_stencils(t, x):
+    # one integral over the whole stencil against one solution per point:
+    # a few ulps of the solution, divided by 2h = 2e-5 and h^2 = 1e-8
+    gradient = gradient_finite_difference(t, x)
+    assert np.max(np.abs(gradient - fd_gradient_of_solution(t, x))) <= 1e-10
+    assert np.max(np.abs(hessian_finite_difference(t, x).matrix
+                         - fd_hessian_of_solution(t, x))) <= 1e-6
+
+
+def test_hessian_general_representation_agrees_in_dim_three():
+    t, x = [1.0, -0.5, 2.0], [0.3, -0.7, 1.1]
+    general = hessian_quadrature_representation(t, x)
+    closed = hessian_closed_form(t, x)
+    assert np.max(np.abs(general.matrix - closed.matrix)) < 1e-8
+    assert np.array_equal(general.matrix, general.matrix.T)
+    # the largest entry error, each within that entry's own tolerance
+    assert general.est_error <= 1e-9 * max(1.0, np.max(np.abs(general.matrix)))
+
+
+@pytest.mark.parametrize("name", ["gradient_finite_difference", "hessian_finite_difference",
+                                  "hessian_quadrature_representation"])
+@pytest.mark.parametrize("dim", [1, 3])
+def test_multi_point_checks_are_one_integral(name, dim, monkeypatch):
+    calls = []
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return integrate_unit(f, *args, **kwargs)
+
+    monkeypatch.setattr(stein_module, "integrate_unit", counted)
+    getattr(stein_module, name)(np.linspace(0.5, 1.5, dim), np.linspace(-0.3, 0.3, dim))
+    assert len(calls) == 1
 
 
 def test_hessian_rank_one_structure():
