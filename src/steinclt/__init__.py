@@ -12,7 +12,6 @@ from .bounds import (
     AsymptoticReport,
     BoundReport,
     IdentityReport,
-    TBoundEntry,
     decomposition_check,
     gap_table_with_lambda_f,
     identity_lhs,

@@ -30,6 +30,7 @@ and every eps, with no tolerance; asymptotic versions (sup over t,
 limsup over n) are estimated on finite grids with explicit truncation
 metadata, t as an (m, N) batch and the n grid and tail window checked
 by the indices module's ``_tail_window`` rule before any row is built.
+Every eps here passes the indices module's one eps rule, ``_eps_grid``.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from .charfn import _as_batch, _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn
 from .charfn import row_sum_charfn
 from .errors import ParameterError, ShapeError
-from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _tail_window, l_sum
+from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _eps_grid, _tail_window, l_sum
 from .indices import lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
 from .rows import ArrayRow
@@ -50,7 +51,6 @@ from .util import as_vector, exclusive_products
 __all__ = [
     "IdentityReport",
     "BoundReport",
-    "TBoundEntry",
     "AsymptoticReport",
     "identity_lhs",
     "identity_rhs",
@@ -178,8 +178,7 @@ def truncation_bound_check(
     <= eps on the complementary event, the rest by the crude bound 2.
     """
     t = as_vector(t, row.dimension)
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = float(_eps_grid(eps, scalar=True))
     if not 0.0 <= s <= 1.0 or not 0.0 <= r <= 1.0:
         raise ParameterError("s and r must lie in [0, 1]")
     factor = np.abs(np.exp(-1j * np.sqrt(s) * r * (row.points @ t)) - 1.0)
@@ -219,11 +218,7 @@ def master_bound(row: ArrayRow, t, eps):
     grid call.
     """
     t = as_vector(t, row.dimension)
-    grid = np.asarray(eps, dtype=np.float64)
-    if grid.ndim > 1:
-        raise ParameterError("eps must be a scalar or a 1-D grid")
-    if not np.all(grid > 0.0):
-        raise ParameterError(f"eps must be positive, got {eps}")
+    grid = _eps_grid(eps)
     lhs_gap = charfn_gap(row, t)
     envelope = 1.0 - gaussian_charfn(t)
     same = np.atleast_1d(l_sum(row, "same", t, grid))
@@ -256,46 +251,44 @@ def master_bound_best(row: ArrayRow, t, eps_grid=DEFAULT_BOUND_EPS_GRID) -> Boun
 
 
 @dataclass(frozen=True)
-class TBoundEntry:
-    """Asymptotic-bound check at one t."""
-
-    t: np.ndarray
-    gap_tail_max: float
-    theorem_rhs: float
-    theorem_slack: float
-    theorem_ok: bool
-    corollary_slack: float
-    corollary_ok: bool
-
-
-@dataclass(frozen=True)
 class AsymptoticReport:
     """Finite-grid estimates of the asymptotic bounds, with metadata.
 
     All limsups are max over the trailing ``tail_window`` entries of the
     n-grid and all sups are maxima over the stated grids, so every
     number carries finite-truncation error that the grids themselves
-    document.  Entries whose slack is below -slack_floor (the constant
-    ``SLACK_FLOOR``) are listed in ``flagged``; small negative slack is
-    expected truncation noise on an asymptotic statement, large negative
-    slack indicates a bug.
+    document.  ``gap_tail_max``, ``theorem_rhs``, ``theorem_slack`` and
+    ``corollary_slack`` hold one entry per t, in t-batch row order.  A
+    check is ok when its slack is at least -``SLACK_FLOOR``, and
+    ``flagged`` lists the t rows whose theorem check is not; small
+    negative slack is expected truncation noise on an asymptotic
+    statement, large negative slack indicates a bug.
     """
 
     family_label: str
-    dimension: int
-    t_grid: tuple
-    n_grid: tuple[int, ...]
-    eps_grid: tuple[float, ...]
     tail_window: int
-    slack_floor: float
     gap_table: np.ndarray
     l_same_estimate: float
     l_indep_estimate: float
     lindeberg_estimate: float
     corollary_rhs: float
-    entries: tuple[TBoundEntry, ...]
     lambda_f: float
-    flagged: tuple[int, ...]
+    gap_tail_max: np.ndarray
+    theorem_rhs: np.ndarray
+    theorem_slack: np.ndarray
+    corollary_slack: np.ndarray
+
+    @property
+    def theorem_ok(self) -> np.ndarray:
+        return self.theorem_slack >= -SLACK_FLOOR
+
+    @property
+    def corollary_ok(self) -> np.ndarray:
+        return self.corollary_slack >= -SLACK_FLOOR
+
+    @property
+    def flagged(self) -> tuple[int, ...]:
+        return tuple(np.flatnonzero(~self.theorem_ok).tolist())
 
 
 def _t_grid(t_grid, dim: int) -> np.ndarray:
@@ -337,18 +330,18 @@ def theorem_bound_report(
 ) -> AsymptoticReport:
     """Check the asymptotic gap bounds for a family on finite grids.
 
-    Per t (an (m, N) batch), the gap tail-max is compared against
-    2 (1 - e^{-|t|^2/2}) (L_same + L_indep), where the directional-sum
-    estimates take a sup over the t- and eps-grids jointly (scaling t by
-    1/eps sweeps thresholds, so the eps-grid enriches the effective
-    t-grid); the uniform bound 2 * (Lindeberg index estimate) is checked
-    alongside.  Violations beyond ``SLACK_FLOOR`` are flagged.
+    For every t of the (m, N) batch at once, the gap tail-max is
+    compared against 2 (1 - e^{-|t|^2/2}) (L_same + L_indep), where the
+    directional-sum estimates take a sup over the t- and eps-grids
+    jointly (scaling t by 1/eps sweeps thresholds, so the eps-grid
+    enriches the effective t-grid); the uniform bound
+    2 * (Lindeberg index estimate) is checked alongside.  The n grid,
+    tail window, t grid and eps grid are all checked before any row is
+    built.  Violations beyond ``SLACK_FLOOR`` are flagged.
     """
     n_grid, window = _tail_window(n_grid, tail_window)
     batch = _t_grid(t_grid, family.dimension)
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if not eps_grid or min(eps_grid) <= 0:
-        raise ParameterError("eps grid must be non-empty and positive")
+    eps_grid = np.atleast_1d(_eps_grid(eps_grid))
 
     gap_table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, tail_window)
 
@@ -361,41 +354,21 @@ def theorem_bound_report(
     lin = lindeberg_index_estimate(family, eps_grid, n_grid, tail_window).value
     corollary_rhs = 2.0 * lin
 
-    entries = []
-    flagged = []
-    for i, t in enumerate(batch):
-        gap_tail = float(np.max(gap_table[i, -window:]))
-        envelope = 1.0 - gaussian_charfn(t)
-        theorem_rhs = 2.0 * envelope * (l_same + l_indep)
-        theorem_slack = theorem_rhs - gap_tail
-        corollary_slack = corollary_rhs - gap_tail
-        entry = TBoundEntry(
-            t=t,
-            gap_tail_max=gap_tail,
-            theorem_rhs=theorem_rhs,
-            theorem_slack=theorem_slack,
-            theorem_ok=theorem_slack >= -SLACK_FLOOR,
-            corollary_slack=corollary_slack,
-            corollary_ok=corollary_slack >= -SLACK_FLOOR,
-        )
-        entries.append(entry)
-        if not entry.theorem_ok:
-            flagged.append(i)
-
+    gap_tail = np.max(gap_table[:, -window:], axis=1)
+    # gaussian_charfn's own t @ t per row, so the envelope matches it bit for bit
+    envelope = 1.0 - np.array([gaussian_charfn(t) for t in batch])
+    theorem_rhs = 2.0 * envelope * (l_same + l_indep)
     return AsymptoticReport(
         family_label=family.label,
-        dimension=family.dimension,
-        t_grid=tuple(batch),
-        n_grid=n_grid,
-        eps_grid=eps_grid,
         tail_window=tail_window,
-        slack_floor=SLACK_FLOOR,
         gap_table=gap_table,
         l_same_estimate=l_same,
         l_indep_estimate=l_indep,
         lindeberg_estimate=lin,
         corollary_rhs=corollary_rhs,
-        entries=tuple(entries),
         lambda_f=lambda_f,
-        flagged=tuple(flagged),
+        gap_tail_max=gap_tail,
+        theorem_rhs=theorem_rhs,
+        theorem_slack=theorem_rhs - gap_tail,
+        corollary_slack=corollary_rhs - gap_tail,
     )

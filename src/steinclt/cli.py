@@ -35,6 +35,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -44,6 +45,7 @@ import numpy as np
 from . import __version__
 from .bounds import (
     DEFAULT_BOUND_EPS_GRID,
+    SLACK_FLOOR,
     decomposition_check,
     master_bound,
     master_bound_best,
@@ -78,16 +80,24 @@ def _parse_grid(text: str, cast):
         parts = text.split(":")
         if len(parts) != 3:
             raise argparse.ArgumentTypeError(f"grid {text!r} is not start:stop:step")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _finite(text, parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("grid step must be positive")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         values = [start + i * step for i in range(max(count, 0))]
     else:
-        values = [float(p) for p in text.split(",") if p.strip()]
+        values = _finite(text, [p for p in text.split(",") if p.strip()])
     if not values:
         raise argparse.ArgumentTypeError(f"grid {text!r} is empty")
     return [cast(value) for value in values]
+
+
+def _finite(text: str, parts) -> list[float]:
+    """The numbers of grid ``text`` as floats; inf and NaN are usage errors."""
+    values = [float(p) for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise argparse.ArgumentTypeError(f"grid {text!r} has a non-finite value")
+    return values
 
 
 def _whole(value: float) -> int:
@@ -402,11 +412,10 @@ def _cmd_report(args) -> int:
     t_values, batch = _t_batch(args, family.dimension)
     eps_grid = _collect_grid(args, "eps", default=DEFAULT_BOUND_EPS_GRID)
     report = theorem_bound_report(family, batch, _n_grid(args), eps_grid, args.tail_window)
-    out = []
-    for tval, entry in zip(t_values, report.entries):
-        out.append([tval, entry.gap_tail_max, entry.theorem_rhs, entry.theorem_slack,
-                    entry.theorem_ok, report.corollary_rhs, entry.corollary_slack,
-                    entry.corollary_ok])
+    columns = (report.gap_tail_max, report.theorem_rhs, report.theorem_slack,
+               report.theorem_ok, report.corollary_slack, report.corollary_ok)
+    out = [[tval, gap, rhs, slack, ok, report.corollary_rhs, cor_slack, cor_ok]
+           for tval, gap, rhs, slack, ok, cor_slack, cor_ok in zip(t_values, *columns)]
     metadata = {
         "family": report.family_label,
         "l_same_estimate": report.l_same_estimate,
@@ -414,7 +423,7 @@ def _cmd_report(args) -> int:
         "lindeberg_estimate": report.lindeberg_estimate,
         "lambda_f_estimate": report.lambda_f,
         "tail_window": report.tail_window,
-        "slack_floor": report.slack_floor,
+        "slack_floor": SLACK_FLOOR,
         "truncation_note": "sup/limsup estimated on finite grids; see config",
     }
     _write_report(args, "report",

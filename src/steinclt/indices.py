@@ -22,9 +22,14 @@ grid gives an array in input order, each entry equal to the scalar call.
 Estimators here are honest finite truncations: a limsup is reported as
 the max over a trailing window of the n-grid, together with flags when
 the sums are still moving (so the caller can see that the asymptotic
-value may be under-resolved).  No convergence claim is made.  Every
-finite-grid estimator, here and in the bounds module, checks its n grid
-and tail window with ``_tail_window`` before it builds a row.
+value may be under-resolved); the flags are whole-table array masks.
+No convergence claim is made.  Every finite-grid estimator, here and in
+the bounds module, checks its n grid and tail window with
+``_tail_window`` before it builds a row.  Every function taking an eps
+(here and in the bounds module) checks it with the one rule
+``_eps_grid``: a scalar or a non-empty 1-D grid whose entries are all
+> 0, so NaN fails.  A threshold of the directional sums may be any
+non-NaN number.
 """
 
 from __future__ import annotations
@@ -70,11 +75,27 @@ def _tail_window(n_grid, tail_window: int) -> tuple[tuple[int, ...], int]:
     return n_grid, min(tail_window, len(n_grid))
 
 
+def _eps_grid(eps, *, scalar: bool = False) -> np.ndarray:
+    """eps as a float array: the one eps rule of every function taking eps.
+
+    A scalar or (unless ``scalar``) a 1-D grid, non-empty, with every
+    entry > 0; NaN fails the comparison, so it is refused too.
+    """
+    grid = np.asarray(eps, dtype=np.float64)
+    if grid.ndim > (0 if scalar else 1):
+        raise ParameterError("eps must be a scalar" + ("" if scalar else " or a 1-D grid"))
+    if not grid.size or not np.all(grid > 0.0):
+        raise ParameterError(f"eps must be positive, got {eps}")
+    return grid
+
+
 def _tail_sums(values: np.ndarray, weights: np.ndarray, thresholds):
-    """sum_a weights[a] * [values[a] > thr] for a scalar or 1-D grid of thr."""
+    """sum_a weights[a] * [values[a] > thr] for a scalar or 1-D grid of non-NaN thr."""
     grid = np.asarray(thresholds, dtype=np.float64)
     if grid.ndim > 1:
         raise ParameterError("thresholds must be a scalar or a 1-D grid")
+    if np.any(np.isnan(grid)):
+        raise ParameterError(f"thresholds must not be NaN, got {thresholds}")
     sums = np.array([np.sum(weights[values > thr]) for thr in grid.ravel()])
     return float(sums[0]) if grid.ndim == 0 else sums
 
@@ -91,9 +112,7 @@ def _copy_weights(row: ArrayRow, copy: str) -> np.ndarray:
 
 def lindeberg_sum(row: ArrayRow, eps) -> float | np.ndarray:
     """Exact sum_k E[|X_k|^2 ; |X_k| > eps] over the row's atoms, per entry of an eps grid."""
-    eps = np.asarray(eps, dtype=np.float64)
-    if not np.all(eps > 0.0):
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = _eps_grid(eps)
     return _tail_sums(row.squared_norms(), _copy_weights(row, "same"), eps * eps)
 
 
@@ -103,10 +122,11 @@ class IndexEstimate:
 
     ``per_point[i, j]`` holds the sum at (eps_grid[i], n_grid[j]);
     ``value`` is the max over eps of the max over the last
-    ``tail_window`` entries of the n-grid.  ``tail_increasing`` marks
-    eps values whose sums are still strictly climbing at the end of the
-    grid (the limsup may be under-estimated); ``non_monotone`` marks eps
-    values whose sums oscillate in n.
+    ``tail_window`` entries of the n-grid.  ``tail_increasing`` lists,
+    in grid order, the eps values whose sums strictly climb across the
+    whole tail window (only when it spans more than one n; the limsup
+    may be under-estimated); ``non_monotone`` lists the eps values whose
+    sums both rise and fall by more than 1e-15 between neighbouring n.
     """
 
     value: float
@@ -126,30 +146,20 @@ def lindeberg_index_estimate(
 ) -> IndexEstimate:
     """Estimate the Lindeberg index of a family on finite grids."""
     n_grid, window = _tail_window(n_grid, tail_window)
-    eps_grid = tuple(float(e) for e in eps_grid)
-    if not eps_grid or min(eps_grid) <= 0:
-        raise ParameterError("eps grid must be non-empty and positive")
+    eps = np.atleast_1d(_eps_grid(eps_grid))
 
-    per_point = np.stack([lindeberg_sum(family.row(n), eps_grid) for n in n_grid], axis=1)
-    tail = per_point[:, -window:]
-    value = float(np.max(tail))
-    increasing = []
-    wandering = []
-    for i, eps in enumerate(eps_grid):
-        seq = per_point[i]
-        diffs = np.diff(seq)
-        if window > 1 and np.all(np.diff(tail[i]) > 0):
-            increasing.append(eps)
-        if np.any(diffs > 1e-15) and np.any(diffs < -1e-15):
-            wandering.append(eps)
+    per_point = np.stack([lindeberg_sum(family.row(n), eps) for n in n_grid], axis=1)
+    diffs = np.diff(per_point, axis=1)
+    increasing = (window > 1) & np.all(diffs[:, len(n_grid) - window:] > 0, axis=1)
+    wandering = np.any(diffs > 1e-15, axis=1) & np.any(diffs < -1e-15, axis=1)
     return IndexEstimate(
-        value=value,
-        eps_grid=eps_grid,
+        value=float(np.max(per_point[:, -window:])),
+        eps_grid=tuple(eps.tolist()),
         n_grid=n_grid,
         per_point=per_point,
         tail_window=tail_window,
-        tail_increasing=tuple(increasing),
-        non_monotone=tuple(wandering),
+        tail_increasing=tuple(eps[increasing].tolist()),
+        non_monotone=tuple(eps[wandering].tolist()),
     )
 
 
@@ -173,8 +183,7 @@ def infinitesimality_profile(row: ArrayRow, eps: float) -> tuple[float, float]:
     infinitesimal when the first component vanishes as n grows, for
     every eps.
     """
-    if not eps > 0.0:
-        raise ParameterError(f"eps must be positive, got {eps}")
+    eps = float(_eps_grid(eps, scalar=True))
     norm2 = row.squared_norms()
     tail_mass = row.per_cell_sum(row.probs * (norm2 > eps * eps))
     max_prob = float(np.max(tail_mass))

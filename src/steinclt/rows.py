@@ -310,47 +310,29 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     s2 = eta_scale_squared(alpha, n, shifted_start=beta > 1.0)
     s = math.sqrt(s2)
 
-    pieces_pts: list[np.ndarray] = []
-    pieces_probs: list[np.ndarray] = []
-    counts: list[np.ndarray] = []
+    # every cell as atoms (-sqrt(k), -1, 1, sqrt(k))/s, then one keep mask
+    # drops the massless ones: the sqrt(k) pair of the plain +-1/s coins
+    # below the correction start (k = 1 included), and the +-1/s pair at
+    # k == beta up to float dust
+    k = np.arange(1, n + 1, dtype=np.float64)
+    plain = k < max(k0, 2)
+    p_small = 0.5 * (1.0 - beta / k)
+    p_big = 0.5 * beta / k
+    negative = ~plain & (p_small < -1e-11)
+    if np.any(negative):
+        raise ConstructionError(f"negative atom probability at k={int(k[np.argmax(negative)])}")
+    p_small[plain] = 0.5
+    cell_points = np.stack(
+        [-np.sqrt(k) / s, np.full_like(k, -1.0 / s), np.full_like(k, 1.0 / s), np.sqrt(k) / s],
+        axis=1,
+    )
+    cell_probs = np.stack([p_big, p_small, p_small, p_big], axis=1)
+    small_kept = p_small > 1e-11
+    keep = np.stack([~plain, small_kept, small_kept, ~plain], axis=1)
 
-    # Cells below the correction start (k = 1 merged cell included) are
-    # plain +-1/s coins.
-    plain = min(max(k0, 2) - 1, n)  # number of leading two-atom cells
-    if plain > 0:
-        pieces_pts.append(np.tile([[-1.0 / s], [1.0 / s]], (plain, 1)))
-        pieces_probs.append(np.full(2 * plain, 0.5))
-        counts.append(np.full(plain, 2, dtype=np.int64))
-
-    k = np.arange(max(k0, 2), n + 1, dtype=np.float64)
-    if k.size:
-        p_small = 0.5 * (1.0 - beta / k)
-        p_big = 0.5 * beta / k
-        if np.any(p_small < -1e-11):
-            bad = int(k[np.argmax(p_small < -1e-11)])
-            raise ConstructionError(f"negative atom probability at k={bad}")
-        # k == beta up to float dust: the +-1/s pair carries no mass
-        degenerate = p_small <= 1e-11
-        four_pts = np.stack(
-            [-np.sqrt(k) / s, np.full_like(k, -1.0 / s), np.full_like(k, 1.0 / s), np.sqrt(k) / s],
-            axis=1,
-        )
-        four_probs = np.stack([p_big, p_small, p_small, p_big], axis=1)
-        if np.any(degenerate):
-            keep = np.repeat(~degenerate, 4)
-            keep[0::4] = True
-            keep[3::4] = True
-            pieces_pts.append(four_pts.ravel()[keep.ravel()][:, None])
-            pieces_probs.append(four_probs.ravel()[keep.ravel()])
-            counts.append(np.where(degenerate, 2, 4).astype(np.int64))
-        else:
-            pieces_pts.append(four_pts.reshape(-1, 1))
-            pieces_probs.append(four_probs.ravel())
-            counts.append(np.full(k.size, 4, dtype=np.int64))
-
-    points = np.concatenate(pieces_pts, axis=0)
-    probs = np.concatenate(pieces_probs)
-    offsets = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    points = cell_points[keep][:, None]
+    probs = cell_probs[keep]
+    offsets = np.concatenate([[0], np.cumsum(2 * small_kept + 2 * ~plain)])
     meta = {"family": "eta_alpha", "alpha": alpha, "n": n, "scale_squared": s2}
     if beta > 1.0:
         meta["shifted_start"] = k0

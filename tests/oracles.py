@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from steinclt import stein_solution
+from steinclt import ConstructionError, eta_scale_squared, stein_solution
 
 
 def midpoint_solution(t: float, x: float, panels: int = 1_000_000) -> complex:
@@ -36,6 +36,21 @@ def eta_lindeberg_oracle(alpha: float, n: int, eps: float) -> float:
     big = beta * count / s2
     small = (n - beta * harmonic) / s2 if 1.0 / math.sqrt(s2) > eps else 0.0
     return big + small
+
+
+def index_flags_oracle(per_point, eps_grid, window: int):
+    """(tail_increasing, non_monotone) of a Lindeberg-sum table, one eps
+    row at a time: strictly rising across the last ``window`` columns
+    (when window > 1), and both rising and falling by more than 1e-15
+    between neighbouring columns."""
+    increasing, wandering = [], []
+    for eps, seq in zip(eps_grid, per_point):
+        steps = [b - a for a, b in zip(seq, seq[1:])]
+        if window > 1 and all(step > 0 for step in steps[len(steps) - window + 1:]):
+            increasing.append(eps)
+        if any(step > 1e-15 for step in steps) and any(step < -1e-15 for step in steps):
+            wandering.append(eps)
+    return tuple(increasing), tuple(wandering)
 
 
 def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
@@ -83,6 +98,47 @@ def product_row_oracle(factors):
         probs.append(pr.ravel()[order])
         counts.append(len(order))
     return np.concatenate(points), np.concatenate(probs), np.concatenate([[0], np.cumsum(counts)])
+
+
+def eta_row_oracle(alpha: float, n: int, shifted_start: bool = False):
+    """(points, probs, offsets, meta) of the two-scale row, one cell at a
+    time as the rows module defines it.
+
+    With beta = alpha/(1-alpha), cell k puts mass beta/(2k) on each of
+    +-sqrt(k)/s_n and (1 - beta/k)/2 on each of +-1/s_n, atoms ascending.
+    Cell 1, where the pairs coincide, and (for beta > 1, shifted start
+    only) every cell below ceil(beta) are plain +-1/s_n coins; a +-1/s_n
+    pair of mass at most 1e-11 (k = beta up to float dust) is dropped.
+    s_n^2 comes from ``eta_scale_squared``.
+    """
+    beta = alpha / (1.0 - alpha)
+    start = 1
+    if beta > 1.0:
+        if not shifted_start:
+            raise ConstructionError(f"alpha={alpha} needs the shifted start")
+        start = math.ceil(beta - 1e-12 * beta)
+    s2 = eta_scale_squared(alpha, n, shifted_start=beta > 1.0)
+    s = math.sqrt(s2)
+    points, probs, counts = [], [], []
+    for k in range(1, n + 1):
+        if k == 1 or k < start:
+            atoms = [(-1.0 / s, 0.5), (1.0 / s, 0.5)]
+        else:
+            small, big = 0.5 * (1.0 - beta / k), 0.5 * beta / k
+            if small < -1e-11:
+                raise ConstructionError(f"negative atom probability at k={k}")
+            atoms = [(-math.sqrt(k) / s, big), (-1.0 / s, small),
+                     (1.0 / s, small), (math.sqrt(k) / s, big)]
+            if small <= 1e-11:
+                atoms = [atoms[0], atoms[3]]
+        points += [x for x, _ in atoms]
+        probs += [p for _, p in atoms]
+        counts.append(len(atoms))
+    meta = {"family": "eta_alpha", "alpha": alpha, "n": n, "scale_squared": s2}
+    if beta > 1.0:
+        meta["shifted_start"] = start
+    return (np.array(points)[:, None], np.array(probs),
+            np.concatenate([[0], np.cumsum(counts)]), meta)
 
 
 def cells_doc_oracle(row) -> list:

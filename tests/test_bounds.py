@@ -19,14 +19,18 @@ from steinclt import (
     charfn_gap,
     decomposition_check,
     gap_table_with_lambda_f,
+    gaussian_charfn,
     identity_lhs,
     identity_rhs,
+    infinitesimality_profile,
     lindeberg_index_estimate,
+    lindeberg_sum,
     master_bound,
     master_bound_best,
     theorem_bound_report,
     truncation_bound_check,
 )
+from steinclt.bounds import SLACK_FLOOR
 from strategies import centred_rows
 
 # frozen: e^{-1/2} - cos(1), mpmath 40 digits
@@ -282,6 +286,43 @@ def test_master_bound_grid_entries_equal_scalar_calls():
         master_bound(row, 1.0, [0.1, 0.0])
 
 
+EPS_TAKERS = {
+    "lindeberg_sum": lambda eps: lindeberg_sum(build_rademacher_row(10), eps),
+    "lindeberg_index_estimate":
+        lambda eps: lindeberg_index_estimate(RademacherFamily(), eps, (10, 20)),
+    "master_bound": lambda eps: master_bound(build_rademacher_row(10), 1.0, eps),
+    "master_bound_best": lambda eps: master_bound_best(build_rademacher_row(10), 1.0, eps),
+    "theorem_bound_report":
+        lambda eps: theorem_bound_report(RademacherFamily(), [1.0], (10, 20), eps),
+    "infinitesimality_profile":
+        lambda eps: infinitesimality_profile(build_rademacher_row(10), eps),
+    "truncation_bound_check":
+        lambda eps: truncation_bound_check(build_rademacher_row(10), 1.0, 0.5, 0.5, eps, "same"),
+}
+GRID_TAKERS = ("lindeberg_sum", "lindeberg_index_estimate", "master_bound",
+               "master_bound_best", "theorem_bound_report")
+
+
+@pytest.mark.parametrize("taker", EPS_TAKERS)
+def test_every_eps_taker_keeps_one_eps_rule(taker):
+    call = EPS_TAKERS[taker]
+    bad = [0.0, -0.5, np.nan, -np.inf, [[0.5]]]
+    if taker in GRID_TAKERS:
+        bad += [[], [0.5, np.nan], [np.nan], [0.5, 0.0]]
+        call([0.5, 0.2])
+    else:
+        bad += [[0.5, 0.2]]
+    call(0.5)
+    for eps in bad:
+        with pytest.raises(ParameterError):
+            call(eps)
+
+
+def test_master_bound_best_rejects_an_empty_grid():
+    with pytest.raises(ParameterError):
+        master_bound_best(build_rademacher_row(10), 1.0, [])
+
+
 def test_master_bound_best_picks_smallest_rhs():
     row = build_eta_row(0.5, 50)
     best = master_bound_best(row, 1.0)
@@ -301,9 +342,9 @@ def test_theorem_report_rademacher_consistent():
     assert report.lindeberg_estimate == 0.0
     assert report.corollary_rhs == 0.0
     # gap tails are tiny but positive; the slack floor absorbs them
-    for entry in report.entries:
-        assert entry.gap_tail_max < 1e-3
-        assert entry.theorem_ok
+    assert report.gap_tail_max.shape == (3,)
+    assert np.all(report.gap_tail_max < 1e-3)
+    assert np.all(report.theorem_ok)
     assert report.flagged == ()
     assert report.lambda_f < 0.01
 
@@ -316,10 +357,10 @@ def test_theorem_report_eta_respects_bounds():
     )
     assert report.lindeberg_estimate == pytest.approx(0.5, abs=0.05)
     assert report.corollary_rhs == pytest.approx(1.0, abs=0.1)
-    for entry in report.entries:
-        assert entry.theorem_ok
-        assert entry.corollary_ok
-        assert entry.gap_tail_max < report.corollary_rhs
+    assert report.theorem_ok.shape == report.corollary_ok.shape == (3,)
+    assert np.all(report.theorem_ok)
+    assert np.all(report.corollary_ok)
+    assert np.all(report.gap_tail_max < report.corollary_rhs)
     assert 0.0 <= report.lambda_f <= 2.0
 
 
@@ -385,11 +426,42 @@ def test_estimators_share_one_grid_rule(estimator, n_grid, tail_window):
 
 
 def test_theorem_report_checks_eps_before_building():
-    for eps_grid in ((), (0.5, 0.0), (-0.1,)):
-        family = CountingFamily()
-        with pytest.raises(ParameterError):
-            theorem_bound_report(family, [0.5, 1.0], (10, 100), eps_grid)
-        assert family.builds == 0
+    # the index estimate keeps the same rule
+    for estimator in (
+        lambda family, eps_grid: theorem_bound_report(family, [0.5, 1.0], (10, 100), eps_grid),
+        lambda family, eps_grid: lindeberg_index_estimate(family, eps_grid, (10, 100)),
+    ):
+        for eps_grid in ((), (0.5, 0.0), (-0.1,), (0.5, np.nan), (np.nan,), [[0.5]]):
+            family = CountingFamily()
+            with pytest.raises(ParameterError):
+                estimator(family, eps_grid)
+            assert family.builds == 0
+
+
+def test_report_flags_are_derived_from_the_slacks():
+    report = theorem_bound_report(EtaAlphaFamily(0.5), [0.5, 1.0, 2.0, 4.0], (10, 30, 100),
+                                  (0.5, 0.1))
+    assert np.array_equal(report.theorem_ok, report.theorem_slack >= -SLACK_FLOOR)
+    assert np.array_equal(report.corollary_ok, report.corollary_slack >= -SLACK_FLOOR)
+    assert report.flagged == tuple(np.flatnonzero(~report.theorem_ok))
+    # a report whose theorem slacks straddle the floor flags exactly the rows below it
+    slack = np.array([0.0, -2 * SLACK_FLOOR, -SLACK_FLOOR, -0.5])
+    moved = dataclasses.replace(report, theorem_slack=slack)
+    assert moved.theorem_ok.tolist() == [True, False, True, False]
+    assert moved.flagged == (1, 3)
+    assert all(type(i) is int for i in moved.flagged)
+
+
+def test_report_entries_match_a_per_t_computation():
+    family, t_grid, n_grid, eps_grid = EtaAlphaFamily(0.4), [0.3, 1.0, 2.5], (10, 30, 100), (0.5, 0.1)
+    report = theorem_bound_report(family, t_grid, n_grid, eps_grid, tail_window=2)
+    for i, t in enumerate(t_grid):
+        gap_tail = max(charfn_gap(family.row(n), t) for n in n_grid[-2:])
+        rhs = 2.0 * (1.0 - gaussian_charfn(t)) * (report.l_same_estimate + report.l_indep_estimate)
+        assert report.gap_tail_max[i] == gap_tail
+        assert report.theorem_rhs[i] == rhs
+        assert report.theorem_slack[i] == rhs - gap_tail
+        assert report.corollary_slack[i] == report.corollary_rhs - gap_tail
 
 
 @pytest.mark.parametrize("tail_window", [1, 2, 5])
@@ -403,8 +475,9 @@ def test_lambda_f_and_gap_tails_read_the_tail_window(tail_window):
     report = theorem_bound_report(family, t_grid, n_grid, (0.5, 0.1), tail_window)
     assert np.array_equal(report.gap_table, table)
     assert report.lambda_f == lambda_f
-    for i, entry in enumerate(report.entries):
-        assert entry.gap_tail_max == np.max(report.gap_table[i, -window:])
+    assert report.gap_tail_max.shape == (4,)
+    for i, gap_tail_max in enumerate(report.gap_tail_max):
+        assert gap_tail_max == np.max(report.gap_table[i, -window:])
 
 
 def test_scalar_t_grid_is_an_m_by_1_batch_on_1d_families():
@@ -417,8 +490,7 @@ def test_scalar_t_grid_is_an_m_by_1_batch_on_1d_families():
     report = theorem_bound_report(family, scalars, n_grid)
     batch_report = theorem_bound_report(family, batch, n_grid)
     assert np.array_equal(report.gap_table, batch_report.gap_table)
-    assert [e.theorem_slack for e in report.entries] == \
-        [e.theorem_slack for e in batch_report.entries]
+    assert report.theorem_slack.tolist() == batch_report.theorem_slack.tolist()
 
 
 def test_t_grid_on_nd_family_must_be_a_batch():

@@ -123,6 +123,27 @@ def test_bad_grid_is_a_usage_error(n, t, message, capsys):
     assert message in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--family", "rademacher", "--n", "10", "--t-list", "0:inf:1"],
+    ["gap", "--family", "rademacher", "--n", "10", "--t-list", "nan:1:0.5"],
+    ["gap", "--family", "rademacher", "--n", "10", "--t-list", "0:1:inf"],
+    ["gap", "--family", "rademacher", "--n", "inf", "--t", "1"],
+    ["l-sum", "--family", "rademacher", "--n", "10", "--t", "1", "--eps", "nan"],
+    ["l-sum", "--family", "rademacher", "--n", "10", "--t", "1", "--eps", "nan",
+     "--format", "json"],
+    ["l-sum", "--family", "rademacher", "--n", "10", "--t", "1", "--eps-list", "0.5,inf"],
+    ["lindeberg", "--family", "rademacher", "--n", "10", "--eps", "inf"],
+    ["stein-check", "--x=-inf"],
+], ids=lambda argv: " ".join(argv[-3:]))
+def test_non_finite_grid_value_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        execute(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "has a non-finite value" in captured.err
+
+
 @pytest.mark.parametrize("command", SOURCE_COMMANDS, ids=lambda argv: argv[0])
 def test_single_row_source_rejects_an_n_grid(command, tmp_path, capsys):
     spec = tmp_path / "row.json"

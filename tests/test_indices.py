@@ -20,7 +20,7 @@ from steinclt import (
 )
 
 
-from oracles import eta_lindeberg_oracle, truncated_sum_oracle
+from oracles import eta_lindeberg_oracle, index_flags_oracle, truncated_sum_oracle
 
 
 def test_lindeberg_sum_examples():
@@ -86,6 +86,31 @@ def test_index_estimate_value_matches_per_point_table():
     assert 0.0 <= estimate.value <= 1.0
 
 
+class TableFamily:
+    """A stand-in family whose row n is n itself, for a patched lindeberg_sum."""
+
+    def row(self, n):
+        return n
+
+
+def test_index_flags_match_a_per_eps_loop(monkeypatch):
+    # random tables with ties and steps on both sides of the 1e-15 threshold
+    rng = np.random.default_rng(12)
+    steps = np.array([0.0, 0.0, 5e-16, -5e-16, 2e-15, -2e-15, 0.1, -0.1])
+    for _ in range(300):
+        n_eps, n_count = int(rng.integers(1, 6)), int(rng.integers(1, 7))
+        table = np.cumsum(rng.choice(steps, size=(n_eps, n_count)), axis=1) + 0.5
+        n_grid = tuple(range(1, n_count + 1))
+        eps_grid = tuple(float(e) for e in rng.uniform(0.01, 1.0, n_eps))
+        window = int(rng.integers(1, 8))
+        monkeypatch.setattr("steinclt.indices.lindeberg_sum", lambda n, eps: table[:, n - 1])
+        estimate = lindeberg_index_estimate(TableFamily(), eps_grid, n_grid, window)
+        assert np.array_equal(estimate.per_point, table)
+        expected = index_flags_oracle(table, eps_grid, min(window, n_count))
+        assert (estimate.tail_increasing, estimate.non_monotone) == expected
+        assert all(type(e) is float for e in estimate.tail_increasing + estimate.non_monotone)
+
+
 def test_index_estimate_propagates_missing_rows():
     from steinclt import ConstructionError, ExplicitFamily, build_rademacher_row
 
@@ -101,6 +126,16 @@ def test_l_sum_examples():
     assert l_sum(row, "same", 1.0) == 0.0  # |x t| = 0.2 <= 1
     with pytest.raises(ParameterError):
         l_sum(row, "both", 1.0)
+
+
+def test_l_sum_thresholds_may_be_anything_but_nan():
+    row = build_rademacher_row(10)
+    for thresholds in (np.nan, [np.nan, 0.1], [0.1, np.nan]):
+        with pytest.raises(ParameterError):
+            l_sum(row, "same", 1.0, thresholds)
+    assert l_sum(row, "same", 1.0, [-1.0, -np.inf, np.inf]).tolist() == \
+        [l_sum(row, "same", 1.0, -1.0), l_sum(row, "same", 1.0, -1.0), 0.0]
+    assert l_sum(row, "same", 1.0, -1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_l_sum_univariate_equals_lindeberg():

@@ -28,7 +28,7 @@ from steinclt import (
     serialize_row,
     validate_row,
 )
-from oracles import cells_doc_oracle, product_row_oracle
+from oracles import cells_doc_oracle, eta_row_oracle, product_row_oracle
 from strategies import centred_rows
 
 
@@ -99,6 +99,37 @@ def test_eta_shifted_start_override():
     # leading cells are plain coins; at k = 4 the +-1/s pair carries no
     # mass (beta/k = 1), from k = 5 all four atoms are present
     assert [row.cell(k)[1].size for k in (0, 3, 4)] == [2, 2, 4]
+
+
+ETA_ALPHAS = [1e-9, 0.01, 0.1, 0.25, 0.3, 0.5, 0.6, 2 / 3, 0.75, 0.8, 0.9, 0.99]
+
+
+@pytest.mark.parametrize("alpha", ETA_ALPHAS)
+@pytest.mark.parametrize("shifted", [False, True])
+def test_eta_row_matches_the_per_cell_definition(alpha, shifted):
+    # bit for bit: plain coins, the k = beta cells whose +-1/s pair is
+    # massless (alpha = 2/3, 0.75, 0.8, ...) and the four-atom cells
+    for n in (1, 2, 3, 4, 5, 10, 101, 1000):
+        try:
+            expected = eta_row_oracle(alpha, n, shifted)
+        except ConstructionError:
+            with pytest.raises(ConstructionError):
+                build_eta_row(alpha, n, allow_shifted_start=shifted)
+            continue
+        row = build_eta_row(alpha, n, allow_shifted_start=shifted)
+        points, probs, offsets, meta = expected
+        assert np.array_equal(row.points, points)
+        assert np.array_equal(row.probs, probs)
+        assert np.array_equal(row.offsets, offsets)
+        assert dict(row.meta) == meta
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+def test_eta_row_matches_the_per_cell_definition_at_large_n(alpha):
+    row = build_eta_row(alpha, 100_000, allow_shifted_start=True)
+    points, probs, offsets, meta = eta_row_oracle(alpha, 100_000, True)
+    assert np.array_equal(row.points, points) and np.array_equal(row.probs, probs)
+    assert np.array_equal(row.offsets, offsets) and dict(row.meta) == meta
 
 
 def test_eta_scale_grows_monotonically():
