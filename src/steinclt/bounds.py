@@ -42,8 +42,8 @@ import numpy as np
 from .charfn import _as_batch, _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn
 from .charfn import row_sum_charfn
 from .errors import ParameterError, ShapeError
-from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _eps_grid, _tail_window, l_sum
-from .indices import lindeberg_index_estimate
+from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _eps_grid, _tail_sums, _tail_window
+from .indices import l_sum, lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
 from .rows import ArrayRow
 from .util import as_vector, exclusive_products
@@ -345,11 +345,18 @@ def theorem_bound_report(
 
     gap_table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, tail_window)
 
-    tail_rows = [family.row(n) for n in n_grid[-window:]]
-    l_same, l_indep = (
-        max(float(np.max(l_sum(row, mode, t, eps_grid))) for t in batch for row in tail_rows)
-        for mode in ("same", "independent")
-    )
+    # l_sum over (tail row, t, eps) for both copies: one row's weights at a
+    # time, one |<x, t>| per (row, t), its abs taken in place so that the
+    # peak memory stays that of a single l_sum call
+    l_same = l_indep = -np.inf
+    for n in n_grid[-window:]:
+        row = family.row(n)
+        same, indep = _copy_weights(row, "same"), _copy_weights(row, "independent")
+        for t in batch:
+            values = row.points @ t
+            np.abs(values, out=values)
+            l_same = max(l_same, float(np.max(_tail_sums(values, same, eps_grid))))
+            l_indep = max(l_indep, float(np.max(_tail_sums(values, indep, eps_grid))))
 
     lin = lindeberg_index_estimate(family, eps_grid, n_grid, tail_window).value
     corollary_rhs = 2.0 * lin

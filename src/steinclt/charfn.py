@@ -61,6 +61,11 @@ class CharfnValue:
 # cap on (t-values x atoms) elements of each phase array in _phase_pass
 _PHASE_BUDGET = 1_000_000
 
+# sample_row_sums counts comparisons up to this many atoms per cell and
+# binary-searches above: one pass per atom against a log-depth search
+# (both near 6.5 ms per 1e5 draws at 64 atoms on a 2-core x86 VM)
+_COUNTING_MAX_ATOMS = 64
+
 
 def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
     """(T, is_batch): a 2-D (m, N) batch as given, any other t as a (1, N) batch."""
@@ -132,7 +137,16 @@ def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np
 
     Each cell is sampled independently by inverse transform on its atom
     probabilities, so the draw sequence is fully determined by the
-    generator state.
+    generator state.  The draw contract, which every (seed, stream)
+    keeps bit for bit: cell k consumes uniforms k*m ... (k+1)*m - 1 of
+    the stream (m = samples, one ``rng.random(m)`` per cell, a one-atom
+    cell included), and a uniform u picks the atom whose index is the
+    count of the cell's cumulative weights cum = cumsum(p) that are
+    <= u, capped at the last atom.  The sums add the cells in order.
+
+    The count is taken by one comparison pass per atom for cells of at
+    most ``_COUNTING_MAX_ATOMS`` atoms and by a binary search above;
+    every p > 0, so cum is non-decreasing and both give the same index.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -141,8 +155,13 @@ def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np
         lo, hi = row.offsets[k], row.offsets[k + 1]
         cum = np.cumsum(row.probs[lo:hi])
         u = rng.random(samples)
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), hi - lo - 1)
-        total += row.points[lo + idx]
+        if hi - lo > _COUNTING_MAX_ATOMS:
+            idx = np.searchsorted(cum[:-1], u, side="right")
+        else:
+            idx = np.zeros(samples, dtype=np.intp)
+            for c in cum[:-1]:
+                idx += u >= c
+        total += row.points[lo:hi].take(idx, axis=0)
     return total
 
 

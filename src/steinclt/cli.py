@@ -74,6 +74,10 @@ TOOL = f"stein-clt/{__version__}"
 # ---------------------------------------------------------------------------
 # grid and argument plumbing
 
+# a start:stop:step grid is expanded into a list; more points is a usage error
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(text: str, cast):
     """'a:b:step' (inclusive range), 'x,y,z', or a single value."""
     if ":" in text:
@@ -83,8 +87,11 @@ def _parse_grid(text: str, cast):
         start, stop, step = _finite(text, parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("grid step must be positive")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + i * step for i in range(max(count, 0))]
+        count = np.floor((stop - start) / step + 1e-9) + 1
+        if count > _MAX_GRID_POINTS:  # an overflowed, infinite count included
+            raise argparse.ArgumentTypeError(
+                f"grid {text!r} has more than {_MAX_GRID_POINTS} points")
+        values = [start + i * step for i in range(int(max(count, 0)))]
     else:
         values = _finite(text, [p for p in text.split(",") if p.strip()])
     if not values:

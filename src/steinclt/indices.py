@@ -181,13 +181,20 @@ def infinitesimality_profile(row: ArrayRow, eps: float) -> tuple[float, float]:
     The bound is eps^-2 * lindeberg_sum(row, eps^2) + eps^2, which
     controls the max cell tail probability for every row; a family is
     infinitesimal when the first component vanishes as n grows, for
-    every eps.
+    every eps.  The tail test is |x|^2 > eps^2, as in ``lindeberg_sum``,
+    while eps^2 is a normal float; below that it is |x| > eps, so that
+    no square underflows, and the bound is its limit inf (the Lindeberg
+    sum tends to the row's second moment as eps^2 -> 0).
     """
     eps = float(_eps_grid(eps, scalar=True))
-    norm2 = row.squared_norms()
-    tail_mass = row.per_cell_sum(row.probs * (norm2 > eps * eps))
-    max_prob = float(np.max(tail_mass))
-    bound = lindeberg_sum(row, eps * eps) / (eps * eps) + eps * eps
+    eps2 = eps * eps
+    if eps2 >= np.finfo(np.float64).tiny:
+        exceeds = row.squared_norms() > eps2
+        bound = lindeberg_sum(row, eps2) / eps2 + eps2
+    else:
+        exceeds = np.hypot.reduce(np.abs(row.points), axis=1) > eps
+        bound = np.inf
+    max_prob = float(np.max(row.per_cell_sum(row.probs * exceeds)))
     return max_prob, float(bound)
 
 

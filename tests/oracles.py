@@ -81,6 +81,21 @@ def cell_charfn(points, probs, t) -> complex:
     return complex(np.sum(probs * np.exp(-1j * (points @ np.atleast_1d(t)))))
 
 
+def sample_row_sums_oracle(row, samples: int, rng) -> np.ndarray:
+    """Row-sum draws by the binary-search inverse transform: one
+    ``rng.random(samples)`` per cell in cell order, the atom index
+    min(searchsorted(cumsum(p), u, "right"), atoms - 1), and a fancy-index
+    gather into a running total."""
+    total = np.zeros((samples, row.dimension))
+    for k in range(row.n):
+        lo, hi = row.offsets[k], row.offsets[k + 1]
+        cum = np.cumsum(row.probs[lo:hi])
+        u = rng.random(samples)
+        idx = np.minimum(np.searchsorted(cum, u, side="right"), hi - lo - 1)
+        total += row.points[lo + idx]
+    return total
+
+
 def product_row_oracle(factors):
     """(points, probs, offsets) of the coordinate product of 1-D rows, one
     cell at a time: meshgrid of the factor cells' atoms, probabilities by

@@ -23,6 +23,7 @@ from steinclt import (
     identity_lhs,
     identity_rhs,
     infinitesimality_profile,
+    l_sum,
     lindeberg_index_estimate,
     lindeberg_sum,
     master_bound,
@@ -462,6 +463,10 @@ def test_report_entries_match_a_per_t_computation():
         assert report.theorem_rhs[i] == rhs
         assert report.theorem_slack[i] == rhs - gap_tail
         assert report.corollary_slack[i] == report.corollary_rhs - gap_tail
+    for copy, estimate in (("same", report.l_same_estimate),
+                           ("independent", report.l_indep_estimate)):
+        assert estimate == max(float(np.max(l_sum(family.row(n), copy, t, eps_grid)))
+                               for n in n_grid[-2:] for t in t_grid)
 
 
 @pytest.mark.parametrize("tail_window", [1, 2, 5])

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
-from oracles import cell_charfn
+from oracles import cell_charfn, sample_row_sums_oracle
 from steinclt import (
     ArrayRow,
     ParameterError,
@@ -21,6 +21,7 @@ from steinclt import (
     gaussian_charfn,
     kolmogorov_mc,
     row_sum_charfn,
+    sample_row_sums,
 )
 from steinclt.quadrature import _hermite_rule
 from strategies import centred_rows
@@ -29,6 +30,9 @@ from strategies import centred_rows
 COS25 = 0.6044904989166917
 GAP25 = 0.0020401607959417024
 PHI1_MINUS_HALF = 0.3413447460685429  # Phi(1) - 1/2, the coin's exact sup
+# kolmogorov_mc(rademacher n=1000, 20 000 samples, RngSeed(2026)) under the
+# draw contract of sample_row_sums; any change to the draws moves it
+KOLMOGOROV_PINNED = 0.015099999999999947
 
 
 def test_cell_charfn_examples():
@@ -204,3 +208,85 @@ def test_kolmogorov_rejects_multivariate():
     row = build_product_row([build_rademacher_row(2), build_rademacher_row(2)])
     with pytest.raises(UnsupportedDimensionError):
         kolmogorov_mc(row, 100, RngSeed(0))
+
+
+def _row_with_cells(atom_counts, dim: int, seed: int) -> ArrayRow:
+    """A standard row whose cells have the given atom counts: random atoms
+    and unequal masses, centred, then whitened so the covariances sum to
+    the identity; a one-atom cell is the point mass at 0."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for atoms in atom_counts:
+        x = rng.normal(size=(atoms, dim))
+        q = rng.uniform(0.05, 1.0, atoms)
+        q /= q.sum()
+        cells.append((x - q @ x, q))
+    cov = sum(np.einsum("a,ai,aj->ij", q, x, x) for x, q in cells)
+    vals, vecs = np.linalg.eigh(cov)
+    white = vecs @ np.diag(vals**-0.5) @ vecs.T
+    return ArrayRow.from_cells((x @ white, q) for x, q in cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(centred_rows(), st.integers(1, 400), st.integers(0, 2**64 - 1), st.integers(0, 7))
+def test_sample_row_sums_matches_oracle(row, samples, seed, stream):
+    rng_seed = RngSeed(seed, stream)
+    assert np.array_equal(sample_row_sums(row, samples, rng_seed.generator()),
+                          sample_row_sums_oracle(row, samples, rng_seed.generator()))
+
+
+def _assert_both_paths_match_oracle(row, samples: int, make_rng):
+    """sample_row_sums equals the oracle as it stands and with every cell
+    forced onto the binary search (crossover 0) or onto the counting."""
+    expected = sample_row_sums_oracle(row, samples, make_rng())
+    assert np.array_equal(sample_row_sums(row, samples, make_rng()), expected)
+    for forced in (0, 10 * charfn_module._COUNTING_MAX_ATOMS):
+        with mock.patch.object(charfn_module, "_COUNTING_MAX_ATOMS", forced):
+            assert np.array_equal(sample_row_sums(row, samples, make_rng()), expected)
+
+
+class _Blocks:
+    """A stand-in generator whose random(m) returns the given blocks in turn."""
+
+    def __init__(self, blocks):
+        self._blocks = iter(blocks)
+
+    def random(self, size):
+        block = next(self._blocks)
+        assert block.shape == (size,)
+        return block
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sample_row_sums_across_the_crossover(dim):
+    cut = charfn_module._COUNTING_MAX_ATOMS
+    row = _row_with_cells([1, 2, 4, 1, cut - 1, cut, cut + 1, 2 * cut, 2, 4], dim, seed=dim)
+    _assert_both_paths_match_oracle(row, 3000, RngSeed(31, dim).generator)
+
+
+def test_sample_row_sums_at_the_cumulative_weights():
+    # u equal to a cumulative weight passes it, u one ulp below does not,
+    # and u at the last weight or above is capped at the last atom
+    cut = charfn_module._COUNTING_MAX_ATOMS
+    row = _row_with_cells([1, 2, 4, cut, cut + 1], 1, seed=9)
+    blocks = []
+    for lo, hi in zip(row.offsets[:-1], row.offsets[1:]):
+        cum = np.cumsum(row.probs[lo:hi])
+        blocks.append(np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53]]))
+    size = max(block.size for block in blocks)
+    blocks = [np.resize(block, size) for block in blocks]
+    _assert_both_paths_match_oracle(row, size, lambda: _Blocks(blocks))
+
+
+def test_sample_row_sums_consumes_one_block_per_cell():
+    # cell k reads uniforms k*m ... (k+1)*m - 1, a one-atom cell included
+    row = _row_with_cells([1, 2, 1, 4, charfn_module._COUNTING_MAX_ATOMS + 1], 1, seed=5)
+    drawn, plain = RngSeed(8).generator(), RngSeed(8).generator()
+    sample_row_sums(row, 250, drawn)
+    plain.random(row.n * 250)
+    assert drawn.random(10).tolist() == plain.random(10).tolist()
+
+
+def test_kolmogorov_value_is_pinned():
+    distance = kolmogorov_mc(build_rademacher_row(1000), 20_000, RngSeed(2026))
+    assert distance == KOLMOGOROV_PINNED

@@ -113,6 +113,9 @@ def test_stein_check_x_axis_is_one_option():
     ("1:2:0.5", "1", "n grid values must be integers"),
     ("5", "1:2", "is not start:stop:step"),
     ("5", ",", "is empty"),
+    ("10", "0:1e308:1e-10", "has more than 1000000 points"),
+    ("10", "0:1e9:1", "has more than 1000000 points"),
+    ("10", "1e308:-1e308:1", "is empty"),
 ])
 def test_bad_grid_is_a_usage_error(n, t, message, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -179,6 +179,18 @@ def test_infinitesimality_profile_examples():
     assert max_prob <= bound
 
 
+def test_infinitesimality_profile_at_tiny_eps():
+    # eps^2 underflows to 0: every atom of the coins exceeds eps, the bound is inf
+    assert infinitesimality_profile(build_rademacher_row(10), 1e-200) == (1.0, np.inf)
+    # atoms at +-1e-170 exceed eps = 1e-200 though their squares underflow;
+    # the {-1, 0, 1} cells carry the variance with half their mass at 0
+    wide = ([[-1.0], [0.0], [1.0]], [0.25, 0.5, 0.25])
+    row = ArrayRow.from_cells([wide, wide, ([[-1e-170], [1e-170]], [0.5, 0.5])])
+    assert infinitesimality_profile(row, 1e-200) == (1.0, np.inf)
+    assert infinitesimality_profile(row, 1e-160) == (0.5, np.inf)
+    assert infinitesimality_profile(row, 1e-150)[0] == 0.5
+
+
 def test_infinitesimality_bound_dominates_everywhere():
     rng = np.random.default_rng(31)
     rows = [build_eta_row(0.5, 17), build_rademacher_row(6),
