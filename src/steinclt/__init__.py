@@ -17,7 +17,6 @@ from .bounds import (
     identity_lhs,
     identity_rhs,
     master_bound,
-    master_bound_best,
     theorem_bound_report,
     truncation_bound_check,
 )

@@ -42,7 +42,7 @@ import numpy as np
 from .charfn import _as_batch, _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn
 from .charfn import row_sum_charfn
 from .errors import ParameterError, ShapeError
-from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _eps_grid, _tail_sums, _tail_window
+from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _directional_sums, _eps_grid, _tail_window
 from .indices import l_sum, lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
 from .rows import ArrayRow
@@ -57,7 +57,6 @@ __all__ = [
     "decomposition_check",
     "truncation_bound_check",
     "master_bound",
-    "master_bound_best",
     "theorem_bound_report",
     "gap_table_with_lambda_f",
     "DEFAULT_BOUND_EPS_GRID",
@@ -189,65 +188,64 @@ def truncation_bound_check(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """All terms of one master-inequality instance.
+    """Every term of the master inequality on a (t, eps) table.
 
-    rhs = term_eps + 2 (term_same + term_indep) * envelope, with
-    term_eps = 2 eps N and envelope = 1 - e^{-|t|^2/2}; slack =
-    rhs - lhs_gap must be nonnegative for every row, t and eps.
+    Each array has the t-batch axis first and the eps axis second; a
+    single t drops the first and a scalar eps the second.  rhs = term_eps
+    + 2 (term_same + term_indep) * envelope, with term_eps = 2 eps N and
+    envelope = 1 - e^{-|t|^2/2}; slack = rhs - lhs_gap must be
+    nonnegative for every row, t and eps.  The rhs-minimising eps of
+    each t is at ``np.argmin(report.rhs, axis=-1)``.
     """
 
-    n: int
     dimension: int
-    t: np.ndarray
-    eps: float
-    lhs_gap: float
-    term_eps: float
-    term_same: float
-    term_indep: float
-    envelope: float
-    rhs: float
-    slack: float
-    passed: bool
+    eps: np.ndarray
+    lhs_gap: np.ndarray
+    term_same: np.ndarray
+    term_indep: np.ndarray
+    envelope: np.ndarray
+
+    @property
+    def term_eps(self) -> np.ndarray:
+        return 2.0 * self.eps * self.dimension
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return self.term_eps + 2.0 * (self.term_same + self.term_indep) * self.envelope
+
+    @property
+    def slack(self) -> np.ndarray:
+        return self.rhs - self.lhs_gap
+
+    @property
+    def passed(self) -> np.ndarray:
+        return self.slack >= 0.0
 
 
-def master_bound(row: ArrayRow, t, eps):
-    """Evaluate every term of the master inequality exactly.
+def master_bound(row: ArrayRow, t, eps) -> BoundReport:
+    """Evaluate every term of the master inequality exactly, per (t, eps).
 
-    A 1-D eps grid gives a tuple of reports in grid order, each equal to
-    the scalar call; the gap is computed once and each tail sum in one
-    grid call.
+    t is a single vector (a 1-D row also takes a scalar) or an (m, N)
+    batch, as for ``charfn_gap``; eps is a scalar or a 1-D grid.  Both
+    tail sums of every (t, eps) come from one directional pass over the
+    atoms per t, and every entry equals the single (t, eps) call.
     """
-    t = as_vector(t, row.dimension)
+    batch, is_batch = _as_batch(t, row.dimension)
     grid = _eps_grid(eps)
-    lhs_gap = charfn_gap(row, t)
-    envelope = 1.0 - gaussian_charfn(t)
-    same = np.atleast_1d(l_sum(row, "same", t, grid))
-    indep = np.atleast_1d(l_sum(row, "independent", t, grid))
-    reports = []
-    for level, term_same, term_indep in zip(grid.ravel().tolist(), same.tolist(), indep.tolist()):
-        term_eps = 2.0 * level * row.dimension
-        rhs = term_eps + 2.0 * (term_same + term_indep) * envelope
-        slack = rhs - lhs_gap
-        reports.append(BoundReport(
-            n=row.n,
-            dimension=row.dimension,
-            t=t,
-            eps=level,
-            lhs_gap=lhs_gap,
-            term_eps=term_eps,
-            term_same=term_same,
-            term_indep=term_indep,
-            envelope=envelope,
-            rhs=rhs,
-            slack=slack,
-            passed=slack >= 0.0,
-        ))
-    return reports[0] if grid.ndim == 0 else tuple(reports)
+    term_same, term_indep = _directional_sums(row, batch, grid)
+    # single-t calls, so every entry equals the single-t report: a batched phase
+    # pass may round <t, x> otherwise in dimensions 2-3
+    gap = np.array([charfn_gap(row, v) for v in batch])
+    envelope = 1.0 - np.array([gaussian_charfn(v) for v in batch])
 
+    pick = (slice(None) if is_batch else 0, slice(None) if grid.ndim else 0)
 
-def master_bound_best(row: ArrayRow, t, eps_grid=DEFAULT_BOUND_EPS_GRID) -> BoundReport:
-    """Master bound at the eps from the grid that minimises the rhs."""
-    return min(master_bound(row, t, np.atleast_1d(eps_grid)), key=lambda rep: rep.rhs)
+    def table(values):
+        return np.broadcast_to(values, term_same.shape)[pick]
+
+    return BoundReport(row.dimension, eps=table(grid), lhs_gap=table(gap[:, None]),
+                       term_same=table(term_same), term_indep=table(term_indep),
+                       envelope=table(envelope[:, None]))
 
 
 @dataclass(frozen=True)
@@ -345,18 +343,10 @@ def theorem_bound_report(
 
     gap_table, lambda_f = gap_table_with_lambda_f(family, batch, n_grid, tail_window)
 
-    # l_sum over (tail row, t, eps) for both copies: one row's weights at a
-    # time, one |<x, t>| per (row, t), its abs taken in place so that the
-    # peak memory stays that of a single l_sum call
-    l_same = l_indep = -np.inf
-    for n in n_grid[-window:]:
-        row = family.row(n)
-        same, indep = _copy_weights(row, "same"), _copy_weights(row, "independent")
-        for t in batch:
-            values = row.points @ t
-            np.abs(values, out=values)
-            l_same = max(l_same, float(np.max(_tail_sums(values, same, eps_grid))))
-            l_indep = max(l_indep, float(np.max(_tail_sums(values, indep, eps_grid))))
+    # both copies' l_sum over (tail row, t, eps), each maximised
+    tables = [_directional_sums(family.row(n), batch, eps_grid) for n in n_grid[-window:]]
+    l_same = float(max(np.max(same) for same, _ in tables))
+    l_indep = float(max(np.max(indep) for _, indep in tables))
 
     lin = lindeberg_index_estimate(family, eps_grid, n_grid, tail_window).value
     corollary_rhs = 2.0 * lin

@@ -48,7 +48,6 @@ from .bounds import (
     SLACK_FLOOR,
     decomposition_check,
     master_bound,
-    master_bound_best,
     theorem_bound_report,
 )
 from .charfn import charfn_gap, empirical_charfn, kolmogorov_mc, row_sum_charfn
@@ -59,7 +58,8 @@ from .errors import (
     SteinCltError,
 )
 from .families import ArrayFamily, EtaAlphaFamily, ProductFamily, RademacherFamily, load_row_spec
-from .indices import DEFAULT_EPS_GRID, DEFAULT_TAIL_WINDOW, _tail_window, l_sum
+from .indices import DEFAULT_EPS_GRID, DEFAULT_TAIL_WINDOW, _directional_sums, _tail_window
+from .indices import l_sum  # noqa: F401  unused here; perfbench's tracer test wraps cli.l_sum
 from .indices import lindeberg_index_estimate, lindeberg_sum
 from .quadrature import QuadratureSpec
 from .rng import RngSeed
@@ -364,13 +364,14 @@ def _cmd_lindeberg(args) -> int:
 
 def _cmd_l_sum(args) -> int:
     thresholds = _collect_grid(args, "eps", default=[1.0])
-    modes = ("same", "independent")
     out = []
     for n, row in _rows_for(args):
-        for tval, tvec in zip(*_t_batch(args, row.dimension)):
-            sums = {mode: l_sum(row, mode, tvec, thresholds).tolist() for mode in modes}
-            for i, threshold in enumerate(thresholds):
-                out.extend([n, tval, threshold, mode, sums[mode][i]] for mode in modes)
+        t_values, batch = _t_batch(args, row.dimension)
+        same, indep = _directional_sums(row, batch, thresholds)
+        for tval, same_t, indep_t in zip(t_values, same.tolist(), indep.tolist()):
+            for threshold, value_same, value_indep in zip(thresholds, same_t, indep_t):
+                out.append([n, tval, threshold, "same", value_same])
+                out.append([n, tval, threshold, "independent", value_indep])
     _write_report(args, "l-sum", ["n", "t", "threshold", "mode", "value"], out, {})
     return 0
 
@@ -395,18 +396,20 @@ def _cmd_identity(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    eps_grid = _collect_grid(args, "eps", default=DEFAULT_BOUND_EPS_GRID)
     out = []
     all_ok = True
     for n, row in _rows_for(args):
-        for tval, tvec in zip(*_t_batch(args, row.dimension)):
-            if args.eps is None:
-                reports = [master_bound_best(row, tvec)]
-            else:
-                reports = master_bound(row, tvec, args.eps)
-            for rep in reports:
-                all_ok &= rep.passed
-                out.append([n, tval, rep.eps, rep.lhs_gap, rep.term_eps, rep.term_same,
-                            rep.term_indep, rep.envelope, rep.rhs, rep.slack, rep.passed])
+        t_values, batch = _t_batch(args, row.dimension)
+        rep = master_bound(row, batch, eps_grid)
+        table = (rep.eps, rep.lhs_gap, rep.term_eps, rep.term_same, rep.term_indep,
+                 rep.envelope, rep.rhs, rep.slack, rep.passed)
+        if args.eps is None:  # the rhs-minimising eps of each t
+            best = np.argmin(rep.rhs, axis=1)[:, None]
+            table = tuple(np.take_along_axis(column, best, axis=1) for column in table)
+        all_ok &= bool(np.all(table[-1]))
+        for tval, *entries in zip(t_values, *table):
+            out.extend([n, tval, *cells] for cells in zip(*entries))
     _write_report(args, "bound",
                   ["n", "t", "eps", "gap", "term_eps", "term_same", "term_indep",
                    "envelope", "rhs", "slack", "passed"],

@@ -17,7 +17,8 @@ with one strict masked sum per threshold: v = |x|^2 against eps^2 for
 Lindeberg, v = |<x, t>| for the directional sums, whose independent copy
 is the weight w = p E|X_k|^2 (cell k's second moment on each of its
 atoms) against w = p |x|^2 for the same cell.  A 1-D eps or threshold
-grid gives an array in input order, each entry equal to the scalar call.
+grid gives an array in input order, each entry equal to the scalar call;
+``_directional_sums`` gives both copies on a (t, threshold) table.
 
 Estimators here are honest finite truncations: a limsup is reported as
 the max over a trailing window of the n-grid, together with flags when
@@ -173,6 +174,22 @@ def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
     """
     t = as_vector(t, row.dimension)
     return _tail_sums(np.abs(row.points @ t), _copy_weights(row, copy), threshold)
+
+
+def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Both copies' l_sum on a (t, threshold) table: two (m, k) arrays, bit for bit.
+
+    Each copy's weights are built once, and |<x, t>| once per t of the
+    (m, N) batch, in place, so one atom vector is the peak memory.
+    """
+    grid = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    same, indep = _copy_weights(row, "same"), _copy_weights(row, "independent")
+    sums = np.empty((2, len(batch), grid.size))
+    for i, t in enumerate(batch):
+        values = row.points @ t
+        np.abs(values, out=values)
+        sums[:, i] = _tail_sums(values, same, grid), _tail_sums(values, indep, grid)
+    return sums[0], sums[1]
 
 
 def infinitesimality_profile(row: ArrayRow, eps: float) -> tuple[float, float]:

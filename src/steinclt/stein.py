@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_rule, integrate_unit, outer_product
 from .util import as_vector, exclusive_products
 
@@ -94,12 +94,17 @@ class HessianEval:
 
 
 def _pair(t, x, name: str = "x") -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(t, x) as non-empty vectors of one length, with |t|^2 and <t, x>."""
+    """(t, x) as non-empty vectors of one length, with |t|^2 and <t, x>,
+    both finite: an overflow is a ParameterError, not a warning."""
     t = as_vector(t, name="t")
     if t.size == 0:
         raise ParameterError("t must have at least one component")
     x = as_vector(x, t.size, name=name)
-    return t, x, float(t @ t), float(t @ x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tt, a = float(t @ t), float(t @ x)
+    if not (np.isfinite(tt) and np.isfinite(a)):
+        raise ParameterError(f"|t|^2 and <t, {name}> must be finite (overflow)")
+    return t, x, tt, a
 
 
 def _unit_s(s) -> np.ndarray:
@@ -383,6 +388,11 @@ def stein_check_battery(
     difference of two closed-form Hessians.  The closed-form gradient
     and Hessian at (t, x) are integrated once and shared.  A check passes
     when residual <= tolerance.
+
+    A moment check over its tolerance is checked again at level 2
+    ``level``: if its residual moves by more than the tolerance, the rule
+    has not resolved t (large |t|), and ConvergenceError is raised rather
+    than a failed identity reported.
     """
     t, x, tt, a = _pair(t, x)
     gradient = stein_gradient(t, x, spec)
@@ -392,13 +402,24 @@ def stein_check_battery(
     def worst(residual) -> float:
         return float(np.max(np.abs(residual)))
 
+    def moment_check(check, identity, tol=1e-9):
+        residual = identity(t, x, _CHECK_S_GRID, level)
+        if not worst(residual) <= tol:  # a failure must not be the rule's own error
+            moved = worst(identity(t, x, _CHECK_S_GRID, 2 * level) - residual)
+            if not moved <= tol:
+                raise ConvergenceError(
+                    f"{check}: Gauss-Hermite level {level} does not resolve |t| = "
+                    f"{np.sqrt(tt):.6g} (level {2 * level} moves the residual by "
+                    f"{moved:.3e} > {tol:g})", worst(residual), moved)
+        return check, worst(residual), tol
+
     # stein_equation takes the builtin abs(), which rounds |z| unlike np.abs
     return [
         ("gradient_fd", worst(gradient_finite_difference(t, x, spec) - gradient), 1e-6),
         ("hessian_fd", worst(hessian_finite_difference(t, x, spec).matrix - closed), 1e-5),
         ("stein_equation", float(abs(_equation_residual(x, tt, a, gradient, closed))), 1e-7),
-        ("gaussian_moment2", worst(gaussian_expectation_identity(t, x, _CHECK_S_GRID, level)), 1e-9),
-        ("gaussian_moment1", worst(gradient_reduction_residual(t, x, _CHECK_S_GRID, level)), 1e-9),
+        moment_check("gaussian_moment2", gaussian_expectation_identity),
+        moment_check("gaussian_moment1", gradient_reduction_residual),
         ("hessian_difference", worst(hessian_difference(t, x, y, spec) - split), 1e-8),
     ]
 

@@ -3,14 +3,24 @@
 Everything here deliberately avoids the library's own code paths
 (adaptive quadrature, reduceat sums) so the tests compare two unrelated
 routes to the same number: brute-force midpoint rules, closed-form tail
-counts, and plain finite differences.
+counts, and plain finite differences.  The one exception is
+``master_bound_oracle``: it keeps the per-eps assembly of the master
+inequality on the library's single-t gap and tail sums, so that the
+(t, eps) table can be checked against it bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from steinclt import ConstructionError, eta_scale_squared, stein_solution
+from steinclt import (
+    ConstructionError,
+    charfn_gap,
+    eta_scale_squared,
+    gaussian_charfn,
+    l_sum,
+    stein_solution,
+)
 
 
 def midpoint_solution(t: float, x: float, panels: int = 1_000_000) -> complex:
@@ -240,3 +250,23 @@ def tensor_gauss_hermite_moments(t, x, s: float, level: int):
     first = np.array([np.sum(phase * z) for z in coords])
     second = np.array([[np.sum(phase * zl * zk) for zk in coords] for zl in coords])
     return shift * first, shift * (second - np.sum(phase) * np.eye(dim))
+
+
+def master_bound_oracle(row, t, eps_grid) -> list[dict]:
+    """The master inequality at one t, one dict of terms per eps of a 1-D
+    grid, by the per-eps loop that preceded the (t, eps) table: one gap
+    and one ``l_sum`` grid call per copy mode, then every term of each eps
+    as a plain float."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    lhs_gap = charfn_gap(row, t)
+    envelope = 1.0 - gaussian_charfn(t)
+    same = l_sum(row, "same", t, eps_grid).tolist()
+    indep = l_sum(row, "independent", t, eps_grid).tolist()
+    terms = []
+    for level, term_same, term_indep in zip(np.asarray(eps_grid, dtype=float).tolist(), same, indep):
+        term_eps = 2.0 * level * row.dimension
+        rhs = term_eps + 2.0 * (term_same + term_indep) * envelope
+        terms.append({"eps": level, "lhs_gap": lhs_gap, "term_eps": term_eps,
+                      "term_same": term_same, "term_indep": term_indep, "envelope": envelope,
+                      "rhs": rhs, "slack": rhs - lhs_gap, "passed": rhs - lhs_gap >= 0.0})
+    return terms

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import r_factor_exp_form
+from oracles import master_bound_oracle, r_factor_exp_form
 from steinclt import (
     ArrayRow,
     EtaAlphaFamily,
@@ -27,11 +27,10 @@ from steinclt import (
     lindeberg_index_estimate,
     lindeberg_sum,
     master_bound,
-    master_bound_best,
     theorem_bound_report,
     truncation_bound_check,
 )
-from steinclt.bounds import SLACK_FLOOR
+from steinclt.bounds import DEFAULT_BOUND_EPS_GRID, SLACK_FLOOR
 from strategies import centred_rows
 
 # frozen: e^{-1/2} - cos(1), mpmath 40 digits
@@ -137,8 +136,8 @@ def test_identity_holds_on_random_rows(case):
 @given(rows_and_t())
 def test_master_bound_holds_on_random_rows(case):
     row, t = case
-    reports = master_bound(row, t, (1.0, 0.5, 0.2, 0.1, 0.05, 0.01))
-    assert all(report.slack >= 0.0 and report.passed for report in reports)
+    report = master_bound(row, t, (1.0, 0.5, 0.2, 0.1, 0.05, 0.01))
+    assert np.all(report.slack >= 0.0) and np.all(report.passed)
 
 
 def test_identity_rhs_node_chunking_is_transparent(monkeypatch):
@@ -261,11 +260,54 @@ def test_master_bound_randomized_never_fails():
         assert report.slack >= 0.0
 
 
-def _same_report(a, b):
-    return all(
-        np.array_equal(getattr(a, f.name), getattr(b, f.name))
-        for f in dataclasses.fields(a)
-    )
+TABLE_TERMS = ("eps", "lhs_gap", "term_eps", "term_same", "term_indep", "envelope",
+               "rhs", "slack", "passed")
+
+
+@st.composite
+def rows_batches_and_grids(draw):
+    """(row, (m, N) t batch, eps grid): dims 1-3, t with zero components
+    and repeats, an unsorted eps grid with duplicates."""
+    row = draw(centred_rows())
+    coords = st.floats(-6.0, 6.0, allow_subnormal=False)
+    vector = st.lists(st.one_of(st.just(0.0), coords),
+                      min_size=row.dimension, max_size=row.dimension)
+    batch = np.array(draw(st.lists(vector, min_size=1, max_size=4)))
+    base = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=4))
+    return row, batch, np.array(draw(st.permutations(base + [base[0]])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_batches_and_grids())
+def test_master_bound_table_matches_the_per_eps_oracle(case):
+    row, batch, grid = case
+    report = master_bound(row, batch, grid)
+    assert report.dimension == row.dimension
+    for term in TABLE_TERMS:
+        table = getattr(report, term)
+        assert table.shape == (len(batch), len(grid))
+        for i, t in enumerate(batch):
+            expected = [entry[term] for entry in master_bound_oracle(row, t, grid)]
+            assert table[i].tolist() == expected, (term, i)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows_batches_and_grids())
+def test_master_bound_drops_the_axis_of_a_single_t_or_eps(case):
+    row, batch, grid = case
+    full = master_bound(row, batch, grid)
+    single_t = master_bound(row, batch[0], grid)
+    single_eps = master_bound(row, batch, grid[0])
+    one = master_bound(row, batch[0], grid[0])
+    for term in TABLE_TERMS:
+        assert getattr(single_t, term).shape == grid.shape
+        assert getattr(single_t, term).tolist() == getattr(full, term)[0].tolist()
+        assert getattr(single_eps, term).shape == (len(batch),)
+        assert getattr(single_eps, term).tolist() == getattr(full, term)[:, 0].tolist()
+        assert np.ndim(getattr(one, term)) == 0
+        assert getattr(one, term) == getattr(full, term)[0, 0]
+    if row.dimension == 1:  # a 1-D row also takes a scalar t
+        assert master_bound(row, float(batch[0, 0]), grid).rhs.tolist() == single_t.rhs.tolist()
 
 
 def test_master_bound_grid_entries_equal_scalar_calls():
@@ -274,13 +316,15 @@ def test_master_bound_grid_entries_equal_scalar_calls():
     for _ in range(40):
         row = random_builtin_row(rng)
         t = rng.uniform(-5, 5, row.dimension)
-        reports = master_bound(row, t, grid)
-        assert isinstance(reports, tuple) and len(reports) == len(grid)
-        for eps, report in zip(grid, reports):
-            assert report.eps == eps
-            assert _same_report(report, master_bound(row, t, eps))
+        report = master_bound(row, t, grid)
+        assert report.eps.shape == (len(grid),)
+        for j, eps in enumerate(grid):
+            assert report.eps[j] == eps
+            scalar = master_bound(row, t, eps)
+            for term in TABLE_TERMS:
+                assert getattr(report, term)[j] == getattr(scalar, term), term
     row = build_rademacher_row(4)
-    assert master_bound(row, 1.0, np.array([0.3]))[0].eps == 0.3
+    assert master_bound(row, 1.0, np.array([0.3])).eps[0] == 0.3
     with pytest.raises(ParameterError):
         master_bound(row, 1.0, [[0.1, 0.2]])
     with pytest.raises(ParameterError):
@@ -292,7 +336,6 @@ EPS_TAKERS = {
     "lindeberg_index_estimate":
         lambda eps: lindeberg_index_estimate(RademacherFamily(), eps, (10, 20)),
     "master_bound": lambda eps: master_bound(build_rademacher_row(10), 1.0, eps),
-    "master_bound_best": lambda eps: master_bound_best(build_rademacher_row(10), 1.0, eps),
     "theorem_bound_report":
         lambda eps: theorem_bound_report(RademacherFamily(), [1.0], (10, 20), eps),
     "infinitesimality_profile":
@@ -301,7 +344,7 @@ EPS_TAKERS = {
         lambda eps: truncation_bound_check(build_rademacher_row(10), 1.0, 0.5, 0.5, eps, "same"),
 }
 GRID_TAKERS = ("lindeberg_sum", "lindeberg_index_estimate", "master_bound",
-               "master_bound_best", "theorem_bound_report")
+               "theorem_bound_report")
 
 
 @pytest.mark.parametrize("taker", EPS_TAKERS)
@@ -319,16 +362,20 @@ def test_every_eps_taker_keeps_one_eps_rule(taker):
             call(eps)
 
 
-def test_master_bound_best_rejects_an_empty_grid():
+def test_master_bound_rejects_an_empty_grid():
     with pytest.raises(ParameterError):
-        master_bound_best(build_rademacher_row(10), 1.0, [])
+        master_bound(build_rademacher_row(10), 1.0, [])
 
 
-def test_master_bound_best_picks_smallest_rhs():
+def test_master_bound_argmin_picks_smallest_rhs():
     row = build_eta_row(0.5, 50)
-    best = master_bound_best(row, 1.0)
+    report = master_bound(row, 1.0, DEFAULT_BOUND_EPS_GRID)
+    best = report.rhs[np.argmin(report.rhs)]
     for eps in (1.0, 0.5, 0.2, 0.1, 0.05):
-        assert best.rhs <= master_bound(row, 1.0, eps).rhs + 1e-15
+        assert best <= master_bound(row, 1.0, eps).rhs + 1e-15
+    # the first of equal minima, as min() over the per-eps reports took it
+    tied = master_bound(row, [[1.0], [2.0]], [0.3, 0.3])
+    assert np.argmin(tied.rhs, axis=-1).tolist() == [0, 0]
 
 
 def test_theorem_report_rademacher_consistent():

@@ -1,6 +1,7 @@
 import csv
 import json
 import shlex
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ from steinclt import (
     shift_identity_check,
     stein_check_battery,
 )
-from steinclt.cli import _parse_grid, build_parser, execute
+from steinclt.cli import TOOL, _parse_grid, build_parser, execute
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 GOOD_ROW = ('{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,'
             ' "cells": [{"atoms": [{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}]}]}')
 SOURCE_COMMANDS = [["validate"], ["charfn", "--t", "1"], ["gap", "--t", "1"],
@@ -429,3 +431,72 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         execute(["--version"])
     assert excinfo.value.code == 0
+
+
+def test_bound_and_l_sum_reports_are_pinned(capsys):
+    # reports of an eta row and a dim-3 product row (off-diagonal direction)
+    # written by the per-(t, eps) assembly that preceded the master-bound
+    # table; the table must reproduce them byte for byte
+    cases = json.loads((ROOT / "tests" / "data" / "bound_and_l_sum_reports.json").read_text())
+    for case in cases:
+        code, out, err = run(case["argv"], capsys)
+        assert (code, err) == (0, "")
+        assert out == case["stdout"].replace("stein-clt/0.1.0", TOOL), case["argv"]
+
+
+@pytest.mark.parametrize("t", ["10", "12", "30"])
+def test_stein_check_unresolved_rule_is_a_convergence_failure(t, capsys):
+    code, out, err = run(["stein-check", "--t", t, "--x", "1", "--trials", "10"], capsys)
+    assert (code, out) == (3, "")
+    assert "Gauss-Hermite level 60 does not resolve" in err
+
+
+def test_stein_check_resolved_rules_still_pass(capsys):
+    code, out, _ = run(["stein-check", "--t", "1,2,3,8", "--x", "1", "--trials", "10"], capsys)
+    assert code == 0
+    header, *data = csv_rows(out)
+    assert len(data) == 4 * 6 + 2
+    assert all(dict(zip(header, row))["passed"] == "true" for row in data)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stein_check_overflow_is_a_usage_error(fmt, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(["stein-check", "--t", "1e200", "--x", "1", "--trials", "10",
+                              "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert "must be finite" in err
+
+
+def _schema_rows():
+    """{command: metadata keys listed in its row of docs/report-schema.md}."""
+    rows = {}
+    for line in (ROOT / "docs" / "report-schema.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.split("|")]
+        if len(cells) > 2 and cells[1].startswith("`") and "metadata:" in cells[2]:
+            listed = cells[2].split("metadata:", 1)[1]
+            rows[cells[1].strip("`")] = {part.split("`")[0] for part in listed.split("`")[1::2]}
+    return rows
+
+
+def test_every_metadata_key_is_documented(tmp_path, capsys):
+    spec = tmp_path / "row.json"
+    spec.write_text(GOOD_ROW)
+    rad = ["--family", "rademacher", "--n", "5,10"]
+    commands = [["validate", *rad], ["charfn", *rad, "--t", "1"], ["gap", *rad, "--t", "1"],
+                ["lindeberg", *rad], ["lindeberg", "--spec", str(spec)],
+                ["l-sum", *rad, "--t", "1"], ["identity", *rad, "--t", "1"],
+                ["stein-check", "--t", "1", "--x", "1", "--trials", "10"],
+                ["bound", *rad, "--t", "1"], ["report", *rad, "--t", "1"],
+                ["kolmogorov", "--family", "rademacher", "--n", "5", "--samples", "100"]]
+    documented = _schema_rows()
+    seen = set()
+    for argv in commands:
+        code, out, _ = run(argv, capsys)
+        assert code == 0, argv
+        keys = {line[2:].split("=", 1)[0] for line in out.splitlines() if line.startswith("# ")}
+        extra = keys - {"schema", "tool", "command", "config"}
+        assert extra <= documented.get(argv[0], set()), (argv, extra)
+        seen |= extra
+    assert {"family", "truncation_note", "max_sum"} <= seen

@@ -18,6 +18,7 @@ from steinclt import (
     lindeberg_sum,
     validate_row,
 )
+from steinclt.indices import _directional_sums
 
 
 from oracles import eta_lindeberg_oracle, index_flags_oracle, truncated_sum_oracle
@@ -327,3 +328,17 @@ def test_lindeberg_sum_grid_matches_cell_oracle(row, data):
     for eps, value in zip(grid, values):
         assert value == lindeberg_sum(row, eps)
         assert abs(value - truncated_sum_oracle(row, "lindeberg", None, eps)) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_t_and_grids())
+def test_directional_sums_equal_l_sum_per_entry(case):
+    row, t, grid, _ = case
+    batch = np.array([t, -0.5 * t, np.roll(t, 1)])
+    same, indep = _directional_sums(row, batch, grid)
+    assert same.shape == indep.shape == (len(batch), grid.size)
+    for i, tvec in enumerate(batch):
+        assert same[i].tolist() == l_sum(row, "same", tvec, grid).tolist()
+        assert indep[i].tolist() == l_sum(row, "independent", tvec, grid).tolist()
+    with pytest.raises(ParameterError):
+        _directional_sums(row, batch, [0.5, np.nan])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import steinclt.stein as stein_module
 from steinclt import (
+    ConvergenceError,
     ParameterError,
     QuadratureSpec,
     integrate_unit,
@@ -343,3 +346,58 @@ def test_shift_identity_check_does_not_depend_on_the_batch_size(monkeypatch):
     whole = shift_identity_check(3, 100, seed=9)
     monkeypatch.setattr(stein_module, "_SHIFT_BATCH_ENTRIES", 9 * 7)  # 7 draws a batch
     assert shift_identity_check(3, 100, seed=9) == whole
+
+
+@pytest.mark.parametrize("t", [10.0, 12.0, 30.0])
+def test_an_unresolved_gauss_hermite_rule_is_a_convergence_error(t):
+    # the 60-point rule cannot resolve e^{-i sqrt(1-s) t z} here; the identity
+    # itself holds, so this is numerical trouble, not a failed check
+    with pytest.raises(ConvergenceError, match="Gauss-Hermite level 60 does not resolve") as info:
+        stein_check_battery([t], [1.0], [0.2])
+    assert info.value.error_bound > 1e-9
+
+
+def test_a_broken_moment_identity_still_fails(monkeypatch):
+    # an offset that no rule level removes is a failed check, not numerical trouble
+    def broken(t, x, s, level):
+        return gaussian_expectation_identity(t, x, s, level) + 1e-6
+
+    monkeypatch.setattr(stein_module, "gaussian_expectation_identity", broken)
+    checks = {name: (residual, tol) for name, residual, tol in
+              stein_check_battery([1.0], [1.0], [0.2])}
+    residual, tol = checks["gaussian_moment2"]
+    assert residual > tol
+    assert residual == pytest.approx(1e-6, rel=1e-6)
+
+
+@pytest.mark.parametrize("t", [10.0, 12.0])
+def test_a_finer_gauss_hermite_rule_resolves_large_t(t):
+    checks = {name: (residual, tol) for name, residual, tol in
+              stein_check_battery([t], [1.0], [0.2], level=120)}
+    for name in ("gaussian_moment2", "gaussian_moment1"):
+        assert checks[name][0] <= 1e-14
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 3.0, 8.0])
+def test_a_resolved_gauss_hermite_rule_reports_its_residual(t):
+    checks = {name: (residual, tol) for name, residual, tol in
+              stein_check_battery([t], [1.0], [0.2])}
+    grid = np.linspace(0.0, 1.0, 21)
+    moment2 = float(np.max(np.abs(gaussian_expectation_identity([t], [1.0], grid))))
+    moment1 = float(np.max(gradient_reduction_residual([t], [1.0], grid)))
+    assert checks["gaussian_moment2"] == (moment2, 1e-9)
+    assert checks["gaussian_moment1"] == (moment1, 1e-9)
+    assert all(residual <= tol for residual, tol in checks.values())
+
+
+@pytest.mark.parametrize("t, x", [
+    ([1e200], [1.0]),                   # |t|^2 overflows
+    ([1e154], [1e300]),                 # <t, x> overflows
+    ([1e10, 1e10], [1e300, -1e300]),    # <t, x> is inf - inf
+], ids=["tt", "tx", "nan"])
+def test_overflow_is_a_parameter_error_without_a_warning(t, x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (stein_solution, stein_residual, lambda t, x: stein_check_battery(t, x, x)):
+            with pytest.raises(ParameterError, match="must be finite"):
+                call(t, x)
