@@ -30,25 +30,25 @@ from steinclt import (
 t, x = np.array([1.0, 1.0]), np.array([0.3, -0.7])
 
 print("== solution, gradient, Hessian at one point ==")
-sol = stein_solution(t, x)
-print(f"  f(x)        = {sol.value:.12f}  (quadrature error bound {sol.est_error:.1e})")
+value, error = stein_solution(t, x)
+print(f"  f(x)        = {value:.12f}  (quadrature error bound {error:.1e})")
 grad = stein_gradient(t, x)
 print(f"  grad f(x)   = {np.round(grad, 10)}  (a complex multiple of t)")
 hess = hessian_closed_form(t, x)
-print(f"  Hess f(x)   =\n{np.round(hess.matrix, 10)}")
-print(f"  rank of Hessian: {np.linalg.matrix_rank(hess.matrix, tol=1e-12)}")
+print(f"  Hess f(x)   =\n{np.round(hess, 10)}")
+print(f"  rank of Hessian: {np.linalg.matrix_rank(hess, tol=1e-12)}")
 
 print("\n== independent cross-checks ==")
 fd_grad = gradient_finite_difference(t, x)
 print(f"  |grad - central differences|      = {np.max(np.abs(grad - fd_grad)):.2e}")
 fd_hess = hessian_finite_difference(t, x)
-print(f"  |Hess - second differences|       = {np.max(np.abs(hess.matrix - fd_hess.matrix)):.2e}")
-general = hessian_quadrature_representation(t, x)
-print(f"  |Hess - general representation|   = {np.max(np.abs(hess.matrix - general.matrix)):.2e}")
+print(f"  |Hess - second differences|       = {np.max(np.abs(hess - fd_hess)):.2e}")
+general, _ = hessian_quadrature_representation(t, x)
+print(f"  |Hess - general representation|   = {np.max(np.abs(hess - general)):.2e}")
 print(f"  Stein equation residual           = {abs(stein_residual(t, x)):.2e}")
 
 diff = hessian_difference(t, x, 0.5 * x)
-split = hess.matrix - hessian_closed_form(t, 0.5 * x).matrix
+split = hess - hessian_closed_form(t, 0.5 * x)
 print(f"  Hessian-difference self-check     = {np.max(np.abs(diff - split)):.2e}")
 
 print("\n== the Gaussian-expectation reduction, certified by quadrature ==")

@@ -21,7 +21,6 @@ from .bounds import (
     truncation_bound_check,
 )
 from .charfn import (
-    CharfnValue,
     charfn_gap,
     empirical_charfn,
     gaussian_charfn,
@@ -76,8 +75,6 @@ from .rows import (
     validate_row,
 )
 from .stein import (
-    HessianEval,
-    SteinEval,
     alpha_identities,
     gaussian_expectation_identity,
     gradient_finite_difference,

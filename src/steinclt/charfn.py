@@ -29,8 +29,6 @@ returns one entry per row of T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError, ShapeError, UnsupportedDimensionError
@@ -40,7 +38,6 @@ from .rows import ArrayRow
 from .util import as_vector
 
 __all__ = [
-    "CharfnValue",
     "row_sum_charfn",
     "gaussian_charfn",
     "charfn_gap",
@@ -48,14 +45,6 @@ __all__ = [
     "sample_row_sums",
     "kolmogorov_mc",
 ]
-
-
-@dataclass(frozen=True)
-class CharfnValue:
-    """A transform value with a Monte Carlo standard error (0 if exact)."""
-
-    value: complex
-    stderr: float
 
 
 # cap on (t-values x atoms) elements of each phase array in _phase_pass
@@ -166,26 +155,24 @@ def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np
 
 
 def empirical_charfn(row: ArrayRow, t, samples: int, seed: RngSeed):
-    """Monte Carlo transform of the row sum, with standard error.
+    """Monte Carlo transform of the row sum, as (value, standard error).
 
     The result is deterministic given (seed, stream).  stderr combines
-    the real and imaginary sample standard deviations in quadrature; a
-    healthy run has |exact - value| below a few stderr.  A 2-D (m, N)
-    batch of t gives a tuple of m values, all from one draw of the sums,
-    each equal to the single-t call.
+    the real and imaginary sample standard deviations in quadrature (0
+    for one sample); a healthy run has |exact - value| below a few
+    stderr.  A 2-D (m, N) batch of t gives an array of m values and one
+    of m stderrs, all from one draw of the sums, each entry equal to the
+    single-t call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     sums = sample_row_sums(row, samples, seed.generator())
-    values = []
-    for tvec in batch:
+    values, stderr = np.empty(batch.shape[0], np.complex128), np.zeros(batch.shape[0])
+    for i, tvec in enumerate(batch):
         z = np.exp(-1j * (sums @ tvec))
+        values[i] = np.mean(z)
         if samples > 1:
-            var = np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)
-            stderr = float(np.sqrt(var / samples))
-        else:
-            stderr = 0.0
-        values.append(CharfnValue(value=complex(np.mean(z)), stderr=stderr))
-    return tuple(values) if is_batch else values[0]
+            stderr[i] = np.sqrt((np.var(z.real, ddof=1) + np.var(z.imag, ddof=1)) / samples)
+    return (values, stderr) if is_batch else (complex(values[0]), float(stderr[0]))
 
 
 def kolmogorov_mc(row: ArrayRow, samples: int, seed: RngSeed) -> float:

@@ -22,11 +22,6 @@ embed the resolved configuration and tool version and contain no
 timestamps, so identical argv (and seed) produce byte-identical files.
 Exit codes: 0 all checks passed, 1 check failure, 2 usage/parse error,
 3 quadrature convergence failure.
-
-The environment variable STEIN_CLT_THREADS caps the threads of the
-``identity`` command, the only one that runs grid cells in parallel
-(default: machine parallelism).  Cells are pure and results are emitted
-in sorted grid order, so the thread count never changes the output.
 """
 
 from __future__ import annotations
@@ -36,9 +31,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -211,23 +204,6 @@ def _seed(args) -> RngSeed:
     return RngSeed(args.seed, args.stream)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("STEIN_CLT_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def _pmap(fn, items):
-    """Order-preserving map, threaded when STEIN_CLT_THREADS allows."""
-    items = list(items)
-    workers = min(_thread_count(), len(items)) if items else 1
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # report writing (deterministic: no timestamps, repr floats, sorted keys)
 
@@ -318,8 +294,8 @@ def _cmd_charfn(args) -> int:
         t_values, batch = _t_batch(args, row.dimension)
         exact = row_sum_charfn(row, batch)
         if args.samples:
-            estimates = empirical_charfn(row, batch, args.samples, seed)
-            mc = [(est.value.real, est.value.imag, est.stderr) for est in estimates]
+            values, stderr = empirical_charfn(row, batch, args.samples, seed)
+            mc = zip(values.real, values.imag, stderr)
         else:
             mc = [(None, None, None)] * len(t_values)
         for tval, value, columns in zip(t_values, exact, mc):
@@ -378,16 +354,15 @@ def _cmd_l_sum(args) -> int:
 
 def _cmd_identity(args) -> int:
     spec = _quad_spec(args)
-    cases = [(n, row, tval, tvec)
-             for n, row in _rows_for(args)
-             for tval, tvec in zip(*_t_batch(args, row.dimension))]
-    reports = _pmap(lambda case: decomposition_check(case[1], case[3], spec), cases)
     out = []
     all_ok = True
-    for (n, _row, tval, _tvec), rep in zip(cases, reports):
-        all_ok &= rep.passed
-        out.append([n, tval, rep.lhs.real, rep.lhs.imag, rep.rhs.real, rep.rhs.imag,
-                    rep.residual, rep.quadrature_error, rep.passed])
+    for n, row in _rows_for(args):
+        t_values, batch = _t_batch(args, row.dimension)
+        rep = decomposition_check(row, batch, spec)
+        table = (rep.lhs.real, rep.lhs.imag, rep.rhs.real, rep.rhs.imag, rep.residual,
+                 rep.quadrature_error, rep.passed)
+        all_ok &= bool(np.all(table[-1]))
+        out.extend([n, tval, *cells] for tval, *cells in zip(t_values, *table))
     _write_report(args, "identity",
                   ["n", "t", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                    "residual", "quad_error", "passed"],

@@ -56,8 +56,10 @@ class QuadratureSpec:
     max_subdivisions: int = 512
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ParameterError("quadrature tolerances must be positive")
+        # an infinite abs_tol accepts any estimate unrefined, and an infinite
+        # rel_tol makes a zero total's tolerance NaN, which no panel meets
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ParameterError("quadrature tolerances must be finite and positive")
         if self.max_subdivisions < 1:
             raise ParameterError("max_subdivisions must be >= 1")
 

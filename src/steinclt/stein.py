@@ -35,8 +35,6 @@ they matter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
@@ -44,8 +42,6 @@ from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_rule, integ
 from .util import as_vector, exclusive_products
 
 __all__ = [
-    "SteinEval",
-    "HessianEval",
     "stein_solution",
     "stein_gradient",
     "gradient_finite_difference",
@@ -70,27 +66,6 @@ _GRADIENT_STEP = 1e-5
 _HESSIAN_STEP = 1e-4
 # Matrix entries (draws * dim^2) per batch of shift-identity draws.
 _SHIFT_BATCH_ENTRIES = 1 << 16
-
-
-@dataclass(frozen=True)
-class SteinEval:
-    """Value of the solution at (t, x) with its quadrature error bound."""
-
-    t: np.ndarray
-    x: np.ndarray
-    value: complex
-    est_error: float
-
-
-@dataclass(frozen=True)
-class HessianEval:
-    """Hessian at (t, x); ``matrix`` is rank one for method closed_form."""
-
-    t: np.ndarray
-    x: np.ndarray
-    matrix: np.ndarray
-    method: str
-    est_error: float
 
 
 def _pair(t, x, name: str = "x") -> tuple[np.ndarray, np.ndarray, float, float]:
@@ -136,15 +111,15 @@ def _solution_integrand(tt: float, a):
     return integrand
 
 
-def stein_solution(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> SteinEval:
-    """Evaluate the solution f(x) for test function e_t.
+def stein_solution(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[complex, float]:
+    """The solution f(x) for test function e_t, as (value, quadrature error bound).
 
     The integrand behaves like s^{-1/2} near 0; ``integrate_unit`` works
     in u = sqrt(s), where it is smooth.
     """
-    t, x, tt, a = _pair(t, x)
+    _, _, tt, a = _pair(t, x)
     value, err = integrate_unit(_solution_integrand(tt, a), spec, return_error=True)
-    return SteinEval(t=t, x=x, value=complex(value), est_error=err)
+    return complex(value), err
 
 
 def stein_gradient(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE):
@@ -174,8 +149,9 @@ def gradient_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) 
 
 def hessian_quadrature_representation(
     t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE, level: int = DEFAULT_HERMITE_LEVEL
-) -> HessianEval:
-    """Hess f(x) through the general integral representation.
+) -> tuple[np.ndarray, float]:
+    """Hess f(x) through the general integral representation, as (matrix,
+    largest entry's quadrature error bound).
 
     Evaluates -int_0^1 (2(1-s))^{-1} E[e_t(sqrt(s)x + sqrt(1-s)Z)
     (Z Z^T - I)] ds as one integral over the upper triangle, with the
@@ -195,13 +171,10 @@ def hessian_quadrature_representation(
     values, errors = integrate_unit(integrand, spec, return_error=True)
     matrix = np.empty((dim, dim), dtype=np.complex128)
     matrix[rows, cols] = matrix[cols, rows] = values
-    return HessianEval(
-        t=t, x=x, matrix=matrix, method="quadrature_representation",
-        est_error=float(np.max(errors)),
-    )
+    return matrix, float(np.max(errors))
 
 
-def hessian_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> HessianEval:
+def hessian_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """Hess f(x) by second central differences of the solution.
 
     The solutions at the whole stencil (x, x +- h e_l and the four corners
@@ -220,18 +193,13 @@ def hessian_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -
     matrix = np.diag((plus - 2.0 * values[0] + minus) / step**2)
     matrix[rows, cols] = matrix[cols, rows] = (
         corners[0] - corners[1] - corners[2] + corners[3]) / (4.0 * step**2)
-    return HessianEval(t=t, x=x, matrix=matrix, method="finite_difference", est_error=float("nan"))
+    return matrix
 
 
-def hessian_closed_form(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> HessianEval:
-    """Hess f(x) = (t t^T / 2) * scalar integral; singularity-free."""
-    t, x, tt, a = _pair(t, x)
-    integral, err = integrate_unit(lambda s: _kernel(tt, a, s), spec, return_error=True)
-    matrix = 0.5 * integral * outer_product(t)
-    max_entry = float(np.max(np.abs(np.outer(t, t)), initial=0.0))
-    return HessianEval(
-        t=t, x=x, matrix=matrix, method="closed_form", est_error=0.5 * err * max_entry
-    )
+def hessian_closed_form(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
+    """Hess f(x) = (t t^T / 2) * scalar integral, a rank-one matrix; singularity-free."""
+    t, _, tt, a = _pair(t, x)
+    return 0.5 * integrate_unit(lambda s: _kernel(tt, a, s), spec) * outer_product(t)
 
 
 def hessian_difference(t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
@@ -372,7 +340,7 @@ def stein_residual(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
     """
     t, x, tt, a = _pair(t, x)
     return _equation_residual(x, tt, a, stein_gradient(t, x, spec),
-                              hessian_closed_form(t, x, spec).matrix)
+                              hessian_closed_form(t, x, spec))
 
 
 def stein_check_battery(
@@ -396,8 +364,8 @@ def stein_check_battery(
     """
     t, x, tt, a = _pair(t, x)
     gradient = stein_gradient(t, x, spec)
-    closed = hessian_closed_form(t, x, spec).matrix
-    split = closed - hessian_closed_form(t, y, spec).matrix
+    closed = hessian_closed_form(t, x, spec)
+    split = closed - hessian_closed_form(t, y, spec)
 
     def worst(residual) -> float:
         return float(np.max(np.abs(residual)))
@@ -416,7 +384,7 @@ def stein_check_battery(
     # stein_equation takes the builtin abs(), which rounds |z| unlike np.abs
     return [
         ("gradient_fd", worst(gradient_finite_difference(t, x, spec) - gradient), 1e-6),
-        ("hessian_fd", worst(hessian_finite_difference(t, x, spec).matrix - closed), 1e-5),
+        ("hessian_fd", worst(hessian_finite_difference(t, x, spec) - closed), 1e-5),
         ("stein_equation", float(abs(_equation_residual(x, tt, a, gradient, closed))), 1e-7),
         moment_check("gaussian_moment2", gaussian_expectation_identity),
         moment_check("gaussian_moment1", gradient_reduction_residual),

@@ -191,7 +191,7 @@ def fd_gradient_of_solution(t, x, step: float = 1e-5) -> np.ndarray:
     """Central differences of the Stein solution, one solution per point."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.array([(stein_solution(t, x + e).value - stein_solution(t, x - e).value) / (2 * step)
+    return np.array([(stein_solution(t, x + e)[0] - stein_solution(t, x - e)[0]) / (2 * step)
                      for e in step * np.eye(x.size)])
 
 
@@ -203,8 +203,8 @@ def fd_hessian_of_solution(t, x, step: float = 1e-4, spec=None) -> np.ndarray:
 
     def f(point):
         if spec is None:
-            return stein_solution(t, point).value
-        return stein_solution(t, point, spec).value
+            return stein_solution(t, point)[0]
+        return stein_solution(t, point, spec)[0]
 
     matrix = np.empty((dim, dim), dtype=complex)
     eye = step * np.eye(dim)

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -172,8 +173,41 @@ def test_identity_report_fields():
     row = build_rademacher_row(2)
     report = decomposition_check(row, 1.5)
     assert report.residual == abs(report.lhs - report.rhs)
-    assert report.n == 2
     assert report.quadrature_error >= 0.0
+    # a single t drops the batch axis, a batch keeps it
+    assert np.shape(report.lhs) == np.shape(report.passed) == ()
+    table = decomposition_check(row, [[1.5], [0.5]])
+    assert table.lhs.shape == table.rhs.shape == table.residual.shape == (2,)
+    assert table.quadrature_error.shape == table.passed.shape == (2,)
+    assert decomposition_check(row, np.empty((0, 1))).lhs.shape == (0,)
+
+
+@st.composite
+def rows_and_t_batch(draw):
+    """(row, batch) with a random asymmetric row in dims 1-3 and 0-5 t of |t| <= 6."""
+    row = draw(centred_rows())
+    coords = st.floats(-6.0, 6.0, allow_subnormal=False)
+    vectors = st.lists(coords, min_size=row.dimension, max_size=row.dimension)
+    batch = np.array(draw(st.lists(vectors, max_size=5))).reshape(-1, row.dimension)
+    return row, batch * (6.0 / np.maximum(np.linalg.norm(batch, axis=1, keepdims=True), 6.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows_and_t_batch())
+def test_identity_batch_equals_single_t_calls_at_any_thread_count(case):
+    # the batch fans its t out to one thread per core; no count may change a bit
+    row, batch = case
+    singles = [decomposition_check(row, t) for t in batch]
+    for cores in (1, 4):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "cpu_count", lambda: cores)
+            table = decomposition_check(row, batch)
+        assert table.lhs.shape == (len(batch),)
+        for i, single in enumerate(singles):
+            assert table.lhs[i] == single.lhs and table.rhs[i] == single.rhs
+            assert table.residual[i] == single.residual
+            assert table.quadrature_error[i] == single.quadrature_error
+            assert table.passed[i] == single.passed
 
 
 def test_truncation_bound_examples():

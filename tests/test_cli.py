@@ -250,6 +250,20 @@ def test_convergence_failure_exits_three(capsys):
     assert "converge" in err
 
 
+@pytest.mark.parametrize("tolerance", ["--abs-tol", "--rel-tol"])
+@pytest.mark.parametrize("command", [
+    ["identity", "--family", "rademacher", "--n", "5", "--t", "0"],
+    ["stein-check", "--trials", "10"],
+])
+def test_infinite_quadrature_tolerance_is_a_usage_error(command, tolerance, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(command + [tolerance, "inf"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "finite and positive" in err
+
+
 def test_reports_are_byte_identical(tmp_path):
     argv = ["charfn", "--family", "eta", "--alpha", "0.5", "--n-list", "5,10",
             "--t", "0:2:0.5", "--samples", "5000", "--seed", "11"]
@@ -274,20 +288,10 @@ def test_charfn_samples_rows_equal_single_t_calls(capsys):
     for record in (dict(zip(header, row)) for row in rows):
         row, t = family.row(int(record["n"])), float(record["t"])
         exact = row_sum_charfn(row, t)
-        mc = empirical_charfn(row, t, 3000, RngSeed(5, 2))
+        value, stderr = empirical_charfn(row, t, 3000, RngSeed(5, 2))
         assert [float(record[k]) for k in ("exact_re", "exact_im")] == [exact.real, exact.imag]
         assert [float(record[k]) for k in ("mc_re", "mc_im", "mc_stderr")] == [
-            mc.value.real, mc.value.imag, mc.stderr]
-
-
-def test_thread_env_does_not_change_output(tmp_path, monkeypatch):
-    argv = ["identity", "--family", "rademacher", "--n-list", "2,5,10",
-            "--t-list", "0.5,1,2"]
-    monkeypatch.setenv("STEIN_CLT_THREADS", "1")
-    assert execute(argv + ["--output", str(tmp_path / "serial.csv")]) == 0
-    monkeypatch.setenv("STEIN_CLT_THREADS", "4")
-    assert execute(argv + ["--output", str(tmp_path / "threaded.csv")]) == 0
-    assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "threaded.csv").read_bytes()
+            value.real, value.imag, stderr]
 
 
 def test_json_format(capsys):
@@ -433,15 +437,27 @@ def test_version_flag(capsys):
     assert excinfo.value.code == 0
 
 
-def test_bound_and_l_sum_reports_are_pinned(capsys):
-    # reports of an eta row and a dim-3 product row (off-diagonal direction)
-    # written by the per-(t, eps) assembly that preceded the master-bound
-    # table; the table must reproduce them byte for byte
-    cases = json.loads((ROOT / "tests" / "data" / "bound_and_l_sum_reports.json").read_text())
+def assert_reports_pinned(name, capsys):
+    cases = json.loads((ROOT / "tests" / "data" / name).read_text())
     for case in cases:
         code, out, err = run(case["argv"], capsys)
         assert (code, err) == (0, "")
         assert out == case["stdout"].replace("stein-clt/0.1.0", TOOL), case["argv"]
+
+
+def test_bound_and_l_sum_reports_are_pinned(capsys):
+    # reports of an eta row and a dim-3 product row (off-diagonal direction)
+    # written by the per-(t, eps) assembly that preceded the master-bound
+    # table; the table must reproduce them byte for byte
+    assert_reports_pinned("bound_and_l_sum_reports.json", capsys)
+
+
+def test_identity_and_charfn_reports_are_pinned(capsys):
+    # written by the per-(n, t) identity cases and the per-t Monte Carlo
+    # records that preceded the identity table and the (value, stderr)
+    # arrays: rows in dims 1-3, a 13-point t range along a direction and
+    # one sample.  A residual taken with np.abs moves the dim-3 one by an ulp.
+    assert_reports_pinned("identity_and_charfn_reports.json", capsys)
 
 
 @pytest.mark.parametrize("t", ["10", "12", "30"])

@@ -158,6 +158,12 @@ def test_bad_spec_rejected():
         QuadratureSpec(abs_tol=0.0)
     with pytest.raises(ParameterError):
         QuadratureSpec(max_subdivisions=0)
+    # an infinite tolerance made a zero integral's tolerance NaN, or accepted
+    # any one-panel estimate unrefined
+    for tolerance in ("abs_tol", "rel_tol"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ParameterError, match="finite and positive"):
+                QuadratureSpec(**{tolerance: value})
 
 
 def test_gauss_hermite_normalisation_and_variance():
