@@ -35,8 +35,6 @@ Every eps here passes the indices module's one eps rule, ``_eps_grid``.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +46,7 @@ from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _directional_sums, _eps
 from .indices import l_sum, lindeberg_index_estimate
 from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
 from .rows import ArrayRow
-from .util import as_vector, exclusive_products
+from .util import _fan_out, as_vector, exclusive_products
 
 __all__ = [
     "IdentityReport",
@@ -169,12 +167,7 @@ def decomposition_check(
         # the builtin abs of a complex: np.abs may round |z| otherwise
         return lhs, rhs, abs(lhs - rhs), err
 
-    workers = min(os.cpu_count() or 1, len(batch))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(check, batch))
-    else:
-        entries = [check(v) for v in batch]
+    entries = _fan_out(check, batch)
     # complex columns hold the float ones exactly
     lhs, rhs, residual, err = np.array(entries, dtype=np.complex128).reshape(-1, 4).T
     pick = slice(None) if is_batch else 0

@@ -33,9 +33,9 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, UnsupportedDimensionError
 from .normal_cdf import normal_cdf
-from .rng import RngSeed
+from .rng import RngSeed, _seek
 from .rows import ArrayRow
-from .util import as_vector
+from .util import _fan_out, _thread_count, as_vector
 
 __all__ = [
     "row_sum_charfn",
@@ -54,6 +54,13 @@ _PHASE_BUDGET = 1_000_000
 # binary-searches above: one pass per atom against a log-depth search
 # (both near 6.5 ms per 1e5 draws at 64 atoms on a 2-core x86 VM)
 _COUNTING_MAX_ATOMS = 64
+
+# sample_row_sums gives a thread a block of the sample axis only when the
+# block holds at least this many samples: below it the per-cell seeks and
+# interpreter-lock hand-offs outweigh the draws saved (1000-cell rademacher
+# and eta rows on a 2-core x86 VM: two blocks of 8192 took 1.1-1.8x the
+# time of one block, two of 16 384 took 0.74-0.77x)
+_MIN_BLOCK_SAMPLES = 16_384
 
 
 def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
@@ -121,17 +128,24 @@ def charfn_gap(row: ArrayRow, t):
     return gaps if is_batch else float(gaps[0])
 
 
-def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np.ndarray:
+def sample_row_sums(row: ArrayRow, samples: int, seed: RngSeed) -> np.ndarray:
     """Draw i.i.d. realisations of the row sum; shape (samples, N).
 
     Each cell is sampled independently by inverse transform on its atom
-    probabilities, so the draw sequence is fully determined by the
-    generator state.  The draw contract, which every (seed, stream)
-    keeps bit for bit: cell k consumes uniforms k*m ... (k+1)*m - 1 of
-    the stream (m = samples, one ``rng.random(m)`` per cell, a one-atom
-    cell included), and a uniform u picks the atom whose index is the
-    count of the cell's cumulative weights cum = cumsum(p) that are
-    <= u, capped at the last atom.  The sums add the cells in order.
+    probabilities, so the draws are fully determined by (seed, stream).
+    The draw contract, which every (seed, stream) keeps bit for bit: cell
+    k reads uniforms k*m ... (k+1)*m - 1 of the stream (m = samples, a
+    one-atom cell included), sample j of cell k taking uniform k*m + j,
+    and a uniform u picks the atom whose index is the count of the cell's
+    cumulative weights cum = cumsum(p) that are <= u, capped at the last
+    atom.  Each sample's sum adds the cells in order.
+
+    Samples are independent of one another, so the sample axis is cut
+    into contiguous blocks, one per core when each holds at least
+    ``_MIN_BLOCK_SAMPLES``; a block reads its uniforms from its own
+    generator, positioned by ``rng._seek``, and the blocks are drawn
+    concurrently.  Neither the block count nor the order in which blocks
+    run changes a bit of the result.
 
     The count is taken by one comparison pass per atom for cells of at
     most ``_COUNTING_MAX_ATOMS`` atoms and by a binary search above;
@@ -140,18 +154,33 @@ def sample_row_sums(row: ArrayRow, samples: int, rng: np.random.Generator) -> np
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     total = np.zeros((samples, row.dimension))
-    for k in range(row.n):
-        lo, hi = row.offsets[k], row.offsets[k + 1]
-        cum = np.cumsum(row.probs[lo:hi])
-        u = rng.random(samples)
-        if hi - lo > _COUNTING_MAX_ATOMS:
-            idx = np.searchsorted(cum[:-1], u, side="right")
-        else:
-            idx = np.zeros(samples, dtype=np.intp)
-            for c in cum[:-1]:
-                idx += u >= c
-        total += row.points[lo:hi].take(idx, axis=0)
+    blocks = _thread_count(samples // _MIN_BLOCK_SAMPLES)
+    edges = [samples * b // blocks for b in range(blocks + 1)]
+
+    def draw(block: int) -> None:
+        start, stop = edges[block], edges[block + 1]
+        rng = seed.generator()
+        out = total[start:stop]
+        for k in range(row.n):
+            # a block spanning the sample axis reads the stream straight through
+            if stop - start < samples:
+                _seek(rng, k * samples + start)
+            lo, hi = row.offsets[k], row.offsets[k + 1]
+            idx = _atom_index(np.cumsum(row.probs[lo:hi]), rng.random(stop - start))
+            out += row.points[lo:hi].take(idx, axis=0)
+
+    _fan_out(draw, range(blocks))
     return total
+
+
+def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-transform atom of each uniform: the count of cum[:-1] <= u."""
+    if cum.size > _COUNTING_MAX_ATOMS:
+        return np.searchsorted(cum[:-1], u, side="right")
+    idx = np.zeros(u.size, dtype=np.intp)
+    for c in cum[:-1]:
+        idx += u >= c
+    return idx
 
 
 def empirical_charfn(row: ArrayRow, t, samples: int, seed: RngSeed):
@@ -165,7 +194,7 @@ def empirical_charfn(row: ArrayRow, t, samples: int, seed: RngSeed):
     single-t call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
-    sums = sample_row_sums(row, samples, seed.generator())
+    sums = sample_row_sums(row, samples, seed)
     values, stderr = np.empty(batch.shape[0], np.complex128), np.zeros(batch.shape[0])
     for i, tvec in enumerate(batch):
         z = np.exp(-1j * (sums @ tvec))
@@ -186,7 +215,7 @@ def kolmogorov_mc(row: ArrayRow, samples: int, seed: RngSeed) -> float:
     """
     if row.dimension != 1:
         raise UnsupportedDimensionError("kolmogorov_mc supports one-dimensional rows only")
-    draws = np.sort(sample_row_sums(row, samples, seed.generator())[:, 0])
+    draws = np.sort(sample_row_sums(row, samples, seed)[:, 0])
     m = draws.size
     phi = normal_cdf(draws)
     upper = np.max(np.arange(1, m + 1) / m - phi)

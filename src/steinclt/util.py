@@ -1,6 +1,9 @@
-"""Small shared helpers: vector coercion and exclusive products."""
+"""Small shared helpers: vector coercion, exclusive products and the thread fan-out."""
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,3 +52,22 @@ def exclusive_products(values: np.ndarray) -> np.ndarray:
     suffix_rev = np.ones_like(values)
     suffix_rev[..., 1:] = np.cumprod(rev[..., :-1], axis=-1)
     return prefix * suffix_rev[..., ::-1]
+
+
+def _thread_count(jobs: int) -> int:
+    """Threads for ``jobs`` independent jobs: min(cores, jobs), at least 1."""
+    return max(1, min(os.cpu_count() or 1, jobs))
+
+
+def _fan_out(work, jobs) -> list:
+    """[work(job) for job in jobs], on ``_thread_count(len(jobs))`` threads.
+
+    One thread runs a plain loop.  Results come back in job order, and an
+    exception raised by any job is raised here.
+    """
+    jobs = list(jobs)
+    threads = _thread_count(len(jobs))
+    if threads == 1:
+        return [work(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, jobs))

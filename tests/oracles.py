@@ -91,17 +91,20 @@ def cell_charfn(points, probs, t) -> complex:
     return complex(np.sum(probs * np.exp(-1j * (points @ np.atleast_1d(t)))))
 
 
+def atom_index_oracle(cum, u) -> np.ndarray:
+    """Inverse-transform atom of each uniform u for cumulative weights cum:
+    min(searchsorted(cum, u, "right"), atoms - 1)."""
+    return np.minimum(np.searchsorted(cum, u, side="right"), cum.size - 1)
+
+
 def sample_row_sums_oracle(row, samples: int, rng) -> np.ndarray:
     """Row-sum draws by the binary-search inverse transform: one
-    ``rng.random(samples)`` per cell in cell order, the atom index
-    min(searchsorted(cumsum(p), u, "right"), atoms - 1), and a fancy-index
-    gather into a running total."""
+    ``rng.random(samples)`` per cell in cell order, ``atom_index_oracle``,
+    and a fancy-index gather into a running total."""
     total = np.zeros((samples, row.dimension))
     for k in range(row.n):
         lo, hi = row.offsets[k], row.offsets[k + 1]
-        cum = np.cumsum(row.probs[lo:hi])
-        u = rng.random(samples)
-        idx = np.minimum(np.searchsorted(cum, u, side="right"), hi - lo - 1)
+        idx = atom_index_oracle(np.cumsum(row.probs[lo:hi]), rng.random(samples))
         total += row.points[lo + idx]
     return total
 

@@ -10,6 +10,7 @@ from oracles import master_bound_oracle, r_factor_exp_form
 from steinclt import (
     ArrayRow,
     EtaAlphaFamily,
+    IdentityReport,
     ParameterError,
     ProductFamily,
     RademacherFamily,
@@ -180,6 +181,17 @@ def test_identity_report_fields():
     assert table.lhs.shape == table.rhs.shape == table.residual.shape == (2,)
     assert table.quadrature_error.shape == table.passed.shape == (2,)
     assert decomposition_check(row, np.empty((0, 1))).lhs.shape == (0,)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the 1e-6 floor of IDENTITY_TOL, ROADMAP item 1")
+def test_identity_with_a_zero_rhs_fails():
+    # rademacher n = 1e4 at t = 4 has a gap of 7.15e-7, under the floor, so
+    # a broken rhs of 0 would still pass
+    report = decomposition_check(build_rademacher_row(10_000), 4.0)
+    broken = IdentityReport(report.lhs, 0.0 * report.rhs, abs(report.lhs),
+                            report.quadrature_error)
+    assert not broken.passed
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import os
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
-from oracles import cell_charfn, sample_row_sums_oracle
+from oracles import atom_index_oracle, cell_charfn, sample_row_sums_oracle
 from steinclt import (
     ArrayRow,
     ParameterError,
@@ -228,41 +230,44 @@ def _row_with_cells(atom_counts, dim: int, seed: int) -> ArrayRow:
     return ArrayRow.from_cells((x @ white, q) for x, q in cells)
 
 
+@contextmanager
+def _blocks_on(cores: int):
+    """Every draw cut into blocks: one sample per block at least, on
+    ``cores`` cores, so blocks start at offsets that are not multiples of 4."""
+    with mock.patch.object(charfn_module, "_MIN_BLOCK_SAMPLES", 1), \
+            mock.patch.object(os, "cpu_count", lambda: cores):
+        yield
+
+
 @settings(max_examples=60, deadline=None)
 @given(centred_rows(), st.integers(1, 400), st.integers(0, 2**64 - 1), st.integers(0, 7))
 def test_sample_row_sums_matches_oracle(row, samples, seed, stream):
+    # no block count may change a bit
     rng_seed = RngSeed(seed, stream)
-    assert np.array_equal(sample_row_sums(row, samples, rng_seed.generator()),
-                          sample_row_sums_oracle(row, samples, rng_seed.generator()))
+    expected = sample_row_sums_oracle(row, samples, rng_seed.generator())
+    assert np.array_equal(sample_row_sums(row, samples, rng_seed), expected)
+    for cores in (1, 2, 3):
+        with _blocks_on(cores):
+            assert np.array_equal(sample_row_sums(row, samples, rng_seed), expected)
 
 
-def _assert_both_paths_match_oracle(row, samples: int, make_rng):
+def _assert_both_paths_match_oracle(row, samples: int, seed: RngSeed):
     """sample_row_sums equals the oracle as it stands and with every cell
     forced onto the binary search (crossover 0) or onto the counting."""
-    expected = sample_row_sums_oracle(row, samples, make_rng())
-    assert np.array_equal(sample_row_sums(row, samples, make_rng()), expected)
+    expected = sample_row_sums_oracle(row, samples, seed.generator())
+    assert np.array_equal(sample_row_sums(row, samples, seed), expected)
     for forced in (0, 10 * charfn_module._COUNTING_MAX_ATOMS):
         with mock.patch.object(charfn_module, "_COUNTING_MAX_ATOMS", forced):
-            assert np.array_equal(sample_row_sums(row, samples, make_rng()), expected)
-
-
-class _Blocks:
-    """A stand-in generator whose random(m) returns the given blocks in turn."""
-
-    def __init__(self, blocks):
-        self._blocks = iter(blocks)
-
-    def random(self, size):
-        block = next(self._blocks)
-        assert block.shape == (size,)
-        return block
+            assert np.array_equal(sample_row_sums(row, samples, seed), expected)
+            with _blocks_on(3):
+                assert np.array_equal(sample_row_sums(row, samples, seed), expected)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_sample_row_sums_across_the_crossover(dim):
     cut = charfn_module._COUNTING_MAX_ATOMS
     row = _row_with_cells([1, 2, 4, 1, cut - 1, cut, cut + 1, 2 * cut, 2, 4], dim, seed=dim)
-    _assert_both_paths_match_oracle(row, 3000, RngSeed(31, dim).generator)
+    _assert_both_paths_match_oracle(row, 3000, RngSeed(31, dim))
 
 
 def test_sample_row_sums_at_the_cumulative_weights():
@@ -270,22 +275,28 @@ def test_sample_row_sums_at_the_cumulative_weights():
     # and u at the last weight or above is capped at the last atom
     cut = charfn_module._COUNTING_MAX_ATOMS
     row = _row_with_cells([1, 2, 4, cut, cut + 1], 1, seed=9)
-    blocks = []
     for lo, hi in zip(row.offsets[:-1], row.offsets[1:]):
         cum = np.cumsum(row.probs[lo:hi])
-        blocks.append(np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53]]))
-    size = max(block.size for block in blocks)
-    blocks = [np.resize(block, size) for block in blocks]
-    _assert_both_paths_match_oracle(row, size, lambda: _Blocks(blocks))
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, 1.0 - 2.0**-53]])
+        expected = atom_index_oracle(cum, u)
+        for forced in (0, 10 * cut):
+            with mock.patch.object(charfn_module, "_COUNTING_MAX_ATOMS", forced):
+                assert np.array_equal(charfn_module._atom_index(cum, u), expected)
 
 
 def test_sample_row_sums_consumes_one_block_per_cell():
-    # cell k reads uniforms k*m ... (k+1)*m - 1, a one-atom cell included
+    # sample j of cell k takes uniform k*m + j of the stream, a one-atom
+    # cell included, however the sample axis is cut
     row = _row_with_cells([1, 2, 1, 4, charfn_module._COUNTING_MAX_ATOMS + 1], 1, seed=5)
-    drawn, plain = RngSeed(8).generator(), RngSeed(8).generator()
-    sample_row_sums(row, 250, drawn)
-    plain.random(row.n * 250)
-    assert drawn.random(10).tolist() == plain.random(10).tolist()
+    m = 250
+    stream = RngSeed(8).generator().random(row.n * m).reshape(row.n, m)
+    expected = np.zeros((m, 1))
+    for k, u in enumerate(stream):
+        lo, hi = row.offsets[k], row.offsets[k + 1]
+        expected += row.points[lo + atom_index_oracle(np.cumsum(row.probs[lo:hi]), u)]
+    assert np.array_equal(sample_row_sums(row, m, RngSeed(8)), expected)
+    with _blocks_on(3):
+        assert np.array_equal(sample_row_sums(row, m, RngSeed(8)), expected)
 
 
 def test_kolmogorov_value_is_pinned():

@@ -1,6 +1,6 @@
 """Smoke test: demos 01-05 run to completion against the current library.
 
-Demo 06 is left out: its Monte Carlo checks take about 35 s.  CI runs it
+Demo 06 is left out: its Monte Carlo checks take about 18 s.  CI runs it
 in a step of its own.
 """
 
