@@ -162,9 +162,7 @@ def sample_row_sums(row: ArrayRow, samples: int, seed: RngSeed) -> np.ndarray:
         rng = seed.generator()
         out = total[start:stop]
         for k in range(row.n):
-            # a block spanning the sample axis reads the stream straight through
-            if stop - start < samples:
-                _seek(rng, k * samples + start)
+            _seek(rng, k * samples + start)
             lo, hi = row.offsets[k], row.offsets[k + 1]
             idx = _atom_index(np.cumsum(row.probs[lo:hi]), rng.random(stop - start))
             out += row.points[lo:hi].take(idx, axis=0)

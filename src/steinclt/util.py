@@ -54,9 +54,18 @@ def exclusive_products(values: np.ndarray) -> np.ndarray:
     return prefix * suffix_rev[..., ::-1]
 
 
+def _cores() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (it honours taskset and cpusets, not a CPU-time quota),
+    else the host's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _thread_count(jobs: int) -> int:
     """Threads for ``jobs`` independent jobs: min(cores, jobs), at least 1."""
-    return max(1, min(os.cpu_count() or 1, jobs))
+    return max(1, min(_cores(), jobs))
 
 
 def _fan_out(work, jobs) -> list:

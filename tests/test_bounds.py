@@ -1,11 +1,11 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steinclt.util as util
 from oracles import master_bound_oracle, r_factor_exp_form
 from steinclt import (
     ArrayRow,
@@ -212,7 +212,7 @@ def test_identity_batch_equals_single_t_calls_at_any_thread_count(case):
     singles = [decomposition_check(row, t) for t in batch]
     for cores in (1, 4):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "cpu_count", lambda: cores)
+            patch.setattr(util, "_cores", lambda: cores)
             table = decomposition_check(row, batch)
         assert table.lhs.shape == (len(batch),)
         for i, single in enumerate(singles):

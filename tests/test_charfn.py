@@ -1,4 +1,3 @@
-import os
 from contextlib import contextmanager
 from unittest import mock
 
@@ -8,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
+import steinclt.util as util
 from oracles import atom_index_oracle, cell_charfn, sample_row_sums_oracle
 from steinclt import (
     ArrayRow,
@@ -235,7 +235,7 @@ def _blocks_on(cores: int):
     """Every draw cut into blocks: one sample per block at least, on
     ``cores`` cores, so blocks start at offsets that are not multiples of 4."""
     with mock.patch.object(charfn_module, "_MIN_BLOCK_SAMPLES", 1), \
-            mock.patch.object(os, "cpu_count", lambda: cores):
+            mock.patch.object(util, "_cores", lambda: cores):
         yield
 
 
@@ -297,6 +297,16 @@ def test_sample_row_sums_consumes_one_block_per_cell():
     assert np.array_equal(sample_row_sums(row, m, RngSeed(8)), expected)
     with _blocks_on(3):
         assert np.array_equal(sample_row_sums(row, m, RngSeed(8)), expected)
+
+
+def test_threads_follow_the_cpus_this_process_may_use(monkeypatch):
+    # a 64-core host that lets the process run on one CPU gets one thread
+    monkeypatch.setattr(util.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(util.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert util._thread_count(61) == 1
+    # where the platform has no affinity call, the host's cores count
+    monkeypatch.delattr(util.os, "sched_getaffinity")
+    assert util._thread_count(61) == 61
 
 
 def test_kolmogorov_value_is_pinned():
