@@ -1,16 +1,28 @@
 """Exact transform-gap identity and the finite-n inequality chains.
 
 The centrepiece is an exact identity for the gap between the Gaussian
-transform and a row-sum transform: with phi_j the cell transforms,
-m2_k(t) = E[<X_k, t>^2], and R(a) = (1 - e^{-ia})/(ia) - 1 the closed
-form of int_0^1 (e^{-ira} - 1) dr,
+transform and a row-sum transform.  With u = sqrt(s), phi_k the cell
+transforms, psi_k(v) = E[<X_k, t> e^{-i <v, X_k>}], mu_k(t) = E[<X_k, t>]
+and m2_k(t) = E[<X_k, t>^2],
 
   phi_Gauss(t) - phi_row(t)
-    = 1/2 int_0^1 [ sum_k prod_{j!=k} phi_j(sqrt(s) t)
-                      * E[<X_k,t>^2 R(sqrt(s) <t, X_k>)]
-                  - sum_k prod_{j!=k} phi_j(sqrt(s) t)
-                      * (phi_k(sqrt(s) t) - 1) * m2_k(t) ]
+    = 1/2 int_0^1 sum_k prod_{j!=k} phi_j(u t)
+         * [ i (psi_k(u t) - mu_k(t)) / u - phi_k(u t) m2_k(t) ]
          e^{-(1-s)|t|^2/2} ds.
+
+The integrand I(s) is exactly -2 g'(s) along the Gaussian interpolation
+path g(s) = phi_row(sqrt(s) t) e^{-(1-s)|t|^2/2}, which runs from
+g(0) = phi_Gauss(t) to g(1) = phi_row(t): d/ds phi_k(u t) =
+-i psi_k(u t) / (2u), and a standard row has mu_k = 0 and
+sum_k m2_k = |t|^2.  So the identity is the fundamental theorem of
+calculus along that path.  Its Stein form splits the bracket into the
+same-copy term E[<X_k,t>^2 R(u <t, X_k>)] = i (psi_k - mu_k)/u - m2_k,
+with R(a) = (1 - e^{-ia})/(ia) - 1 = int_0^1 (e^{-ira} - 1) dr, and the
+independent-copy term (phi_k - 1) m2_k.  mu_k is computed, not taken as
+0.  psi_k - mu_k is a difference of terms of size E|<X_k, t>|, so its
+rounding, divided by u, grows like eps_machine / u near s = 0; the
+quadrature integrates 2u I(u^2) in u, whose weight cancels it, and a
+rounding bound for the identity must count this term.
 
 Both sides are computable essentially exactly for finitely supported
 rows (the left side as a finite product, the right side with one smooth
@@ -74,58 +86,37 @@ def identity_lhs(row: ArrayRow, t) -> complex:
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
 
-def _r_factor(a: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """R(a) = (1 - e^{-ia})/(ia) - 1 = sin a/a - 1 - i (1 - cos a)/a.
-
-    Taken from the cos a and sin a of the phase pass; below |a| < 1e-4,
-    where 1 - cos a loses relative accuracy through cancellation, the
-    Taylor terms through a^4 are used instead (exact to well under double
-    precision there).
-    """
-    small = np.abs(a) < 1e-4
-    inv = 1.0 / np.where(small, 1.0, a)
-    out = np.empty(a.shape, dtype=np.complex128)
-    out.real = sin * inv - 1.0
-    out.imag = (cos - 1.0) * inv
-    if np.any(small):
-        # real temporaries: at the first u-nodes of identity_rhs most atoms
-        # of a large row take this branch
-        b = a[small]
-        b2 = b * b
-        out.real[small] = b2 * (b2 / 120.0 - 1.0 / 6.0)
-        out.imag[small] = b * (b2 / 24.0 - 0.5)
-    return out
-
-
 def identity_rhs(
     row: ArrayRow, t, spec: QuadratureSpec = DEFAULT_QUADRATURE
 ) -> tuple[complex, float]:
     """Right side of the identity, by one adaptive s-quadrature.
 
-    The inner r-integral is the closed form R; the independent-copy term
-    factorises exactly because the copy shares the cell laws.  The
-    s-nodes are the batch sqrt(s) t of the charfn phase pass, which also
-    bounds the memory of atom-heavy rows.  Returns (value, estimated
-    quadrature error).
+    Each batch of s-nodes is one charfn phase pass over sqrt(s) t, which
+    also bounds the memory of atom-heavy rows, and each node takes the
+    cell transforms phi_k (weights p) and psi_k (weights p <x, t>) from
+    it.  The pass returns sum_k prod_{j!=k} phi_j (psi_k - mu_k) and
+    sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand divides
+    the first by sqrt(s), which the pass does not see.  Returns (value,
+    estimated quadrature error).
     """
     t = as_vector(t, row.dimension)
     tt = float(t @ t)
     d = row.points @ t
-    w = row.probs * d * d
-    m2t = row.per_cell_sum(w)
+    pd = row.probs * d
+    mu = row.per_cell_sum(pd)
+    m2t = row.per_cell_sum(pd * d)
 
-    def eval_nodes(a, cos, sin):
-        phis = _cell_transforms(row, cos, sin)
+    def eval_nodes(cos, sin):
+        phis = _cell_transforms(row, row.probs, cos, sin)
         excl = exclusive_products(phis)
-        same_term = np.add.reduceat(w * _r_factor(a, cos, sin), row.starts, axis=1)
-        term1 = np.sum(excl * same_term, axis=1)
-        term2 = np.sum(excl * (phis - 1.0) * m2t, axis=1)
-        return term1 - term2
+        moved = np.sum(excl * (_cell_transforms(row, pd, cos, sin) - mu), axis=1)
+        return np.stack([moved, np.sum(excl * phis * m2t, axis=1)], axis=-1)
 
     def integrand(s):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        inner = _phase_pass(row, np.sqrt(s)[:, None] * t, eval_nodes)
-        return inner * np.exp(-0.5 * (1.0 - s) * tt)
+        u = np.sqrt(s)
+        moved, second = _phase_pass(row, u[:, None] * t, eval_nodes).T
+        return (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tt)
 
     value, err = integrate_unit(integrand, spec, return_error=True)
     return 0.5 * complex(value), 0.5 * err

@@ -16,15 +16,16 @@ and estimates.  Monte Carlo counterparts (``empirical_charfn``,
 ``kolmogorov_mc``) provide independent cross-checks of the exact paths.
 
 Every exact row transform comes from one phase pass, ``_phase_pass``:
-for an (m, N) batch T it forms a = T x^T over all atoms and cos a,
+for an (m, N) batch T it forms a = T x^T over all atoms, then cos a and
 sin a, in chunks of at most ``_PHASE_BUDGET`` (t-values x atoms)
-elements, and hands each chunk to a reduction.  The cell transforms
-are the per-cell sums of p cos a - i p sin a (``_cell_transforms``, the
-only cell-level transform; a one-cell row gives a single cell's
-transform through ``row_sum_charfn``); the gap identity of the
-bounds module reduces the same chunk to its s-integrand.  The row
-transform and the gap take a single t or a 2-D (m, N) batch; a batch
-returns one entry per row of T.
+elements, and hands each chunk's (cos a, sin a) to a reduction.  The
+only cell-level transform is ``_cell_transforms``, the per-cell sums of
+w cos a - i w sin a for per-atom weights w: weights p give the cell
+transforms (a one-cell row gives a single cell's transform through
+``row_sum_charfn``), and the gap identity of the bounds module also
+takes weights p <x, t> from the same chunk for its s-integrand.  The
+row transform and the gap take a single t or a 2-D (m, N) batch; a
+batch returns one entry per row of T.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
 
 
 def _phase_pass(row: ArrayRow, batch: np.ndarray, reduce) -> np.ndarray:
-    """reduce(a, cos a, sin a) over row-chunks of the batch, stacked along axis 0.
+    """reduce(cos a, sin a) over row-chunks of the batch, stacked along axis 0.
 
     a = T x^T holds <t, x_a> for every t of the chunk and every atom, so
     each array is (chunk x total_atoms) with chunk x total_atoms at most
@@ -87,16 +88,22 @@ def _phase_pass(row: ArrayRow, batch: np.ndarray, reduce) -> np.ndarray:
     # an empty batch still makes one (0, atoms) pass, so the result has its shape
     for i in range(0, batch.shape[0], chunk) or (0,):
         a = batch[i:i + chunk] @ row.points.T
-        parts.append(reduce(a, np.cos(a), np.sin(a)))
+        cos = np.cos(a)
+        # sin a overwrites a, which no reduction reads
+        parts.append(reduce(cos, np.sin(a, out=a)))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
-def _cell_transforms(row: ArrayRow, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Cell transforms sum_a p (cos a - i sin a), one row per t: shape (m, n)."""
-    phis = np.empty((cos.shape[0], row.n), dtype=np.complex128)
-    phis.real = np.add.reduceat(row.probs * cos, row.starts, axis=1)
-    phis.imag = -np.add.reduceat(row.probs * sin, row.starts, axis=1)
-    return phis
+def _cell_transforms(row: ArrayRow, weights: np.ndarray, cos: np.ndarray,
+                     sin: np.ndarray) -> np.ndarray:
+    """Per-cell sums of w (cos a - i sin a), one row per t: shape (m, n).
+
+    Weights p give the cell transforms phi_k(t) = E[e^{-i <t, X_k>}].
+    """
+    out = np.empty((cos.shape[0], row.n), dtype=np.complex128)
+    out.real = np.add.reduceat(weights * cos, row.starts, axis=1)
+    out.imag = -np.add.reduceat(weights * sin, row.starts, axis=1)
+    return out
 
 
 def row_sum_charfn(row: ArrayRow, t):
@@ -106,7 +113,7 @@ def row_sum_charfn(row: ArrayRow, t):
     """
     batch, is_batch = _as_batch(t, row.dimension)
     values = _phase_pass(
-        row, batch, lambda a, cos, sin: np.prod(_cell_transforms(row, cos, sin), axis=1)
+        row, batch, lambda cos, sin: np.prod(_cell_transforms(row, row.probs, cos, sin), axis=1)
     )
     return values if is_batch else complex(values[0])
 

@@ -177,9 +177,8 @@ def cells_doc_oracle(row) -> list:
 
 
 def r_factor_exp_form(a) -> np.ndarray:
-    """R(a) = (1 - e^{-ia})/(ia) - 1 through one complex exp, with the
-    Taylor terms through a^4 below |a| < 1e-4 (the form the gap identity
-    used before it took cos a and sin a from the phase pass)."""
+    """R(a) = (1 - e^{-ia})/(ia) - 1 = int_0^1 (e^{-ira} - 1) dr through one
+    complex exp, with the Taylor terms through a^4 below |a| < 1e-4."""
     a = np.asarray(a, dtype=np.float64)
     out = np.empty(a.shape, dtype=np.complex128)
     big = np.abs(a) >= 1e-4
@@ -188,6 +187,43 @@ def r_factor_exp_form(a) -> np.ndarray:
     w = -1j * a[~big]
     out[~big] = w * (1.0 / 2.0 + w * (1.0 / 6.0 + w * (1.0 / 24.0 + w / 120.0)))
     return out
+
+
+def identity_integrand_r_form(row, t, s: float) -> complex:
+    """The gap identity's s-integrand in its Stein form, one cell and one
+    atom at a time: at u = sqrt(s),
+
+      sum_k prod_{j!=k} phi_j(u t) [ sum_a p_a d_a^2 R(u d_a)
+                                     - (phi_k(u t) - 1) m2_k ] e^{-(1-s)|t|^2/2},
+
+    with d_a = <x_a, t>, m2_k = sum_a p_a d_a^2, R from ``r_factor_exp_form``
+    and every exclusive product taken directly."""
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    u = math.sqrt(s)
+    cells = list(row.cells())
+    phis = [cell_charfn(points, probs, u * t) for points, probs in cells]
+    total = 0j
+    for k, (points, probs) in enumerate(cells):
+        others = 1.0 + 0j
+        for j, phi in enumerate(phis):
+            if j != k:
+                others *= phi
+        same, m2 = 0j, 0.0
+        for x, p in zip(points, probs):
+            d = float(x @ t)
+            same += p * d * d * complex(r_factor_exp_form(u * d))
+            m2 += p * d * d
+        total += others * (same - (phis[k] - 1.0) * m2)
+    return total * math.exp(-0.5 * (1.0 - s) * float(t @ t))
+
+
+def rademacher_gap_closed_form(n: int, t: float) -> float:
+    """|phi_Gauss(t) - cos(t/sqrt(n))^n| for the rademacher row, as
+    e^{-t^2/2} |expm1(n log1p(-2 sin^2(x/2)) + t^2/2)| with x = t/sqrt(n),
+    so that a tiny gap keeps its relative accuracy."""
+    x = t / math.sqrt(n)
+    log_cos = math.log1p(-2.0 * math.sin(0.5 * x) ** 2)
+    return math.exp(-0.5 * t * t) * abs(math.expm1(n * log_cos + 0.5 * t * t))
 
 
 def fd_gradient_of_solution(t, x, step: float = 1e-5) -> np.ndarray:

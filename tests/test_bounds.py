@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import steinclt.bounds as bounds_module
 import steinclt.util as util
-from oracles import master_bound_oracle, r_factor_exp_form
+from oracles import identity_integrand_r_form, master_bound_oracle
 from steinclt import (
     ArrayRow,
     EtaAlphaFamily,
@@ -29,6 +30,7 @@ from steinclt import (
     lindeberg_index_estimate,
     lindeberg_sum,
     master_bound,
+    row_sum_charfn,
     theorem_bound_report,
     truncation_bound_check,
 )
@@ -154,20 +156,51 @@ def test_identity_rhs_node_chunking_is_transparent(monkeypatch):
     assert chunked[1] == whole[1]
 
 
-def test_r_factor_from_cos_sin_matches_exp_form():
-    from steinclt.bounds import _r_factor
+def identity_integrand(row, t):
+    """identity_rhs's s-integrand f, taken from its integrate_unit call."""
+    seen = []
 
-    mags = np.concatenate([
-        np.geomspace(1e-6, 1e3, 2001),
-        [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), np.pi, 3 * np.pi],
-    ])
-    a = np.concatenate([mags, -mags, [0.0]])
-    got = _r_factor(a, np.cos(a), np.sin(a))
-    assert np.max(np.abs(got - r_factor_exp_form(a))) <= 1e-15
-    # 2-D phase arrays, as the phase pass hands them over
-    grid = a[:-1].reshape(2, -1)
-    assert np.array_equal(_r_factor(grid, np.cos(grid), np.sin(grid)).ravel(),
-                          _r_factor(a[:-1], np.cos(a[:-1]), np.sin(a[:-1])))
+    def capture(f, *args, **kwargs):
+        seen.append(f)
+        return 0.0, 0.0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds_module, "integrate_unit", capture)
+        identity_rhs(row, t)
+    return seen[0]
+
+
+KERNEL_S = np.array([1e-12, 1e-8, 1e-4, 0.01, 0.5, 0.99])
+# measured worst case over 2000 examples: 2u |f - oracle| = 4.2 eps (1 + |t|^2)
+KERNEL_ULPS = 16
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_and_t())
+def test_identity_integrand_matches_the_r_form_oracle(case):
+    # the quadrature integrates 2u f(u^2), whose weight cancels the eps/u
+    # rounding of psi - mu near s = 0, so that is the scale compared
+    row, t = case
+    f = identity_integrand(row, t)(KERNEL_S)
+    oracle = np.array([identity_integrand_r_form(row, t, s) for s in KERNEL_S])
+    weight = 2.0 * np.sqrt(KERNEL_S)
+    tol = KERNEL_ULPS * np.finfo(float).eps * (1.0 + float(t @ t))
+    assert np.max(np.abs(weight * (f - oracle))) <= tol
+
+
+@pytest.mark.parametrize("row, t", [
+    (build_eta_row(0.5, 1000), np.array([2.0])),
+    (build_product_row([build_rademacher_row(6), build_eta_row(0.3, 6)]), np.array([1.2, -0.7])),
+])
+def test_identity_integrand_is_minus_twice_the_path_derivative(row, t):
+    # g(s) = phi_row(sqrt(s) t) e^{-(1-s)|t|^2/2} runs from phi_Gauss(t) to phi_row(t)
+    def g(s):
+        return row_sum_charfn(row, np.sqrt(s) * t) * np.exp(-0.5 * (1.0 - s) * float(t @ t))
+
+    s, h = np.array([0.05, 0.3, 0.7, 0.95]), 1e-5
+    f = identity_integrand(row, t)(s)
+    central = np.array([(g(v + h) - g(v - h)) / (2.0 * h) for v in s])
+    assert np.max(np.abs(f + 2.0 * central)) <= 1e-8
 
 
 def test_identity_report_fields():
