@@ -80,9 +80,8 @@ SLACK_FLOOR = 1e-3
 DEFAULT_BOUND_EPS_GRID = (1.0, 0.5, 0.2, 0.1, 0.05)
 
 
-def identity_lhs(row: ArrayRow, t) -> complex:
-    """Exact left side: phi_Gauss(t) - phi_row(t)."""
-    t = as_vector(t, row.dimension)
+def identity_lhs(row: ArrayRow, t):
+    """Exact left side: phi_Gauss(t) - phi_row(t); an (m, N) batch gives m values."""
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
 
@@ -101,7 +100,7 @@ def identity_rhs(
     """
     t = as_vector(t, row.dimension)
     tt = float(t @ t)
-    d = row.points @ t
+    d = row.project(t)
     pd = row.probs * d
     mu = row.per_cell_sum(pd)
     m2t = row.per_cell_sum(pd * d)
@@ -146,23 +145,19 @@ def decomposition_check(
 ) -> IdentityReport:
     """Exact lhs vs quadrature rhs, per t of a single t or an (m, N) batch.
 
-    Every entry is its own single-t ``identity_lhs`` and ``identity_rhs``
-    call (one rhs quadrature per t, so a hard t refines only its own
-    entry); a batch runs them on up to one thread per core.
+    The lhs is one ``identity_lhs`` call, the rhs one ``identity_rhs``
+    quadrature per t (a hard t refines only its own entry) on up to one
+    thread per core; every entry equals the single-t call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
-
-    def check(v):
-        lhs = identity_lhs(row, v)
-        rhs, err = identity_rhs(row, v, spec)
-        # the builtin abs of a complex: np.abs may round |z| otherwise
-        return lhs, rhs, abs(lhs - rhs), err
-
-    entries = _fan_out(check, batch)
-    # complex columns hold the float ones exactly
-    lhs, rhs, residual, err = np.array(entries, dtype=np.complex128).reshape(-1, 4).T
+    lhs = identity_lhs(row, batch)
+    pairs = _fan_out(lambda v: identity_rhs(row, v, spec), batch)
+    rhs = np.array([value for value, _ in pairs], dtype=np.complex128)
+    err = np.array([error for _, error in pairs], dtype=np.float64)
+    # the builtin abs of a complex: np.abs may round |z| otherwise
+    residual = np.array([abs(z) for z in lhs - rhs], dtype=np.float64)
     pick = slice(None) if is_batch else 0
-    return IdentityReport(lhs[pick], rhs[pick], residual.real[pick], err.real[pick])
+    return IdentityReport(lhs[pick], rhs[pick], residual[pick], err[pick])
 
 
 def truncation_bound_check(
@@ -182,7 +177,7 @@ def truncation_bound_check(
     eps = float(_eps_grid(eps, scalar=True))
     if not 0.0 <= s <= 1.0 or not 0.0 <= r <= 1.0:
         raise ParameterError("s and r must lie in [0, 1]")
-    factor = np.abs(np.exp(-1j * np.sqrt(s) * r * (row.points @ t)) - 1.0)
+    factor = np.abs(np.exp(-1j * np.sqrt(s) * r * row.project(t)) - 1.0)
     lhs = float(np.sum(_copy_weights(row, copy) * factor))
     rhs = eps * row.dimension + 2.0 * l_sum(row, copy, t, eps)
     return lhs, rhs
@@ -235,10 +230,7 @@ def master_bound(row: ArrayRow, t, eps) -> BoundReport:
     batch, is_batch = _as_batch(t, row.dimension)
     grid = _eps_grid(eps)
     term_same, term_indep = _directional_sums(row, batch, grid)
-    # single-t calls, so every entry equals the single-t report: a batched phase
-    # pass may round <t, x> otherwise in dimensions 2-3
-    gap = np.array([charfn_gap(row, v) for v in batch])
-    envelope = 1.0 - np.array([gaussian_charfn(v) for v in batch])
+    gap, envelope = charfn_gap(row, batch), 1.0 - gaussian_charfn(batch)
 
     pick = (slice(None) if is_batch else 0, slice(None) if grid.ndim else 0)
 
@@ -354,9 +346,7 @@ def theorem_bound_report(
     corollary_rhs = 2.0 * lin
 
     gap_tail = np.max(gap_table[:, -window:], axis=1)
-    # gaussian_charfn's own t @ t per row, so the envelope matches it bit for bit
-    envelope = 1.0 - np.array([gaussian_charfn(t) for t in batch])
-    theorem_rhs = 2.0 * envelope * (l_same + l_indep)
+    theorem_rhs = 2.0 * (1.0 - gaussian_charfn(batch)) * (l_same + l_indep)
     return AsymptoticReport(
         family_label=family.label,
         tail_window=tail_window,

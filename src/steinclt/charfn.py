@@ -16,16 +16,16 @@ and estimates.  Monte Carlo counterparts (``empirical_charfn``,
 ``kolmogorov_mc``) provide independent cross-checks of the exact paths.
 
 Every exact row transform comes from one phase pass, ``_phase_pass``:
-for an (m, N) batch T it forms a = T x^T over all atoms, then cos a and
-sin a, in chunks of at most ``_PHASE_BUDGET`` (t-values x atoms)
-elements, and hands each chunk's (cos a, sin a) to a reduction.  The
-only cell-level transform is ``_cell_transforms``, the per-cell sums of
+for an (m, N) batch T it forms a = row.project(T), then cos a and sin a,
+in chunks of at most ``_PHASE_BUDGET`` (t-values x atoms) elements, and
+hands each chunk's (cos a, sin a) to a reduction.  The only cell-level
+transform is ``_cell_transforms``, the per-cell sums of
 w cos a - i w sin a for per-atom weights w: weights p give the cell
 transforms (a one-cell row gives a single cell's transform through
 ``row_sum_charfn``), and the gap identity of the bounds module also
-takes weights p <x, t> from the same chunk for its s-integrand.  The
-row transform and the gap take a single t or a 2-D (m, N) batch; a
-batch returns one entry per row of T.
+takes weights p <x, t> from the same chunk for its s-integrand.  Each
+transform and the gap take one t or a 2-D (m, N) batch, one entry per
+row of T equal to its single-t call.
 """
 
 from __future__ import annotations
@@ -64,12 +64,12 @@ _COUNTING_MAX_ATOMS = 64
 _MIN_BLOCK_SAMPLES = 16_384
 
 
-def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
-    """(T, is_batch): a 2-D (m, N) batch as given, any other t as a (1, N) batch."""
+def _as_batch(t, dim: int | None) -> tuple[np.ndarray, bool]:
+    """(T, is_batch): a 2-D (m, N) batch as given, any other t as (1, N); dim=None takes any N."""
     if np.ndim(t) != 2:
         return as_vector(t, dim)[None, :], False
     batch = np.asarray(t, dtype=np.float64)
-    if batch.shape[1] != dim:
+    if dim is not None and batch.shape[1] != dim:
         raise ShapeError(f"t has dimension {batch.shape[1]}, expected {dim}")
     if not np.all(np.isfinite(batch)):
         raise ParameterError("t must be finite")
@@ -79,15 +79,15 @@ def _as_batch(t, dim: int) -> tuple[np.ndarray, bool]:
 def _phase_pass(row: ArrayRow, batch: np.ndarray, reduce) -> np.ndarray:
     """reduce(cos a, sin a) over row-chunks of the batch, stacked along axis 0.
 
-    a = T x^T holds <t, x_a> for every t of the chunk and every atom, so
-    each array is (chunk x total_atoms) with chunk x total_atoms at most
+    a = row.project(chunk) holds <t, x_a> for every t and atom, so each
+    array is (chunk x total_atoms) with chunk x total_atoms at most
     _PHASE_BUDGET (one t per chunk when a row has more atoms than that).
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
     parts = []
     # an empty batch still makes one (0, atoms) pass, so the result has its shape
     for i in range(0, batch.shape[0], chunk) or (0,):
-        a = batch[i:i + chunk] @ row.points.T
+        a = row.project(batch[i:i + chunk])
         cos = np.cos(a)
         # sin a overwrites a, which no reduction reads
         parts.append(reduce(cos, np.sin(a, out=a)))
@@ -118,10 +118,12 @@ def row_sum_charfn(row: ArrayRow, t):
     return values if is_batch else complex(values[0])
 
 
-def gaussian_charfn(t) -> float:
-    """Transform of the standard normal vector: exp(-|t|^2 / 2)."""
-    t = as_vector(t)
-    return float(np.exp(-0.5 * float(t @ t)))
+def gaussian_charfn(t):
+    """Transform of the standard normal vector: exp(-|t|^2 / 2), |t|^2 added in
+    coordinate order.  A 2-D (m, N) batch of t gives an array of m values."""
+    batch, is_batch = _as_batch(t, None)
+    values = np.exp(-0.5 * sum((c * c for c in batch.T), np.zeros(len(batch))))
+    return values if is_batch else float(values[0])
 
 
 def charfn_gap(row: ArrayRow, t):
@@ -130,8 +132,7 @@ def charfn_gap(row: ArrayRow, t):
     A 2-D (m, N) batch of t gives an array of m gaps.
     """
     batch, is_batch = _as_batch(t, row.dimension)
-    gauss = np.exp(-0.5 * np.sum(batch * batch, axis=1))
-    gaps = np.abs(gauss - row_sum_charfn(row, batch))
+    gaps = np.abs(gaussian_charfn(batch) - row_sum_charfn(row, batch))
     return gaps if is_batch else float(gaps[0])
 
 

@@ -20,8 +20,8 @@ one option with an alias --<axis>-list; each takes ``start:stop:step``
 must be integral, and --n with a --spec row is a usage error.  Reports
 embed the resolved configuration and tool version and contain no
 timestamps, so identical argv (and seed) produce byte-identical files.
-Exit codes: 0 all checks passed, 1 check failure, 2 usage/parse error,
-3 quadrature convergence failure.
+Exit codes: 0 all checks passed, 1 check failure, 2 usage/parse error
+or a row too large to build, 3 quadrature convergence failure.
 """
 
 from __future__ import annotations
@@ -551,7 +551,7 @@ def execute(argv=None) -> int:
     except RowValidationError as exc:
         print(f"stein-clt: {exc}", file=sys.stderr)
         return 1 if args.command == "validate" else 2
-    except (RowSpecError, SteinCltError, OSError, ValueError) as exc:
+    except (RowSpecError, SteinCltError, OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"stein-clt: {exc}", file=sys.stderr)
         return 2
 

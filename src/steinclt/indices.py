@@ -173,7 +173,7 @@ def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
                         expectation factorises exactly.
     """
     t = as_vector(t, row.dimension)
-    return _tail_sums(np.abs(row.points @ t), _copy_weights(row, copy), threshold)
+    return _tail_sums(np.abs(row.project(t)), _copy_weights(row, copy), threshold)
 
 
 def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -186,7 +186,7 @@ def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.
     same, indep = _copy_weights(row, "same"), _copy_weights(row, "independent")
     sums = np.empty((2, len(batch), grid.size))
     for i, t in enumerate(batch):
-        values = row.points @ t
+        values = row.project(t)
         np.abs(values, out=values)
         sums[:, i] = _tail_sums(values, same, grid), _tail_sums(values, indep, grid)
     return sums[0], sums[1]

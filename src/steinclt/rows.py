@@ -141,6 +141,15 @@ class ArrayRow:
         """Per-cell sums of a per-atom array (vectorised reduceat)."""
         return np.add.reduceat(values, self.starts, axis=0)
 
+    def project(self, t) -> np.ndarray:
+        """<t, x_a> per atom, (A,) for one t or (m, A) for an (m, N) batch: the one
+        projection, adding t_j x_j in coordinate order so each entry needs only its t."""
+        t = np.asarray(t, dtype=np.float64)
+        a = t[..., 0, None] * self.points[:, 0]
+        for j in range(1, self.dimension):
+            a += t[..., j, None] * self.points[:, j]
+        return a
+
     def squared_norms(self) -> np.ndarray:
         """|x|^2 per atom, cached (rows are immutable after construction)."""
         if self._norm2 is None:

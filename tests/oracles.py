@@ -63,6 +63,15 @@ def index_flags_oracle(per_point, eps_grid, window: int):
     return tuple(increasing), tuple(wandering)
 
 
+def project_oracle(x, t) -> float:
+    """<t, x> for one atom x, as Python floats added over the coordinates
+    in order: the summation rule of ``ArrayRow.project``."""
+    total = float(t[0]) * float(x[0])
+    for tj, xj in zip(t[1:], x[1:]):
+        total += float(tj) * float(xj)
+    return total
+
+
 def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
     """Truncated second-moment sum, one cell and one atom at a time.
 
@@ -78,7 +87,7 @@ def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
         if copy == "lindeberg":
             exceeds = norm2 > threshold * threshold
         else:
-            exceeds = np.abs(points @ np.atleast_1d(t)) > threshold
+            exceeds = [abs(project_oracle(x, np.atleast_1d(t))) > threshold for x in points]
         for p, q, hit in zip(probs, norm2, exceeds):
             if hit:
                 total += p * (second if copy == "independent" else q)

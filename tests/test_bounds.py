@@ -491,6 +491,23 @@ def test_theorem_report_eta_respects_bounds():
     assert 0.0 <= report.lambda_f <= 2.0
 
 
+def test_two_dim_gap_table_and_report_entries_equal_single_t_calls():
+    family = ProductFamily([EtaAlphaFamily(0.4), RademacherFamily()])
+    t_grid = np.random.default_rng(8).uniform(-3.0, 3.0, (4, 2))
+    n_grid = (10, 20, 40)
+    table, _ = gap_table_with_lambda_f(family, t_grid, n_grid)
+    assert table.tolist() == [[charfn_gap(family.row(n), t) for n in n_grid] for t in t_grid]
+    report = theorem_bound_report(family, t_grid, n_grid, tail_window=2)
+    l_sums = report.l_same_estimate + report.l_indep_estimate
+    for i, t in enumerate(t_grid):
+        gap_tail = max(charfn_gap(family.row(n), t) for n in n_grid[-2:])
+        theorem_rhs = 2.0 * (1.0 - gaussian_charfn(t)) * l_sums
+        assert report.gap_tail_max[i] == gap_tail
+        assert report.theorem_rhs[i] == theorem_rhs
+        assert report.theorem_slack[i] == theorem_rhs - gap_tail
+        assert report.corollary_slack[i] == report.corollary_rhs - gap_tail
+
+
 def test_lambda_f_rademacher_small_at_fixed_t():
     _, estimate = gap_table_with_lambda_f(
         RademacherFamily(), t_grid=np.arange(0.5, 5.01, 0.5),

@@ -145,13 +145,12 @@ def test_batch_entries_match_single_t_calls(dim):
     for row in rows:
         batch = np.vstack([np.zeros(dim), rng.uniform(-5.0, 5.0, (12, dim))])
         values, gaps = row_sum_charfn(row, batch), charfn_gap(row, batch)
-        for t, value, gap in zip(batch, values, gaps):
-            if dim == 1:  # one product per phase: the same bits
-                assert value == row_sum_charfn(row, t)
-                assert gap == charfn_gap(row, t)
-            else:  # BLAS may sum <t, x> in another order
-                assert abs(value - row_sum_charfn(row, t)) <= 1e-15
-                assert abs(gap - charfn_gap(row, t)) <= 1e-15
+        gauss = gaussian_charfn(batch)
+        for t, value, gap, g in zip(batch, values, gaps, gauss):
+            # <t, x> and |t|^2 sum each t's coordinates in order: the same bits
+            assert value == row_sum_charfn(row, t)
+            assert gap == charfn_gap(row, t)
+            assert g == gaussian_charfn(t)
 
 
 def test_batch_shape_errors():

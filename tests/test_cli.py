@@ -253,6 +253,25 @@ def test_spec_with_an_oversized_integer_exits_two(tmp_path, capsys):
     assert "document.cells[0].atoms[0].x" in err
 
 
+@pytest.mark.parametrize("family", ["rademacher", "product"])
+def test_a_row_too_large_to_index_exits_two(family, capsys):
+    # n = 1e19 overflows the atom count before anything is allocated
+    code, out, err = run(["gap", "--family", family, "--n", "1e19", "--t", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("stein-clt: ") and err.count("\n") == 1
+
+
+def test_a_row_too_large_to_allocate_exits_two(monkeypatch, capsys):
+    # the allocation is refused by a stub: a real one could be granted and the
+    # process then killed by the kernel
+    def refuse(self, n):
+        raise MemoryError(f"Unable to allocate the atoms of n={n}")
+
+    monkeypatch.setattr(RademacherFamily, "_build", refuse)
+    code, out, err = run(["gap", "--family", "rademacher", "--n", "3e9", "--t", "1"], capsys)
+    assert (code, out, err) == (2, "", "stein-clt: Unable to allocate the atoms of n=3000000000\n")
+
+
 def test_convergence_failure_exits_three(capsys):
     code, _, err = run(
         ["identity", "--family", "rademacher", "--n", "25", "--t", "1",
@@ -461,7 +480,8 @@ def assert_reports_pinned(name, capsys):
 def test_bound_and_l_sum_reports_are_pinned(capsys):
     # reports of an eta row and a dim-3 product row (off-diagonal direction)
     # written by the per-(t, eps) assembly that preceded the master-bound
-    # table; the table must reproduce them byte for byte
+    # table; the table must reproduce them byte for byte.  The dim-3 bound
+    # entries were re-written when <t, x> took the in-order projection.
     assert_reports_pinned("bound_and_l_sum_reports.json", capsys)
 
 
@@ -470,6 +490,7 @@ def test_identity_and_charfn_reports_are_pinned(capsys):
     # records that preceded the identity table and the (value, stderr)
     # arrays: rows in dims 1-3, a 13-point t range along a direction and
     # one sample.  A residual taken with np.abs moves the dim-3 one by an ulp.
+    # The dims 2-3 entries were re-written when <t, x> took the in-order projection.
     assert_reports_pinned("identity_and_charfn_reports.json", capsys)
 
 

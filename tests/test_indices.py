@@ -296,7 +296,7 @@ def rows_t_and_grids(draw):
         st.just([0.0] * row.dimension),
         st.lists(coords, min_size=row.dimension, max_size=row.dimension),
     )))
-    tie = float(np.abs(row.points @ t)[draw(st.integers(0, row.total_atoms - 1))])
+    tie = float(np.abs(row.project(t))[draw(st.integers(0, row.total_atoms - 1))])
     base = draw(st.lists(st.floats(0.0, 4.0), min_size=1, max_size=5))
     grid = draw(st.permutations(base + [tie, tie, base[0]]))
     return row, t, np.array(grid), tie

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinclt import (
     ArrayRow,
@@ -28,7 +29,7 @@ from steinclt import (
     serialize_row,
     validate_row,
 )
-from oracles import cells_doc_oracle, eta_row_oracle, product_row_oracle
+from oracles import cells_doc_oracle, eta_row_oracle, product_row_oracle, project_oracle
 from strategies import centred_rows
 
 
@@ -379,6 +380,28 @@ def test_random_row_roundtrip_is_bit_exact(row):
     assert np.array_equal(loaded.points, row.points)
     assert np.array_equal(loaded.probs, row.probs)
     assert np.array_equal(loaded.offsets, row.offsets)
+
+
+NINE_COINS = build_product_row([build_rademacher_row(3)] * 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(centred_rows(), st.just(NINE_COINS)), st.data())
+def test_project_batch_entries_equal_single_t_and_the_oracle(row, data):
+    coords = st.one_of(st.just(0.0), st.floats(-6.0, 6.0, allow_subnormal=False))
+    vector = st.lists(coords, min_size=row.dimension, max_size=row.dimension)
+    batch = np.array(data.draw(st.lists(vector, max_size=5))).reshape(-1, row.dimension)
+    table = row.project(batch)
+    assert table.shape == (len(batch), row.total_atoms)
+    for values, t in zip(table, batch):
+        single = row.project(t)
+        assert single.shape == (row.total_atoms,)
+        assert values.tolist() == single.tolist()
+        assert single.tolist() == [project_oracle(x, t) for x in row.points]
+        if row.dimension == 1:  # one product per atom, as in a matrix product
+            assert single.tolist() == (row.points @ t).tolist()
+    if row.dimension == 1:
+        assert table.tolist() == (batch @ row.points.T).tolist()
 
 
 def test_family_roundtrips():
