@@ -222,10 +222,10 @@ class BoundReport:
 def master_bound(row: ArrayRow, t, eps) -> BoundReport:
     """Evaluate every term of the master inequality exactly, per (t, eps).
 
-    t is a single vector (a 1-D row also takes a scalar) or an (m, N)
-    batch, as for ``charfn_gap``; eps is a scalar or a 1-D grid.  Both
-    tail sums of every (t, eps) come from one directional pass over the
-    atoms per t, and every entry equals the single (t, eps) call.
+    t is one vector (a 1-D row also takes a scalar) or an (m, N) batch;
+    eps is a scalar or a 1-D grid.  The gaps are one ``charfn_gap`` call,
+    both tail sums one directional pass over the atoms per t, and every
+    entry equals the single (t, eps) call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     grid = _eps_grid(eps)
