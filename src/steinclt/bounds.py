@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charfn import _as_batch, _cell_transforms, _phase_pass, charfn_gap, gaussian_charfn
+from .charfn import _as_batch, _cell_transforms, charfn_gap, gaussian_charfn
 from .charfn import row_sum_charfn
 from .errors import ParameterError, ShapeError
 from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _directional_sums, _eps_grid, _tail_window
@@ -90,13 +90,13 @@ def identity_rhs(
 ) -> tuple[complex, float]:
     """Right side of the identity, by one adaptive s-quadrature.
 
-    Each batch of s-nodes is one charfn phase pass over sqrt(s) t, which
-    also bounds the memory of atom-heavy rows, and each node takes the
-    cell transforms phi_k (weights p) and psi_k (weights p <x, t>) from
-    it.  The pass returns sum_k prod_{j!=k} phi_j (psi_k - mu_k) and
-    sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand divides
-    the first by sqrt(s), which the pass does not see.  Returns (value,
-    estimated quadrature error).
+    Each batch of s-nodes is one ``charfn._cell_transforms`` call over
+    sqrt(s) t, which also bounds the memory of atom-heavy rows, and gives
+    each node the cell transforms phi_k (weights p) and psi_k (weights
+    p <x, t>).  Its reduction returns sum_k prod_{j!=k} phi_j (psi_k -
+    mu_k) and sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand
+    divides the first by sqrt(s), which the reduction does not see.
+    Returns (value, estimated quadrature error).
     """
     t = as_vector(t, row.dimension)
     tt = float(t @ t)
@@ -105,16 +105,15 @@ def identity_rhs(
     mu = row.per_cell_sum(pd)
     m2t = row.per_cell_sum(pd * d)
 
-    def eval_nodes(cos, sin):
-        phis = _cell_transforms(row, row.probs, cos, sin)
+    def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
-        moved = np.sum(excl * (_cell_transforms(row, pd, cos, sin) - mu), axis=1)
+        moved = np.sum(excl * (psis - mu), axis=1)
         return np.stack([moved, np.sum(excl * phis * m2t, axis=1)], axis=-1)
 
     def integrand(s):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         u = np.sqrt(s)
-        moved, second = _phase_pass(row, u[:, None] * t, eval_nodes).T
+        moved, second = _cell_transforms(row, u[:, None] * t, (row.probs, pd), eval_nodes).T
         return (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tt)
 
     value, err = integrate_unit(integrand, spec, return_error=True)
@@ -147,7 +146,8 @@ def decomposition_check(
 
     The lhs is one ``identity_lhs`` call, the rhs one ``identity_rhs``
     quadrature per t (a hard t refines only its own entry) on up to one
-    thread per core; every entry equals the single-t call.
+    thread per core, each running its transform tiles in turn; every
+    entry equals the single-t call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     lhs = identity_lhs(row, batch)

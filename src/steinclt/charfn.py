@@ -15,17 +15,23 @@ the quantity whose sup/limsup behaviour the rest of the package bounds
 and estimates.  Monte Carlo counterparts (``empirical_charfn``,
 ``kolmogorov_mc``) provide independent cross-checks of the exact paths.
 
-Every exact row transform comes from one phase pass, ``_phase_pass``:
-for an (m, N) batch T it forms a = row.project(T), then cos a and sin a,
-in chunks of at most ``_PHASE_BUDGET`` (t-values x atoms) elements, and
-hands each chunk's (cos a, sin a) to a reduction.  The only cell-level
-transform is ``_cell_transforms``, the per-cell sums of
-w cos a - i w sin a for per-atom weights w: weights p give the cell
-transforms (a one-cell row gives a single cell's transform through
-``row_sum_charfn``), and the gap identity of the bounds module also
-takes weights p <x, t> from the same chunk for its s-integrand.  Each
-transform and the gap take one t or a 2-D (m, N) batch, one entry per
-row of T equal to its single-t call.
+Every exact row transform comes from one kernel, ``_cell_transforms``:
+for an (m, N) batch T and a tuple of per-atom weights w it hands a
+reduction, for each chunk of at most ``_PHASE_BUDGET`` (t-values x
+atoms), the per-cell sums of w cos a - i w sin a, a = <t, x_a>, one
+(chunk, n) complex array per weight.  Weights p give the cell transforms
+(a one-cell row gives a single cell's transform through
+``row_sum_charfn``), and the gap identity of the bounds module also takes
+weights p <x, t> for its s-integrand.  A chunk is formed in tiles of at
+most ``_TILE_ELEMENTS`` (t-values x atoms) over whole cells: a tile
+projects its own atoms with ``ArrayRow.project``, takes cos and sin and
+writes one reduceat per weight, so the peak memory is a few tiles and the
+chunk's outputs.  The tiles run on up to one thread per core through
+``util._fan_out``, which spends threads at one level only: inside a
+fan-out worker (one t of ``bounds.decomposition_check``) they run in turn.
+Each per-cell sum is one reduceat over the same atoms however the tiles
+fall, and each transform and the gap take one t or a 2-D (m, N) batch,
+one entry per row of T equal to its single-t call, bit for bit.
 """
 
 from __future__ import annotations
@@ -48,8 +54,16 @@ __all__ = [
 ]
 
 
-# cap on (t-values x atoms) elements of each phase array in _phase_pass
+# cap on (t-values x atoms) of each t-chunk of _cell_transforms, which
+# bounds the (chunk, n) transforms a reduction is handed
 _PHASE_BUDGET = 1_000_000
+
+# cap on (t-values x atoms) elements of each tile of a chunk: 2**15 doubles
+# (256 kB) keep a tile's temporaries in cache while its fixed cost of about
+# 30 us stays near 3% of its 1 ms of work (2-core x86 VM, identity_rhs on the
+# 400k-atom eta row: 569 ms at 2**15, 561 at 2**16, 668 at 2**14, 926 at
+# 2**12; the 2**16 tiles raised the sweep benchmark's peak RSS)
+_TILE_ELEMENTS = 2**15
 
 # sample_row_sums counts comparisons up to this many atoms per cell and
 # binary-searches above: one pass per atom against a log-depth search
@@ -76,34 +90,60 @@ def _as_batch(t, dim: int | None) -> tuple[np.ndarray, bool]:
     return batch, True
 
 
-def _phase_pass(row: ArrayRow, batch: np.ndarray, reduce) -> np.ndarray:
-    """reduce(cos a, sin a) over row-chunks of the batch, stacked along axis 0.
+def _tiles(row: ArrayRow, rows: int) -> list[tuple[slice, int, int]]:
+    """(t rows, first cell, end cell) tiles covering a chunk of ``rows`` t.
 
-    a = row.project(chunk) holds <t, x_a> for every t and atom, so each
-    array is (chunk x total_atoms) with chunk x total_atoms at most
-    _PHASE_BUDGET (one t per chunk when a row has more atoms than that).
+    Cells are packed in order into blocks of at most max(1, _TILE_ELEMENTS
+    // rows) atoms (a larger cell is a block of its own), and a block of A
+    atoms is cut into runs of max(1, _TILE_ELEMENTS // A) t rows, so a
+    tile holds at most _TILE_ELEMENTS elements unless it is one t by one
+    cell.
+    """
+    width = max(1, _TILE_ELEMENTS // rows)
+    offsets, tiles, k = row.offsets, [], 0
+    while k < row.n:
+        end = max(k + 1, int(np.searchsorted(offsets, offsets[k] + width, side="right")) - 1)
+        step = max(1, _TILE_ELEMENTS // int(offsets[end] - offsets[k]))
+        tiles += [(slice(i, i + step), k, end) for i in range(0, rows, step)]
+        k = end
+    return tiles
+
+
+def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -> np.ndarray:
+    """reduce(*transforms) over row-chunks of the batch, stacked along axis 0.
+
+    For each per-atom weight w the transform is the (chunk, n) complex
+    array of per-cell sums of w (cos a - i sin a), a = <t, x_a>; weights
+    p give the cell transforms phi_k(t) = E[e^{-i <t, X_k>}].  A chunk
+    holds at most max(1, _PHASE_BUDGET // total_atoms) t and is formed in
+    ``_tiles``: each tile projects its own atoms, takes cos a and sin a,
+    and writes one reduceat per weight over its cells into its columns,
+    so every per-cell sum is the same reduceat over the same atoms, and
+    neither the tiles nor the threads they run on change a bit.
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
-    parts = []
-    # an empty batch still makes one (0, atoms) pass, so the result has its shape
+    offsets, parts = row.offsets, []
+    # an empty batch still makes one (0, n) pass, so the result has its shape
     for i in range(0, batch.shape[0], chunk) or (0,):
-        a = row.project(batch[i:i + chunk])
-        cos = np.cos(a)
-        # sin a overwrites a, which no reduction reads
-        parts.append(reduce(cos, np.sin(a, out=a)))
+        block = batch[i:i + chunk]
+        outs = [np.empty((len(block), row.n), dtype=np.complex128) for _ in weights]
+
+        def tile(job: tuple[slice, int, int]) -> None:
+            rows, k0, k1 = job
+            lo, hi = offsets[k0], offsets[k1]
+            a = row.project(block[rows], lo, hi)
+            cos = np.cos(a)
+            # sin a overwrites a, which no sum reads
+            sin = np.sin(a, out=a)
+            cuts = offsets[k0:k1] - lo
+            for w, out in zip(weights, outs):
+                w = w[lo:hi]
+                out.real[rows, k0:k1] = np.add.reduceat(w * cos, cuts, axis=1)
+                out.imag[rows, k0:k1] = -np.add.reduceat(w * sin, cuts, axis=1)
+
+        _fan_out(tile, _tiles(row, len(block)) if len(block) else ())
+        parts.append(reduce(*outs))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _cell_transforms(row: ArrayRow, weights: np.ndarray, cos: np.ndarray,
-                     sin: np.ndarray) -> np.ndarray:
-    """Per-cell sums of w (cos a - i sin a), one row per t: shape (m, n).
-
-    Weights p give the cell transforms phi_k(t) = E[e^{-i <t, X_k>}].
-    """
-    out = np.empty((cos.shape[0], row.n), dtype=np.complex128)
-    out.real = np.add.reduceat(weights * cos, row.starts, axis=1)
-    out.imag = -np.add.reduceat(weights * sin, row.starts, axis=1)
-    return out
 
 
 def row_sum_charfn(row: ArrayRow, t):
@@ -112,9 +152,7 @@ def row_sum_charfn(row: ArrayRow, t):
     A 2-D (m, N) batch of t gives a complex array of m values.
     """
     batch, is_batch = _as_batch(t, row.dimension)
-    values = _phase_pass(
-        row, batch, lambda cos, sin: np.prod(_cell_transforms(row, row.probs, cos, sin), axis=1)
-    )
+    values = _cell_transforms(row, batch, (row.probs,), lambda phis: np.prod(phis, axis=1))
     return values if is_batch else complex(values[0])
 
 

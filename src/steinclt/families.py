@@ -11,9 +11,12 @@ with full shortest-repr precision).
 from __future__ import annotations
 
 import json
+import math
 import sys
 
-from .errors import ConstructionError, RowSpecError, RowValidationError, ShapeError
+import numpy as np
+
+from .errors import ConstructionError, ParameterError, RowSpecError, RowValidationError, ShapeError
 from .rows import (
     ArrayRow,
     build_eta_row,
@@ -40,6 +43,8 @@ class ArrayFamily:
     """Base class: a generator of standard rows, one per n."""
 
     kind: str = "abstract"
+    # the most atoms a cell of any row of the family can hold
+    _cell_atoms: int = 1
 
     def __init__(self):
         self._cache: dict[int, ArrayRow] = {}
@@ -57,6 +62,11 @@ class ArrayFamily:
 
     def row(self, n: int) -> ArrayRow:
         if n not in self._cache:
+            if n > np.iinfo(np.intp).max // self._cell_atoms:
+                raise ParameterError(
+                    f"{self.label}: n={n} is too large: a row of n cells of up to "
+                    f"{self._cell_atoms} atoms has more atoms than an array can index"
+                )
             self._cache[n] = self._build(n)
         return self._cache[n]
 
@@ -68,6 +78,7 @@ class RademacherFamily(ArrayFamily):
     """i.i.d. +-1/sqrt(n) coins; satisfies the classical CLT condition."""
 
     kind = "rademacher_iid"
+    _cell_atoms = 2
 
     @property
     def dimension(self) -> int:
@@ -84,6 +95,7 @@ class EtaAlphaFamily(ArrayFamily):
     """Two-scale family with tuning parameter alpha (see rows module)."""
 
     kind = "eta_alpha"
+    _cell_atoms = 4
 
     def __init__(self, alpha: float, shifted_start: bool = False):
         super().__init__()
@@ -125,6 +137,10 @@ class ProductFamily(ArrayFamily):
     @property
     def dimension(self) -> int:
         return len(self.factors)
+
+    @property
+    def _cell_atoms(self) -> int:
+        return math.prod(f._cell_atoms for f in self.factors)
 
     @property
     def label(self) -> str:

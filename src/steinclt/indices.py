@@ -90,13 +90,19 @@ def _eps_grid(eps, *, scalar: bool = False) -> np.ndarray:
     return grid
 
 
-def _tail_sums(values: np.ndarray, weights: np.ndarray, thresholds):
-    """sum_a weights[a] * [values[a] > thr] for a scalar or 1-D grid of non-NaN thr."""
+def _thresholds(thresholds) -> np.ndarray:
+    """A scalar or 1-D grid of non-NaN thresholds as a float array."""
     grid = np.asarray(thresholds, dtype=np.float64)
     if grid.ndim > 1:
         raise ParameterError("thresholds must be a scalar or a 1-D grid")
     if np.any(np.isnan(grid)):
         raise ParameterError(f"thresholds must not be NaN, got {thresholds}")
+    return grid
+
+
+def _tail_sums(values: np.ndarray, weights: np.ndarray, thresholds):
+    """sum_a weights[a] * [values[a] > thr] for a scalar or 1-D grid of non-NaN thr."""
+    grid = _thresholds(thresholds)
     sums = np.array([np.sum(weights[values > thr]) for thr in grid.ravel()])
     return float(sums[0]) if grid.ndim == 0 else sums
 
@@ -179,16 +185,21 @@ def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
 def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
     """Both copies' l_sum on a (t, threshold) table: two (m, k) arrays, bit for bit.
 
-    Each copy's weights are built once, and |<x, t>| once per t of the
-    (m, N) batch, in place, so one atom vector is the peak memory.
+    Each copy's weights are built once, |<x, t>| once per t of the (m, N)
+    batch, in place, and the mask of atoms past a threshold once per (t,
+    threshold), so both copies sum the compressed weights that ``l_sum``
+    sums.
     """
-    grid = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    grid = np.atleast_1d(_thresholds(thresholds))
     same, indep = _copy_weights(row, "same"), _copy_weights(row, "independent")
     sums = np.empty((2, len(batch), grid.size))
     for i, t in enumerate(batch):
         values = row.project(t)
         np.abs(values, out=values)
-        sums[:, i] = _tail_sums(values, same, grid), _tail_sums(values, indep, grid)
+        for j, thr in enumerate(grid):
+            # a mask, not an index array, which would add 8 bytes a selected atom to the peak
+            past = values > thr
+            sums[:, i, j] = np.sum(np.compress(past, same)), np.sum(np.compress(past, indep))
     return sums[0], sums[1]
 
 

@@ -141,13 +141,15 @@ class ArrayRow:
         """Per-cell sums of a per-atom array (vectorised reduceat)."""
         return np.add.reduceat(values, self.starts, axis=0)
 
-    def project(self, t) -> np.ndarray:
-        """<t, x_a> per atom, (A,) for one t or (m, A) for an (m, N) batch: the one
-        projection, adding t_j x_j in coordinate order so each entry needs only its t."""
+    def project(self, t, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """<t, x_a> per atom a of start:stop (default all), (A,) for one t or (m, A)
+        for an (m, N) batch: the one projection, adding t_j x_j in coordinate
+        order so each entry needs only its t and its atom."""
         t = np.asarray(t, dtype=np.float64)
-        a = t[..., 0, None] * self.points[:, 0]
+        points = self.points[start:stop]
+        a = t[..., 0, None] * points[:, 0]
         for j in range(1, self.dimension):
-            a += t[..., j, None] * self.points[:, j]
+            a += t[..., j, None] * points[:, j]
         return a
 
     def squared_norms(self) -> np.ndarray:

@@ -96,7 +96,7 @@ def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
 
 def cell_charfn(points, probs, t) -> complex:
     """Exact transform of one cell, sum_atoms p * exp(-i <t, x>), through
-    one complex exp per atom rather than the library's phase pass."""
+    one complex exp per atom rather than the library's tiled cos and sin kernel."""
     return complex(np.sum(probs * np.exp(-1j * (points @ np.atleast_1d(t)))))
 
 

@@ -8,18 +8,20 @@ from steinclt import ArrayRow, RowValidationError
 
 
 @st.composite
-def centred_rows(draw):
+def centred_rows(draw, large_cell: bool = False):
     """Explicit rows of mean-zero cells with 2-4 atoms of unequal mass,
     whitened so the cell covariances sum to the identity.  The cells are
-    not symmetric, so their transforms have imaginary parts.  A draw whose
+    not symmetric, so their transforms have imaginary parts.  With
+    ``large_cell`` one cell holds 30-80 atoms instead.  A draw whose
     rounding leaves the row outside the standard-row tolerances is
     rejected."""
     dim = draw(st.integers(1, 3))
     n = draw(st.integers(dim, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    large = draw(st.integers(0, n - 1)) if large_cell else -1
     cells = []
-    for _ in range(n):
-        atoms = int(rng.integers(2, 5))
+    for k in range(n):
+        atoms = int(rng.integers(30, 81) if k == large else rng.integers(2, 5))
         x = rng.normal(size=(atoms, dim))
         q = rng.uniform(0.1, 1.0, atoms)
         q /= q.sum()

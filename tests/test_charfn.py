@@ -1,3 +1,6 @@
+import os
+import sys
+import threading
 from contextlib import contextmanager
 from unittest import mock
 
@@ -26,6 +29,7 @@ from steinclt import (
     row_sum_charfn,
     sample_row_sums,
 )
+from steinclt.bounds import identity_rhs
 from steinclt.quadrature import _hermite_rule
 from strategies import centred_rows
 
@@ -115,9 +119,7 @@ def rows_and_batches(draw):
 def test_phase_pass_matches_cell_oracle(case):
     row, batch, budget = case
     with mock.patch.object(charfn_module, "_PHASE_BUDGET", budget):
-        phis = charfn_module._phase_pass(
-            row, batch, lambda cos, sin: charfn_module._cell_transforms(row, row.probs, cos, sin)
-        )
+        phis = charfn_module._cell_transforms(row, batch, (row.probs,), lambda phis: phis)
         values = row_sum_charfn(row, batch)
         gaps = charfn_gap(row, batch)
     assert phis.shape == (len(batch), row.n)
@@ -307,6 +309,87 @@ def test_sample_row_sums_consumes_one_block_per_cell():
     assert np.array_equal(sample_row_sums(row, m, RngSeed(8)), expected)
     with _blocks_on(3):
         assert np.array_equal(sample_row_sums(row, m, RngSeed(8)), expected)
+
+
+@st.composite
+def tiled_cases(draw):
+    """(row, (m, N) batch, t): a centred row, a third of them with one
+    cell far larger than the rest, 1-6 t of |t| <= 6 and one t for the
+    identity."""
+    row = draw(centred_rows(large_cell=draw(st.integers(0, 2)) == 0))
+    coords = st.floats(-6.0, 6.0, allow_subnormal=False)
+    vectors = st.lists(coords, min_size=row.dimension, max_size=row.dimension)
+    batch = np.array(draw(st.lists(vectors, min_size=1, max_size=6)))
+    batch *= 6.0 / np.maximum(np.linalg.norm(batch, axis=1, keepdims=True), 6.0)
+    return row, batch, batch[draw(st.integers(0, len(batch) - 1))]
+
+
+@settings(max_examples=12, deadline=None)
+@given(tiled_cases())
+def test_tiles_never_change_a_bit(case):
+    # one cell or a few atoms per tile, on 1-3 threads, gives the default call
+    row, batch, t = case
+    expected = (row_sum_charfn(row, batch), charfn_gap(row, batch), row_sum_charfn(row, t),
+                identity_rhs(row, t))
+    for cap in (1, 5, charfn_module._TILE_ELEMENTS):
+        for cores in (1, 2, 3):
+            with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap), \
+                    mock.patch.object(util, "_cores", lambda: cores):
+                values, gaps = row_sum_charfn(row, batch), charfn_gap(row, batch)
+                single, rhs = row_sum_charfn(row, t), identity_rhs(row, t)
+            assert np.all(values == expected[0]) and np.all(gaps == expected[1])
+            assert single == expected[2] and rhs == expected[3]
+
+
+def test_tiles_on_more_threads_than_cores_under_frequent_switches():
+    # tiles write disjoint columns of shared outputs: a lost or misplaced
+    # write would show as a changed entry
+    row = build_eta_row(0.5, 2000)
+    batch = np.linspace(-4.0, 4.0, 9)[:, None]
+    expected = row_sum_charfn(row, batch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 256), \
+                mock.patch.object(util, "_cores", lambda: 2 * (os.cpu_count() or 1) + 1):
+            for _ in range(3):
+                assert np.all(row_sum_charfn(row, batch) == expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_tiles_hold_at_most_the_cap_unless_one_t_by_one_cell():
+    row = _row_with_cells([2, 3, 40, 1, 4, 2, 2], 1, seed=3)
+    sizes = np.diff(row.offsets)
+    for cap in (1, 5, 8, 39, 64, 10_000):
+        for rows in (1, 2, 3, 17):
+            with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
+                tiles = charfn_module._tiles(row, rows)
+            covered = np.zeros((rows, row.n), dtype=int)
+            for t_rows, k0, k1 in tiles:
+                covered[t_rows, k0:k1] += 1
+                elements = len(range(rows)[t_rows]) * int(np.sum(sizes[k0:k1]))
+                assert elements <= cap or (len(range(rows)[t_rows]), k1 - k0) == (1, 1)
+            assert np.all(covered == 1)
+
+
+def test_a_nested_fan_out_runs_on_its_callers_thread(monkeypatch):
+    monkeypatch.setattr(util, "_cores", lambda: 4)
+
+    def outer(job):
+        return threading.get_ident(), util._fan_out(lambda _: threading.get_ident(), range(5))
+
+    main = threading.get_ident()
+    for worker, inner in util._fan_out(outer, range(3)):
+        assert worker != main and inner == [worker] * 5
+    # the caller's own thread is not a worker: its next fan-out uses the pool
+    assert main not in util._fan_out(lambda _: threading.get_ident(), range(3))
+
+    def failing(job):
+        return util._fan_out(lambda j: 1 // (j - 2), range(4))
+
+    with pytest.raises(ZeroDivisionError):
+        util._fan_out(failing, range(3))
 
 
 def test_threads_follow_the_cpus_this_process_may_use(monkeypatch):

@@ -253,12 +253,18 @@ def test_spec_with_an_oversized_integer_exits_two(tmp_path, capsys):
     assert "document.cells[0].atoms[0].x" in err
 
 
-@pytest.mark.parametrize("family", ["rademacher", "product"])
-def test_a_row_too_large_to_index_exits_two(family, capsys):
-    # n = 1e19 overflows the atom count before anything is allocated
-    code, out, err = run(["gap", "--family", family, "--n", "1e19", "--t", "1"], capsys)
+@pytest.mark.parametrize("family, label", [
+    (["rademacher"], "rademacher_iid"),
+    (["product"], "product(rademacher_iid, rademacher_iid)"),
+    (["eta", "--alpha", "0.5"], "eta_alpha(alpha=0.5)"),
+], ids=["rademacher", "product", "eta"])
+def test_a_row_too_large_to_index_exits_two(family, label, capsys):
+    # n = 1e19 overflows the atom count: the family refuses it, naming
+    # itself and n, before anything is allocated
+    code, out, err = run(["gap", "--family", *family, "--n", "1e19", "--t", "1"], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith("stein-clt: ") and err.count("\n") == 1
+    assert err.startswith(f"stein-clt: {label}: n=10000000000000000000 is too large")
+    assert err.count("\n") == 1
 
 
 def test_a_row_too_large_to_allocate_exits_two(monkeypatch, capsys):

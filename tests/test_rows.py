@@ -393,6 +393,10 @@ def test_project_batch_entries_equal_single_t_and_the_oracle(row, data):
     batch = np.array(data.draw(st.lists(vector, max_size=5))).reshape(-1, row.dimension)
     table = row.project(batch)
     assert table.shape == (len(batch), row.total_atoms)
+    # an atom range gives the same entries as the whole row
+    start = data.draw(st.integers(0, row.total_atoms))
+    stop = data.draw(st.integers(start, row.total_atoms))
+    assert row.project(batch, start, stop).tolist() == table[:, start:stop].tolist()
     for values, t in zip(table, batch):
         single = row.project(t)
         assert single.shape == (row.total_atoms,)
