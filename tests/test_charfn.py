@@ -324,7 +324,7 @@ def tiled_cases(draw):
     return row, batch, batch[draw(st.integers(0, len(batch) - 1))]
 
 
-@settings(max_examples=12, deadline=None)
+@settings(max_examples=6, deadline=None)
 @given(tiled_cases())
 def test_tiles_never_change_a_bit(case):
     # one cell or a few atoms per tile, on 1-3 threads, gives the default call
@@ -351,7 +351,7 @@ def test_tiles_on_more_threads_than_cores_under_frequent_switches():
     sys.setswitchinterval(1e-6)
     try:
         with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 256), \
-                mock.patch.object(util, "_cores", lambda: 2 * (os.cpu_count() or 1) + 1):
+                mock.patch.object(util, "_cores", lambda: (os.cpu_count() or 1) + 2):
             for _ in range(3):
                 assert np.all(row_sum_charfn(row, batch) == expected)
     finally:
