@@ -107,8 +107,13 @@ def identity_rhs(
 
     def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
+        # one expression, as numpy may write it into the temporary psis - mu
+        # with the operands swapped, and a complex product is not commutative
+        # bit for bit; excl * phis * m2t is formed in place in its own order
         moved = np.sum(excl * (psis - mu), axis=1)
-        return np.stack([moved, np.sum(excl * phis * m2t, axis=1)], axis=-1)
+        excl *= phis
+        excl *= m2t
+        return np.stack([moved, excl.sum(axis=1)], axis=-1)
 
     def integrand(s):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))

@@ -25,13 +25,18 @@ atoms), the per-cell sums of w cos a - i w sin a, a = <t, x_a>, one
 weights p <x, t> for its s-integrand.  A chunk is formed in tiles of at
 most ``_TILE_ELEMENTS`` (t-values x atoms) over whole cells: a tile
 projects its own atoms with ``ArrayRow.project``, takes cos and sin and
-writes one reduceat per weight, so the peak memory is a few tiles and the
-chunk's outputs.  The tiles run on up to one thread per core through
-``util._fan_out``, which spends threads at one level only: inside a
-fan-out worker (one t of ``bounds.decomposition_check``) they run in turn.
-Each per-cell sum is one reduceat over the same atoms however the tiles
-fall, and each transform and the gap take one t or a 2-D (m, N) batch,
-one entry per row of T equal to its single-t call, bit for bit.
+writes the per-cell sums of each weight, so the peak memory is a few
+tiles and the chunk's outputs.  The tiles run on up to one thread per core
+through ``util._fan_out``, which spends threads at one level only: inside
+a fan-out worker (one t of ``bounds.decomposition_check``) they run in
+turn.  Each per-cell sum is np.add.reduceat's over the same atoms however
+the tiles fall: the cell's first term plus the rest added left to right.
+``_cell_sums`` takes it with slice adds when the tile's cells share one
+width of at most ``_SLICE_ADD_MAX_WIDTH`` atoms and with reduceat
+otherwise (mixed or wider cells).  Every numpy step of a tile but reduceat
+releases the interpreter lock, so only those tiles serialise on it.  Each
+transform and the gap take one t or a 2-D (m, N) batch, one entry per row
+of T equal to its single-t call, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,6 +70,12 @@ _PHASE_BUDGET = 1_000_000
 # 2**12; the 2**16 tiles raised the sweep benchmark's peak RSS)
 _TILE_ELEMENTS = 2**15
 
+# widest cell that _cell_sums adds in slices: reduceat adds a cell's first
+# term to numpy's pairwise sum of the rest, a plain left-to-right loop below
+# 8 terms; wider cells keep reduceat, as np.add.reduce, which has its order,
+# made product rows of 16 and 64 atoms 6-14% slower (2-core x86 VM)
+_SLICE_ADD_MAX_WIDTH = 8
+
 # sample_row_sums counts comparisons up to this many atoms per cell and
 # binary-searches above: one pass per atom against a log-depth search
 # (both near 6.5 ms per 1e5 draws at 64 atoms on a 2-core x86 VM)
@@ -90,23 +101,47 @@ def _as_batch(t, dim: int | None) -> tuple[np.ndarray, bool]:
     return batch, True
 
 
-def _tiles(row: ArrayRow, rows: int) -> list[tuple[slice, int, int]]:
-    """(t rows, first cell, end cell) tiles covering a chunk of ``rows`` t.
+def _tiles(row: ArrayRow, rows: int) -> list[tuple[slice, int, int, int | None]]:
+    """(t rows, first cell, end cell, cell width) tiles covering a chunk of ``rows`` t.
 
     Cells are packed in order into blocks of at most max(1, _TILE_ELEMENTS
     // rows) atoms (a larger cell is a block of its own), and a block of A
     atoms is cut into runs of max(1, _TILE_ELEMENTS // A) t rows, so a
     tile holds at most _TILE_ELEMENTS elements unless it is one t by one
-    cell.
+    cell.  The cell width is the atom count that every cell of the block
+    has, read from the block's own offsets, or None when they differ.
     """
-    width = max(1, _TILE_ELEMENTS // rows)
+    atoms = max(1, _TILE_ELEMENTS // rows)
     offsets, tiles, k = row.offsets, [], 0
     while k < row.n:
-        end = max(k + 1, int(np.searchsorted(offsets, offsets[k] + width, side="right")) - 1)
+        end = max(k + 1, int(np.searchsorted(offsets, offsets[k] + atoms, side="right")) - 1)
+        widths = offsets[k + 1:end + 1] - offsets[k:end]
+        width = int(widths[0]) if (widths == widths[0]).all() else None
         step = max(1, _TILE_ELEMENTS // int(offsets[end] - offsets[k]))
-        tiles += [(slice(i, i + step), k, end) for i in range(0, rows, step)]
+        tiles += [(slice(i, i + step), k, end, width) for i in range(0, rows, step)]
         k = end
     return tiles
+
+
+def _cell_sums(terms: np.ndarray, cuts: np.ndarray, width: int | None) -> np.ndarray:
+    """np.add.reduceat(terms, cuts, axis=1), bit for bit.
+
+    When every cell of the tile has one width W <= _SLICE_ADD_MAX_WIDTH, the
+    (rows, atoms) terms are viewed as (rows, cells, W) and each cell is
+    summed in reduceat's own order: its first term plus the rest added left
+    to right, in slice adds that release the interpreter lock.  Tiles of
+    mixed widths (width None) and of wider cells take reduceat, which holds
+    it.
+    """
+    if width is None or width > _SLICE_ADD_MAX_WIDTH:
+        return np.add.reduceat(terms, cuts, axis=1)
+    cells = terms.reshape(len(terms), -1, width)
+    if width == 1:
+        return cells[..., 0]
+    rest = cells[..., 1]
+    for j in range(2, width):
+        rest = rest + cells[..., j]
+    return cells[..., 0] + rest
 
 
 def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -> np.ndarray:
@@ -117,9 +152,13 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
     p give the cell transforms phi_k(t) = E[e^{-i <t, X_k>}].  A chunk
     holds at most max(1, _PHASE_BUDGET // total_atoms) t and is formed in
     ``_tiles``: each tile projects its own atoms, takes cos a and sin a,
-    and writes one reduceat per weight over its cells into its columns,
-    so every per-cell sum is the same reduceat over the same atoms, and
-    neither the tiles nor the threads they run on change a bit.
+    and writes the ``_cell_sums`` of each weight over its cells into its
+    columns.  Every per-cell sum is reduceat's over the same atoms, in its
+    order (first term plus the rest left to right): slice adds over a
+    (t, cells, width) view in a tile of one cell width up to
+    ``_SLICE_ADD_MAX_WIDTH``, which release the interpreter lock, and
+    reduceat itself, which holds it, in a tile of mixed or wider cells.
+    So neither the tiles nor the threads they run on change a bit.
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
     offsets, parts = row.offsets, []
@@ -128,8 +167,8 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
         block = batch[i:i + chunk]
         outs = [np.empty((len(block), row.n), dtype=np.complex128) for _ in weights]
 
-        def tile(job: tuple[slice, int, int]) -> None:
-            rows, k0, k1 = job
+        def tile(job: tuple[slice, int, int, int | None]) -> None:
+            rows, k0, k1, width = job
             lo, hi = offsets[k0], offsets[k1]
             a = row.project(block[rows], lo, hi)
             cos = np.cos(a)
@@ -138,8 +177,8 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
             cuts = offsets[k0:k1] - lo
             for w, out in zip(weights, outs):
                 w = w[lo:hi]
-                out.real[rows, k0:k1] = np.add.reduceat(w * cos, cuts, axis=1)
-                out.imag[rows, k0:k1] = -np.add.reduceat(w * sin, cuts, axis=1)
+                out.real[rows, k0:k1] = _cell_sums(w * cos, cuts, width)
+                out.imag[rows, k0:k1] = -_cell_sums(w * sin, cuts, width)
 
         _fan_out(tile, _tiles(row, len(block)) if len(block) else ())
         parts.append(reduce(*outs))

@@ -45,14 +45,17 @@ def exclusive_products(values: np.ndarray) -> np.ndarray:
     """For each k along the last axis, the product of all other entries.
 
     Computed with prefix/suffix cumulative products, so zeros are handled
-    exactly (no division).
+    exactly (no division): the prefix products of all but the last entry
+    and the suffix products of all but the first, each written by cumprod
+    into its place in an empty buffer, then multiplied in place.
     """
-    prefix = np.ones_like(values)
-    prefix[..., 1:] = np.cumprod(values[..., :-1], axis=-1)
-    rev = values[..., ::-1]
-    suffix_rev = np.ones_like(values)
-    suffix_rev[..., 1:] = np.cumprod(rev[..., :-1], axis=-1)
-    return prefix * suffix_rev[..., ::-1]
+    prefix, suffix = np.empty_like(values), np.empty_like(values)
+    if values.shape[-1]:
+        prefix[..., 0] = suffix[..., -1] = 1
+        np.cumprod(values[..., :-1], axis=-1, out=prefix[..., 1:])
+        np.cumprod(values[..., :0:-1], axis=-1, out=suffix[..., -2::-1])
+    prefix *= suffix
+    return prefix
 
 
 def _cores() -> int:

@@ -100,6 +100,17 @@ def cell_charfn(points, probs, t) -> complex:
     return complex(np.sum(probs * np.exp(-1j * (points @ np.atleast_1d(t)))))
 
 
+def exclusive_products_oracle(values) -> np.ndarray:
+    """For each k along the last axis, np.prod of the other entries, one
+    k at a time (the product of no entries is 1)."""
+    values = np.asarray(values)
+    out = np.empty_like(values)
+    for idx in np.ndindex(values.shape[:-1]):
+        for k in range(values.shape[-1]):
+            out[idx + (k,)] = np.prod(np.delete(values[idx], k))
+    return out
+
+
 def atom_index_oracle(cum, u) -> np.ndarray:
     """Inverse-transform atom of each uniform u for cumulative weights cum:
     min(searchsorted(cum, u, "right"), atoms - 1)."""

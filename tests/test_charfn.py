@@ -366,11 +366,61 @@ def test_tiles_hold_at_most_the_cap_unless_one_t_by_one_cell():
             with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
                 tiles = charfn_module._tiles(row, rows)
             covered = np.zeros((rows, row.n), dtype=int)
-            for t_rows, k0, k1 in tiles:
+            for t_rows, k0, k1, width in tiles:
                 covered[t_rows, k0:k1] += 1
+                # the width is the one atom count of the tile's cells, else None
+                assert width == (sizes[k0] if np.all(sizes[k0:k1] == sizes[k0]) else None)
                 elements = len(range(rows)[t_rows]) * int(np.sum(sizes[k0:k1]))
                 assert elements <= cap or (len(range(rows)[t_rows]), k1 - k0) == (1, 1)
             assert np.all(covered == 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.just(257)), st.integers(1, 3), st.integers(1, 5),
+       st.integers(0, 2**32 - 1))
+def test_cell_sums_equal_reduceat(width, rows, cells, seed):
+    # one cell width per tile: the slice adds must copy reduceat's order bit
+    # for bit, so a numpy whose reduceat adds in another order fails here
+    rng = np.random.default_rng(seed)
+    shape = (rows, cells * width)
+    terms = rng.choice([-1.0, 1.0], shape) * rng.uniform(1.0, 2.0, shape) * 10.0 ** rng.integers(-12, 13, shape)
+    cuts = np.arange(0, cells * width, width)
+    assert np.array_equal(charfn_module._cell_sums(terms, cuts, width),
+                          np.add.reduceat(terms, cuts, axis=1))
+
+
+def test_uniform_and_mixed_tiles_give_the_untiled_reduceat():
+    # a long run of 4-atom cells, short runs of mixed widths and a run of
+    # 8-atom cells, so tiles of one width and tiles of mixed widths meet
+    counts = [4] * 300 + [2, 3, 2, 5, 1, 1, 7, 9, 8] + [1] * 20 + [3, 2] * 6 + [8] * 40 + [12, 4]
+    row = _row_with_cells(counts, 2, seed=11)
+    batch = np.array([[0.3, -1.2], [2.0, 0.7], [-4.5, 3.1]])
+    weights = (row.probs, row.probs * row.project(batch[0]))
+    a = row.project(batch)
+    cuts = row.offsets[:-1]
+    untiled = np.stack([np.add.reduceat(w * np.cos(a), cuts, axis=1)
+                        - 1j * np.add.reduceat(w * np.sin(a), cuts, axis=1) for w in weights], 1)
+
+    def transforms():
+        return charfn_module._cell_transforms(row, batch, weights, lambda *outs: np.stack(outs, 1))
+
+    expected = transforms()
+    assert np.array_equal(expected, untiled)
+    for cap in (1, 5, charfn_module._TILE_ELEMENTS):
+        for cores in (1, 2, 3):
+            with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap), \
+                    mock.patch.object(util, "_cores", lambda: cores):
+                assert np.array_equal(transforms(), expected)
+
+
+@pytest.mark.parametrize("row", [build_rademacher_row(1001), build_eta_row(0.5, 3000),
+                                 build_eta_row(0.3, 40)], ids=["rademacher", "eta-0.5", "eta-0.3"])
+def test_symmetric_sorted_cells_give_exactly_real_transforms(row):
+    # atoms sorted ascending in symmetric cells: each cell's sin terms cancel
+    # exactly in the per-cell order, so the row transform has no imaginary part
+    batch = np.array([[0.3], [1.0], [2.5], [7.0], [31.4]])
+    assert np.all(row_sum_charfn(row, batch).imag == 0.0)
+    assert all(row_sum_charfn(row, t).imag == 0.0 for t in batch[:, 0])
 
 
 def test_a_nested_fan_out_runs_on_its_callers_thread(monkeypatch):
