@@ -390,11 +390,13 @@ def test_cell_sums_equal_reduceat(width, rows, cells, seed):
 
 
 def test_uniform_and_mixed_tiles_give_the_untiled_reduceat():
-    # a long run of 4-atom cells, short runs of mixed widths and a run of
-    # 8-atom cells, so tiles of one width and tiles of mixed widths meet
-    counts = [4] * 300 + [2, 3, 2, 5, 1, 1, 7, 9, 8] + [1] * 20 + [3, 2] * 6 + [8] * 40 + [12, 4]
+    # runs of 4- and 8-atom cells around short runs of mixed widths: at a cap
+    # of 64 tiles of one width and tiles of mixed widths meet
+    counts = [4] * 150 + [2, 3, 2, 5, 1, 1, 7, 9, 8] + [1] * 20 + [3, 2] * 6 + [8] * 100 + [12, 4]
     row = _row_with_cells(counts, 2, seed=11)
     batch = np.array([[0.3, -1.2], [2.0, 0.7], [-4.5, 3.1]])
+    with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 64):
+        assert {4, 8, None} <= {width for *_, width in charfn_module._tiles(row, len(batch))}
     weights = (row.probs, row.probs * row.project(batch[0]))
     a = row.project(batch)
     cuts = row.offsets[:-1]
@@ -406,7 +408,7 @@ def test_uniform_and_mixed_tiles_give_the_untiled_reduceat():
 
     expected = transforms()
     assert np.array_equal(expected, untiled)
-    for cap in (1, 5, charfn_module._TILE_ELEMENTS):
+    for cap in (1, 5, 64, charfn_module._TILE_ELEMENTS):
         for cores in (1, 2, 3):
             with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap), \
                     mock.patch.object(util, "_cores", lambda: cores):
