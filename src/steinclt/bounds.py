@@ -107,10 +107,12 @@ def identity_rhs(
 
     def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
-        # one expression, as numpy may write it into the temporary psis - mu
-        # with the operands swapped, and a complex product is not commutative
-        # bit for bit; excl * phis * m2t is formed in place in its own order
-        moved = np.sum(excl * (psis - mu), axis=1)
+        # a complex product is not commutative bit for bit, so each one is
+        # formed in place in a stated order: excl * (psis - mu), whatever the
+        # size of the temporary, then excl * phis * m2t
+        moved = psis - mu
+        np.multiply(excl, moved, out=moved)
+        moved = np.sum(moved, axis=1)
         excl *= phis
         excl *= m2t
         return np.stack([moved, excl.sum(axis=1)], axis=-1)

@@ -18,7 +18,12 @@ Lindeberg, v = |<x, t>| for the directional sums, whose independent copy
 is the weight w = p E|X_k|^2 (cell k's second moment on each of its
 atoms) against w = p |x|^2 for the same cell.  A 1-D eps or threshold
 grid gives an array in input order, each entry equal to the scalar call;
-``_directional_sums`` gives both copies on a (t, threshold) table.
+``_directional_sums`` gives both copies on a (t, threshold) table; it
+weighs and projects only the candidate atoms, those whose rounding-safe
+bound fl(sum_j |x_j| max_t |t_j|) on |<x, t>| over the batch exceeds the
+smallest threshold (the proof is in its docstring), so atoms that can
+never count, such as the +-1/s_n pair of every eta cell at the usual
+thresholds, are neither scanned nor masked.
 
 Estimators here are honest finite truncations: a limsup is reported as
 the max over a trailing window of the n-grid, together with flags when
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .rows import ArrayRow
+from .rows import ArrayRow, _project
 from .util import as_vector
 
 __all__ = [
@@ -185,16 +190,38 @@ def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
 def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
     """Both copies' l_sum on a (t, threshold) table: two (m, k) arrays, bit for bit.
 
-    Each copy's weights are built once, |<x, t>| once per t of the (m, N)
-    batch, in place, and the mask of atoms past a threshold once per (t,
-    threshold), so both copies sum the compressed weights that ``l_sum``
-    sums.
+    Only candidate atoms are weighed and projected: atom a is kept iff
+    fl(sum_j |x_aj| r_j) (1 + c N 2^-53) > min(thresholds), with r_j the
+    largest |t_j| of the batch and c = 0, the sum formed by the projection
+    rule ``_project`` of |x_a| onto r (a NaN bound keeps its atom).  No
+    other atom passes any threshold at any t of the batch.  Rounding to
+    nearest is monotone and odd, so |fl(t_j x_aj)| = fl(|t_j| |x_aj|) <=
+    fl(r_j |x_aj|) for each j, and if |P| <= Q and |y| <= z then
+    |fl(P + y)| = fl(|P + y|) <= fl(|P| + |y|) <= fl(Q + z); by induction
+    over the coordinates, added in the same order on both sides, the
+    computed |<x_a, t>| is at most the bound, so a bound <= min(thresholds)
+    fails every strict test.  This holds with subnormals too, hence c = 0;
+    a bound summed in another order would need c > 0.
+
+    Each copy's weights are built once and compressed to the candidates,
+    |<x, t>| once per t of the (m, N) batch over the candidates, in place,
+    and the mask of candidates past a threshold once per (t, threshold).
+    Each sum is ``np.sum`` over the same compressed weight sequence as
+    ``l_sum``'s, since the atoms left out are never in it.
     """
     grid = np.atleast_1d(_thresholds(thresholds))
-    same, indep = _copy_weights(row, "same"), _copy_weights(row, "independent")
     sums = np.empty((2, len(batch), grid.size))
+    if not sums.size:
+        return sums[0], sums[1]
+    # candidates: atoms whose bound on |<x, t>| over the batch is not at or
+    # below the smallest threshold (a NaN bound keeps its atom)
+    keep = ~(_project(np.abs(row.points), np.max(np.abs(batch), axis=0)) <= grid.min())
+    same = np.compress(keep, _copy_weights(row, "same"))
+    indep = np.compress(keep, _copy_weights(row, "independent"))
+    points = np.compress(keep, row.points, axis=0)
+    del keep
     for i, t in enumerate(batch):
-        values = row.project(t)
+        values = _project(points, t)
         np.abs(values, out=values)
         for j, thr in enumerate(grid):
             # a mask, not an index array, which would add 8 bytes a selected atom to the peak

@@ -3,10 +3,12 @@
 Everything here deliberately avoids the library's own code paths
 (adaptive quadrature, reduceat sums) so the tests compare two unrelated
 routes to the same number: brute-force midpoint rules, closed-form tail
-counts, and plain finite differences.  The one exception is
-``master_bound_oracle``: it keeps the per-eps assembly of the master
-inequality on the library's single-t gap and tail sums, so that the
-(t, eps) table can be checked against it bit for bit.
+counts, and plain finite differences.  The exceptions keep an earlier
+layout of the library's own expressions, so that a rewrite can be
+checked against it bit for bit: ``master_bound_oracle`` (the per-eps
+assembly of the master inequality on the single-t gap and tail sums),
+``directional_sums_oracle`` (every atom weighed and projected) and
+``validation_oracle`` (every temporary formed in one expression).
 """
 
 import math
@@ -329,3 +331,44 @@ def master_bound_oracle(row, t, eps_grid) -> list[dict]:
                       "term_same": term_same, "term_indep": term_indep, "envelope": envelope,
                       "rhs": rhs, "slack": rhs - lhs_gap, "passed": rhs - lhs_gap >= 0.0})
     return terms
+
+
+def directional_sums_oracle(row, batch, thresholds):
+    """Both copies' directional sums on a (t, threshold) table by the loop
+    that preceded the candidate rule: weights for every atom, |<x, t>| for
+    every atom of each t, and one mask-and-compress sum per (t, threshold)."""
+    grid = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
+    same = row.probs * np.sum(row.points**2, axis=1)
+    indep = row.probs * np.repeat(np.add.reduceat(same, row.offsets[:-1]), np.diff(row.offsets))
+    sums = np.empty((2, len(batch), grid.size))
+    for i, t in enumerate(batch):
+        values = np.abs(row.project(t))
+        for j, thr in enumerate(grid):
+            past = values > thr
+            sums[:, i, j] = np.sum(np.compress(past, same)), np.sum(np.compress(past, indep))
+    return sums[0], sums[1]
+
+
+def validation_oracle(dimension, points, probs, offsets, tol_mean, tol_cov) -> dict:
+    """Every field of a ValidationReport from raw row arrays, by the plain
+    expressions that preceded the freed temporaries of ``validate_row``."""
+    starts = offsets[:-1]
+    prob_sums = np.add.reduceat(probs, starts)
+    means = np.add.reduceat(probs[:, None] * points, starts, axis=0)
+    second_matrix = np.einsum("a,ai,aj->ij", probs, points, points)
+    cov_residual_matrix = second_matrix - np.einsum("ki,kj->ij", means, means) - np.eye(dimension)
+    prob_residuals = np.abs(prob_sums - 1.0)
+    mean_residuals = np.linalg.norm(means, axis=1)
+    cell_ok = (prob_residuals <= tol_mean) & (mean_residuals <= tol_mean)
+    return {
+        "n": len(offsets) - 1,
+        "dimension": dimension,
+        "prob_residuals": prob_residuals,
+        "mean_residuals": mean_residuals,
+        "cov_residual_matrix": cov_residual_matrix,
+        "second_moment_sum": float(np.sum(probs * np.sum(points**2, axis=1))),
+        "tol_mean": tol_mean,
+        "tol_cov": tol_cov,
+        "passed": bool(np.all(cell_ok)) and float(np.max(np.abs(cov_residual_matrix))) <= tol_cov,
+        "failing_cells": tuple(int(k) for k in np.nonzero(~cell_ok)[0]),
+    }

@@ -156,6 +156,29 @@ def test_identity_rhs_node_chunking_is_transparent(monkeypatch):
     assert chunked[1] == whole[1]
 
 
+def test_identity_rhs_bits_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 3000 asymmetric cells of 2 and 3 atoms (7500 atoms): a 30-node chunk
+    # makes a (30, 3000) complex temporary of 1.4 MB and a 4-node chunk one
+    # of 192 kB, on either side of the 256 KiB where numpy starts to reuse
+    # temporaries, which once swapped the operands of a complex product
+    import steinclt.charfn as charfn_module
+
+    rng = np.random.default_rng(7)
+    cells = []
+    for k in range(3000):
+        x = rng.normal(size=(2 + k % 2, 1))
+        q = rng.uniform(0.2, 1.0, x.shape[0])
+        q /= q.sum()
+        cells.append((x - q @ x, q))
+    scale = np.sqrt(sum(float(q @ x[:, 0] ** 2) for x, q in cells))
+    row = ArrayRow.from_cells((x / scale, q) for x, q in cells)
+    values = []
+    for budget in (10**6, 2 * 10**5, 3 * 10**4):
+        monkeypatch.setattr(charfn_module, "_PHASE_BUDGET", budget)
+        values.append(identity_rhs(row, 1.7))
+    assert values[0] == values[1] == values[2]
+
+
 def identity_integrand(row, t):
     """identity_rhs's s-integrand f, taken from its integrate_unit call."""
     seen = []

@@ -21,7 +21,13 @@ from steinclt import (
 from steinclt.indices import _directional_sums
 
 
-from oracles import eta_lindeberg_oracle, index_flags_oracle, truncated_sum_oracle
+from oracles import (
+    directional_sums_oracle,
+    eta_lindeberg_oracle,
+    index_flags_oracle,
+    truncated_sum_oracle,
+)
+from strategies import centred_rows
 
 
 def test_lindeberg_sum_examples():
@@ -342,3 +348,45 @@ def test_directional_sums_equal_l_sum_per_entry(case):
         assert indep[i].tolist() == l_sum(row, "independent", tvec, grid).tolist()
     with pytest.raises(ParameterError):
         _directional_sums(row, batch, [0.5, np.nan])
+
+
+@st.composite
+def rows_batches_and_tied_grids(draw):
+    """(row, batch, thresholds): an asymmetric row in dims 1-3, one to four
+    t with some coordinates zero, and thresholds at atoms' own |<x, t>|,
+    their neighbouring floats, 0 and negative values, unsorted."""
+    row = draw(centred_rows())
+    coords = st.one_of(st.just(0.0), st.floats(-4.0, 4.0, allow_subnormal=False))
+    m = draw(st.integers(1, 4))
+    batch = np.array(draw(st.lists(st.lists(coords, min_size=row.dimension,
+                                            max_size=row.dimension), min_size=m, max_size=m)))
+    values = np.abs(row.project(batch)).ravel()
+    grid = []
+    for atom in draw(st.lists(st.integers(0, values.size - 1), min_size=1, max_size=4)):
+        tie = values[atom]
+        grid += [tie, np.nextafter(tie, -np.inf), np.nextafter(tie, np.inf)]
+    grid += draw(st.lists(st.sampled_from([0.0, -0.0, -1e-300, -1.0]), max_size=2))
+    return row, batch, np.array(draw(st.permutations(grid)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_batches_and_tied_grids())
+def test_directional_sums_candidates_change_no_bit(case):
+    row, batch, grid = case
+    expected = directional_sums_oracle(row, batch, grid)
+    for got, want in zip(_directional_sums(row, batch, grid), expected):
+        assert got.shape == want.shape == (len(batch), grid.size)
+        assert got.tolist() == want.tolist()
+    # the smallest threshold alone sets the candidates, so check each one too
+    for j, threshold in enumerate(grid):
+        for got, want in zip(_directional_sums(row, batch, threshold), expected):
+            assert got[:, 0].tolist() == want[:, j].tolist()
+
+
+def test_directional_sums_of_an_empty_batch_or_grid_keep_their_shape():
+    row = build_eta_row(0.5, 10)
+    for batch, grid, shape in ((np.empty((0, 1)), [0.5, 1.0], (0, 2)),
+                               (np.ones((3, 1)), [], (3, 0))):
+        for got, want in zip(_directional_sums(row, batch, grid),
+                             directional_sums_oracle(row, batch, grid)):
+            assert got.shape == want.shape == shape

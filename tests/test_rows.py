@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -29,7 +32,14 @@ from steinclt import (
     serialize_row,
     validate_row,
 )
-from oracles import cells_doc_oracle, eta_row_oracle, product_row_oracle, project_oracle
+from oracles import (
+    cells_doc_oracle,
+    eta_row_oracle,
+    product_row_oracle,
+    project_oracle,
+    validation_oracle,
+)
+from steinclt.rows import DEFAULT_COV_TOL, DEFAULT_MEAN_TOL
 from strategies import centred_rows
 
 
@@ -506,3 +516,65 @@ def test_explicit_family_spec():
     assert family.row(2).n == 2
     with pytest.raises(ConstructionError, match="n=3"):
         family.row(3)
+
+
+def assert_report_matches_oracle(report, dimension, points, probs, offsets):
+    expected = validation_oracle(dimension, points, probs, offsets, report.tol_mean, report.tol_cov)
+    for name, value in expected.items():
+        got = getattr(report, name)
+        if isinstance(value, np.ndarray):
+            assert got.shape == value.shape and got.tolist() == value.tolist(), name
+        else:
+            assert type(got) is type(value) and got == value, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(centred_rows(), st.sampled_from([(DEFAULT_MEAN_TOL, DEFAULT_COV_TOL), (1e-30, 1e-30)]))
+def test_validation_report_matches_the_plain_oracle(row, tolerances):
+    report = validate_row(row, *tolerances)
+    assert_report_matches_oracle(report, row.dimension, row.points, row.probs, row.offsets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(centred_rows(), st.sampled_from(["mean", "prob", "cov"]), st.data())
+def test_failed_validation_report_matches_the_plain_oracle(row, fault, data):
+    points, probs = row.points.copy(), row.probs.copy()
+    k = data.draw(st.integers(0, row.n - 1))
+    cell = slice(row.offsets[k], row.offsets[k + 1])
+    if fault == "mean":
+        points[cell] += data.draw(st.floats(1e-6, 1.0))
+    elif fault == "prob":
+        probs[cell] *= data.draw(st.floats(0.5, 0.99))
+    else:
+        points *= 1.1
+    with pytest.raises(RowValidationError) as err:
+        ArrayRow(row.dimension, points, probs, row.offsets)
+    report = err.value.report
+    assert not report.passed and bool(report.failing_cells) == (fault != "cov")
+    assert_report_matches_oracle(report, row.dimension, points, probs, row.offsets)
+
+
+# VmHWM is this process's own peak; ru_maxrss would carry the high-water
+# mark of the forking test process across exec
+BUILD_PEAK_CODE = """
+from steinclt import EtaAlphaFamily
+
+def status():
+    with open("/proc/self/status") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return {key: int(fields[key].split()[0]) * 1024 for key in ("VmHWM", "VmRSS")}
+
+before = status()
+row = EtaAlphaFamily(0.5).row(300_000)
+after = status()
+print((after["VmHWM"] - before["VmRSS"]) / (row.points.nbytes + row.probs.nbytes + row.offsets.nbytes))
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux /proc/self/status")
+def test_building_a_row_peaks_below_three_times_its_arrays():
+    package = os.path.dirname(sys.modules[ArrayRow.__module__].__file__)
+    done = subprocess.run([sys.executable, "-c", BUILD_PEAK_CODE], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.path.dirname(package)},
+                          check=True, timeout=60)
+    assert float(done.stdout) <= 3.0
