@@ -577,4 +577,6 @@ def test_building_a_row_peaks_below_three_times_its_arrays():
     done = subprocess.run([sys.executable, "-c", BUILD_PEAK_CODE], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": os.path.dirname(package)},
                           check=True, timeout=60)
+    # about 2.5 on glibc; 4.4 while the builder kept its (n, 4) tables
+    # alive through validation
     assert float(done.stdout) <= 3.0
