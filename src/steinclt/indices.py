@@ -12,15 +12,16 @@ up to N in general.  The *directional* variant replaces the event by
 or an independent copy with the same law (``copy="independent"``, where
 independence factorises the expectation exactly).
 
-Every sum here is one kernel, sum_a w_a [v_a > thr] over the row's atoms
-with one strict masked sum per threshold: v = |x|^2 against eps^2 for
-Lindeberg, v = |<x, t>| for the directional sums, whose independent copy
-is the weight w = p E|X_k|^2 (cell k's second moment on each of its
-atoms) against w = p |x|^2 for the same cell.  A 1-D eps or threshold
-grid gives an array in input order, each entry equal to the scalar call;
-``_directional_sums`` gives both copies on a (t, threshold) table; it
-weighs and projects only the candidate atoms, those whose rounding-safe
-bound fl(sum_j |x_j| max_t |t_j|) on |<x, t>| over the batch exceeds the
+Every sum here is one kernel, ``_tail_sums``: sum_a w_a [v_a > thr] over
+the atoms, one strict mask per threshold for every weight vector w, with
+v = |x|^2 against eps^2 for Lindeberg and v = |<x, t>| for the
+directional sums, whose independent copy is the weight w = p E|X_k|^2
+(cell k's second moment on each of its atoms) against w = p |x|^2 for
+the same cell.  A 1-D eps or threshold grid gives an array in input
+order, each entry equal to the scalar call; ``_directional_sums`` gives
+both copies on a (t, threshold) table, one kernel call per t; it weighs
+and projects only the candidate atoms, those whose rounding-safe bound
+fl(sum_j |x_j| max_t |t_j|) on |<x, t>| over the batch exceeds the
 smallest threshold (the proof is in its docstring), so atoms that can
 never count, such as the +-1/s_n pair of every eta cell at the usual
 thresholds, are neither scanned nor masked.
@@ -105,11 +106,16 @@ def _thresholds(thresholds) -> np.ndarray:
     return grid
 
 
-def _tail_sums(values: np.ndarray, weights: np.ndarray, thresholds):
-    """sum_a weights[a] * [values[a] > thr] for a scalar or 1-D grid of non-NaN thr."""
-    grid = _thresholds(thresholds)
-    sums = np.array([np.sum(weights[values > thr]) for thr in grid.ravel()])
-    return float(sums[0]) if grid.ndim == 0 else sums
+def _tail_sums(values: np.ndarray, weights, grid: np.ndarray) -> np.ndarray:
+    """sum_a w[a] [values[a] > thr] as a (len(weights), grid.size) table, one
+    strict mask per thr of a scalar or 1-D grid, shared by every weight vector w."""
+    sums = np.empty((len(weights), grid.size))
+    for j, thr in enumerate(grid.ravel()):
+        # a mask, not an index array, which would add 8 bytes a selected atom to the peak
+        past = values > thr
+        for i, w in enumerate(weights):
+            sums[i, j] = np.sum(np.compress(past, w))
+    return sums
 
 
 def _copy_weights(row: ArrayRow, copy: str) -> np.ndarray:
@@ -125,7 +131,9 @@ def _copy_weights(row: ArrayRow, copy: str) -> np.ndarray:
 def lindeberg_sum(row: ArrayRow, eps) -> float | np.ndarray:
     """Exact sum_k E[|X_k|^2 ; |X_k| > eps] over the row's atoms, per entry of an eps grid."""
     eps = _eps_grid(eps)
-    return _tail_sums(row.squared_norms(), _copy_weights(row, "same"), eps * eps)
+    norm2 = row.squared_norms()
+    sums = _tail_sums(norm2, [row.probs * norm2], eps * eps)[0]
+    return float(sums[0]) if eps.ndim == 0 else sums
 
 
 @dataclass
@@ -184,7 +192,9 @@ def l_sum(row: ArrayRow, copy: str, t, threshold=1.0) -> float | np.ndarray:
                         expectation factorises exactly.
     """
     t = as_vector(t, row.dimension)
-    return _tail_sums(np.abs(row.project(t)), _copy_weights(row, copy), threshold)
+    grid = _thresholds(threshold)
+    sums = _tail_sums(np.abs(row.project(t)), [_copy_weights(row, copy)], grid)[0]
+    return float(sums[0]) if grid.ndim == 0 else sums
 
 
 def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +213,9 @@ def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.
     fails every strict test.  This holds with subnormals too, hence c = 0;
     a bound summed in another order would need c > 0.
 
-    Each copy's weights are built once and compressed to the candidates,
-    |<x, t>| once per t of the (m, N) batch over the candidates, in place,
-    and the mask of candidates past a threshold once per (t, threshold).
+    Each copy's weights are built and compressed to the candidates once,
+    one copy at a time, |<x, t>| once per t of the (m, N) batch over the
+    candidates, in place, and ``_tail_sums`` masks them per (t, threshold).
     Each sum is ``np.sum`` over the same compressed weight sequence as
     ``l_sum``'s, since the atoms left out are never in it.
     """
@@ -216,17 +226,13 @@ def _directional_sums(row: ArrayRow, batch: np.ndarray, thresholds) -> tuple[np.
     # candidates: atoms whose bound on |<x, t>| over the batch is not at or
     # below the smallest threshold (a NaN bound keeps its atom)
     keep = ~(_project(np.abs(row.points), np.max(np.abs(batch), axis=0)) <= grid.min())
-    same = np.compress(keep, _copy_weights(row, "same"))
-    indep = np.compress(keep, _copy_weights(row, "independent"))
+    weights = [np.compress(keep, _copy_weights(row, copy)) for copy in ("same", "independent")]
     points = np.compress(keep, row.points, axis=0)
     del keep
     for i, t in enumerate(batch):
         values = _project(points, t)
         np.abs(values, out=values)
-        for j, thr in enumerate(grid):
-            # a mask, not an index array, which would add 8 bytes a selected atom to the peak
-            past = values > thr
-            sums[:, i, j] = np.sum(np.compress(past, same)), np.sum(np.compress(past, indep))
+        sums[:, i] = _tail_sums(values, weights, grid)
     return sums[0], sums[1]
 
 

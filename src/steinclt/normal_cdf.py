@@ -1,11 +1,12 @@
-"""Standard normal CDF built on a fixed rational erf/erfc approximation.
+"""Standard normal CDF built on a fixed rational erfc approximation.
 
 The evaluation uses W. J. Cody's rational Chebyshev approximations for
-erf/erfc (the SPECFUN coefficient set), giving relative error around
-1e-16 in each branch, so Phi(x) = erfc(-x/sqrt(2))/2 is accurate to well
-under 1e-12 absolute everywhere.  We carry our own coefficients instead
-of calling the platform's libm so results are identical across systems;
-the unit tests compare against a shipped high-precision reference table.
+erfc (the SPECFUN coefficient set, erf's on its small branch), giving
+relative error around 1e-16 in each branch, so Phi(x) = erfc(-x/sqrt(2))/2
+is accurate to well under 1e-12 absolute everywhere.  We carry our own
+coefficients instead of calling the platform's libm so results are
+identical across systems; the unit tests compare against a shipped
+high-precision reference table.
 
 All functions accept scalars or numpy arrays.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["erf", "erfc", "normal_cdf"]
+__all__ = ["erfc", "normal_cdf"]
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_PI = 0.5641895835477562869  # 1/sqrt(pi)
@@ -91,20 +92,6 @@ def erfc(x):
         out[tail] = _erfc_tail(y[tail])
     # odd symmetry: erfc(-y) = 2 - erfc(y)
     out = np.where(x < 0.0, 2.0 - out, out)
-    return float(out[0]) if scalar else out
-
-
-def erf(x):
-    """Error function; small arguments use the direct rational form."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    y = np.abs(x)
-    out = np.empty_like(y)
-    small = y <= 0.46875
-    if np.any(small):
-        out[small] = _erf_small(x[small])
-    if np.any(~small):
-        out[~small] = np.sign(x[~small]) * (1.0 - erfc(y[~small]))
     return float(out[0]) if scalar else out
 
 

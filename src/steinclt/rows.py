@@ -12,13 +12,14 @@ plus ``offsets`` marking cell boundaries) so that row-level reductions
 stay vectorised even at n = 10^5.  They are the only form a row is
 assembled in; a cell is a plain ``(points, probs)`` pair of arrays.
 
-Building a row holds few atom-sized temporaries next to the row: the
-builders drop their per-cell tables before ``ArrayRow`` validates the
-row, and ``validate_row`` drops each atom-sized temporary (the squared
-norms, the weighted points) as soon as it has been used and caches
-nothing.  In a fresh interpreter the peak resident size while building
-an eta row rises by about 2.5 times its ``points``, ``probs`` and
-``offsets`` bytes (2.2 times for a rademacher row).
+A row holds only its data (``points``, ``probs``, ``offsets``, ``meta``);
+derived arrays such as ``squared_norms()`` are formed per call.  Building
+a row holds few atom-sized temporaries next to the row: the builders drop
+their per-cell tables before ``ArrayRow`` validates the row, and
+``validate_row`` drops each atom-sized temporary (the squared norms, the
+weighted points) as soon as it has been used.  In a fresh interpreter the
+peak resident size while building an eta row rises by about 2.5 times its
+``points``, ``probs`` and ``offsets`` bytes (2.2 times for a rademacher row).
 
 Built-in constructions:
 
@@ -79,9 +80,9 @@ class ArrayRow:
     (0, 1] (NaN included) with ParameterError, then validates the row
     with the default tolerances and raises RowValidationError (carrying
     the ValidationReport) if it is not standard.  The row is read-only
-    after construction (writing into ``points``, ``probs``, ``offsets``
-    or ``squared_norms()`` raises ValueError, writing into ``meta``
-    raises TypeError, rebinding a field raises
+    after construction (writing into ``points``, ``probs`` or
+    ``offsets`` raises ValueError, writing into ``meta`` raises
+    TypeError, rebinding a field raises
     ``dataclasses.FrozenInstanceError``), since families hand out one
     shared cached row.
     """
@@ -91,7 +92,6 @@ class ArrayRow:
     probs: np.ndarray  # (total_atoms,)
     offsets: np.ndarray  # (n + 1,), int64
     meta: Mapping = field(default_factory=dict)
-    _norm2: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -126,10 +126,6 @@ class ArrayRow:
         return len(self.offsets) - 1
 
     @property
-    def starts(self) -> np.ndarray:
-        return self.offsets[:-1]
-
-    @property
     def total_atoms(self) -> int:
         return self.points.shape[0]
 
@@ -147,7 +143,7 @@ class ArrayRow:
 
     def per_cell_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-cell sums of a per-atom array (vectorised reduceat)."""
-        return np.add.reduceat(values, self.starts, axis=0)
+        return np.add.reduceat(values, self.offsets[:-1], axis=0)
 
     def project(self, t, start: int = 0, stop: int | None = None) -> np.ndarray:
         """<t, x_a> per atom a of start:stop (default all), (A,) for one t or (m, A)
@@ -156,12 +152,8 @@ class ArrayRow:
         return _project(self.points[start:stop], t)
 
     def squared_norms(self) -> np.ndarray:
-        """|x|^2 per atom, cached (rows are immutable after construction)."""
-        if self._norm2 is None:
-            norm2 = np.sum(self.points**2, axis=1)
-            norm2.setflags(write=False)
-            object.__setattr__(self, "_norm2", norm2)
-        return self._norm2
+        """|x|^2 per atom, a fresh array on each call."""
+        return np.sum(self.points**2, axis=1)
 
     @classmethod
     def from_cells(cls, cells, meta: Mapping | None = None) -> "ArrayRow":
@@ -242,15 +234,14 @@ def validate_row(
     construction; stricter or looser calls only inspect.
     """
     # each atom-sized temporary is dropped as soon as it has been used
-    norm2 = np.sum(row.points**2, axis=1)
+    norm2 = row.squared_norms()
     norm2 *= row.probs
     second_moment_sum = float(np.sum(norm2))
     del norm2
-    starts = row.starts
     weighted = row.probs[:, None] * row.points
-    means = np.add.reduceat(weighted, starts, axis=0)  # (n, N), per-cell sum p*x
+    means = row.per_cell_sum(weighted)  # (n, N), per-cell sum p*x
     del weighted
-    prob_sums = np.add.reduceat(row.probs, starts)
+    prob_sums = row.per_cell_sum(row.probs)
     second_matrix = np.einsum("a,ai,aj->ij", row.probs, row.points, row.points)
     # cell covariance subtracts mu mu^T; cells with prob sum != 1 still get
     # the plain first-moment correction, which is what the residual reports.

@@ -7,6 +7,7 @@ counts, and plain finite differences.  The exceptions keep an earlier
 layout of the library's own expressions, so that a rewrite can be
 checked against it bit for bit: ``master_bound_oracle`` (the per-eps
 assembly of the master inequality on the single-t gap and tail sums),
+``masked_sum_oracle`` (one boolean-indexed sum per threshold),
 ``directional_sums_oracle`` (every atom weighed and projected) and
 ``validation_oracle`` (every temporary formed in one expression).
 """
@@ -94,6 +95,18 @@ def truncated_sum_oracle(row, copy: str, t, threshold: float) -> float:
             if hit:
                 total += p * (second if copy == "independent" else q)
     return total
+
+
+def masked_sum_oracle(values, weights, thr) -> float:
+    """sum_a weights[a] [values[a] > thr] by boolean indexing."""
+    return np.sum(weights[values > thr])
+
+
+def copy_weights_oracle(row):
+    """(p |x|^2, p E|X_k|^2) per atom: the weights of the same cell and of
+    an independent copy of cell k, each formed in one expression."""
+    same = row.probs * np.sum(row.points**2, axis=1)
+    return same, row.probs * np.repeat(np.add.reduceat(same, row.offsets[:-1]), np.diff(row.offsets))
 
 
 def cell_charfn(points, probs, t) -> complex:
@@ -338,8 +351,7 @@ def directional_sums_oracle(row, batch, thresholds):
     that preceded the candidate rule: weights for every atom, |<x, t>| for
     every atom of each t, and one mask-and-compress sum per (t, threshold)."""
     grid = np.atleast_1d(np.asarray(thresholds, dtype=np.float64))
-    same = row.probs * np.sum(row.points**2, axis=1)
-    indep = row.probs * np.repeat(np.add.reduceat(same, row.offsets[:-1]), np.diff(row.offsets))
+    same, indep = copy_weights_oracle(row)
     sums = np.empty((2, len(batch), grid.size))
     for i, t in enumerate(batch):
         values = np.abs(row.project(t))

@@ -22,9 +22,11 @@ from steinclt.indices import _directional_sums
 
 
 from oracles import (
+    copy_weights_oracle,
     directional_sums_oracle,
     eta_lindeberg_oracle,
     index_flags_oracle,
+    masked_sum_oracle,
     truncated_sum_oracle,
 )
 from strategies import centred_rows
@@ -143,6 +145,9 @@ def test_l_sum_thresholds_may_be_anything_but_nan():
     assert l_sum(row, "same", 1.0, [-1.0, -np.inf, np.inf]).tolist() == \
         [l_sum(row, "same", 1.0, -1.0), l_sum(row, "same", 1.0, -1.0), 0.0]
     assert l_sum(row, "same", 1.0, -1.0) == pytest.approx(1.0, abs=1e-15)
+    for copy in ("same", "independent"):
+        empty = l_sum(row, copy, 1.0, [])
+        assert empty.shape == (0,) and empty.dtype == np.float64
 
 
 def test_l_sum_univariate_equals_lindeberg():
@@ -312,11 +317,13 @@ def rows_t_and_grids(draw):
 @given(rows_t_and_grids())
 def test_l_sum_grid_matches_cell_oracle(case):
     row, t, grid, tie = case
-    for copy in ("same", "independent"):
+    projections = np.abs(row.project(t))
+    for copy, weights in zip(("same", "independent"), copy_weights_oracle(row)):
         values = l_sum(row, copy, t, grid)
         assert values.shape == grid.shape
         for threshold, value in zip(grid, values):
             assert value == l_sum(row, copy, t, threshold)
+            assert value == masked_sum_oracle(projections, weights, threshold)
             assert abs(value - truncated_sum_oracle(row, copy, t, threshold)) <= 1e-14
         # the tied atoms are out already: one ulp higher drops nothing more
         assert l_sum(row, copy, t, tie) == l_sum(row, copy, t, np.nextafter(tie, np.inf))
@@ -331,8 +338,10 @@ def test_lindeberg_sum_grid_matches_cell_oracle(row, data):
     grid = np.array(data.draw(st.permutations(base + [tie, tie, base[0]])))
     values = lindeberg_sum(row, grid)
     assert values.shape == grid.shape
+    norm2, weights = np.sum(row.points**2, axis=1), copy_weights_oracle(row)[0]
     for eps, value in zip(grid, values):
         assert value == lindeberg_sum(row, eps)
+        assert value == masked_sum_oracle(norm2, weights, eps * eps)
         assert abs(value - truncated_sum_oracle(row, "lindeberg", None, eps)) <= 1e-14
 
 

@@ -3,7 +3,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -27,9 +27,14 @@ from steinclt import (
     build_rademacher_row,
     charfn_gap,
     eta_scale_squared,
+    infinitesimality_profile,
+    l_sum,
+    lindeberg_sum,
     load_row_spec,
+    master_bound,
     serialize_family,
     serialize_row,
+    theorem_bound_report,
     validate_row,
 )
 from oracles import (
@@ -39,6 +44,7 @@ from oracles import (
     project_oracle,
     validation_oracle,
 )
+from steinclt.indices import _directional_sums
 from steinclt.rows import DEFAULT_COV_TOL, DEFAULT_MEAN_TOL
 from strategies import centred_rows
 
@@ -323,7 +329,7 @@ def test_row_constructor_rejects_signed_measures():
 
 def test_row_data_is_read_only():
     row = EtaAlphaFamily(0.5).row(6)
-    for array in (row.points, row.probs, row.offsets, row.squared_norms()):
+    for array in (row.points, row.probs, row.offsets):
         with pytest.raises(ValueError):
             array[0] = 0.9
     points, probs = row.cell(1)
@@ -364,14 +370,38 @@ def test_row_fields_cannot_be_rebound():
     # family row, change the shared cached row
     family = EtaAlphaFamily(0.5)
     row = family.row(10)
-    for name in ("dimension", "points", "probs", "offsets", "meta", "_norm2"):
+    for name in ("dimension", "points", "probs", "offsets", "meta"):
         with pytest.raises(FrozenInstanceError):
             setattr(row, name, getattr(row, name))
     with pytest.raises(FrozenInstanceError):
         row.probs = np.full(row.probs.size, 0.9)
     assert family.row(10) is row
     assert charfn_gap(row, 1.0) == charfn_gap(build_eta_row(0.5, 10), 1.0)
-    assert row.squared_norms() is row.squared_norms()
+
+
+def test_rows_hold_only_their_data():
+    # a family row is cached for the life of the process, so nothing a
+    # caller derives from it may stay attached to it
+    assert [f.name for f in fields(ArrayRow)] == \
+        ["dimension", "points", "probs", "offsets", "meta"]
+    family = EtaAlphaFamily(0.5)
+    row = family.row(40)
+    before = dict(vars(row))
+    eps = [0.5, 0.1]
+    lindeberg = lindeberg_sum(row, eps)
+    same = l_sum(row, "same", 2.0, eps)
+    indep = l_sum(row, "independent", 2.0, eps)
+    _directional_sums(row, np.array([[2.0], [0.5]]), eps)
+    master_bound(row, 2.0, eps)
+    theorem_bound_report(family, [1.0, 2.0], [10, 40], eps)
+    infinitesimality_profile(row, 0.3)
+    assert vars(row).keys() == before.keys()
+    assert all(vars(row)[key] is value for key, value in before.items())
+    # a derived array is the caller's own: writing into it moves no later sum
+    row.squared_norms()[:] = 0.0
+    assert lindeberg_sum(row, eps).tolist() == lindeberg.tolist()
+    assert l_sum(row, "same", 2.0, eps).tolist() == same.tolist()
+    assert l_sum(row, "independent", 2.0, eps).tolist() == indep.tolist()
 
 
 def test_row_roundtrip_is_bit_exact():
