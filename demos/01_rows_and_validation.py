@@ -20,6 +20,7 @@ from steinclt import (
     build_eta_row,
     build_product_row,
     build_rademacher_row,
+    eta_scale_squared,
     load_row_spec,
     serialize_row,
     validate_row,
@@ -34,7 +35,7 @@ print(" ", report.summary())
 
 print("\n== two-scale family, alpha = 0.5, n = 5 ==")
 row = build_eta_row(0.5, 5)
-print(f"  normalisation s_n^2 = {row.meta['scale_squared']:.6f}")
+print(f"  normalisation s_n^2 = {eta_scale_squared(0.5, 5):.6f}")
 for k, (points, probs) in enumerate(row.cells()):
     print(f"  cell {k}: atoms {np.round(points.ravel(), 4)}, probs {probs}")
 report = validate_row(row)

@@ -59,11 +59,7 @@ from .indices import (
     lindeberg_sum,
 )
 from .normal_cdf import normal_cdf
-from .quadrature import (
-    QuadratureSpec,
-    integrate_unit,
-    outer_product,
-)
+from .quadrature import QuadratureSpec, integrate_unit
 from .rng import RngSeed
 from .rows import (
     ArrayRow,

@@ -49,7 +49,7 @@ class ConstructionError(SteinCltError, ValueError):
 
 
 class CapacityError(SteinCltError, ValueError):
-    """An operation would exceed a configured size cap (atom count)."""
+    """An operation would exceed the fixed ``rows.DEFAULT_ATOM_CAP`` (atoms per cell)."""
 
 
 class RowSpecError(SteinCltError, ValueError):

@@ -1,6 +1,6 @@
-"""Quadrature and small linear-algebra primitives.
+"""Quadrature primitives.
 
-Three tools live here:
+Two tools live here:
 
 * ``integrate_unit`` -- adaptive integration of a complex-valued, scalar
   or array-valued function over [0, 1], always in u = sqrt(s): it
@@ -9,16 +9,14 @@ Three tools live here:
   blow-up at 0, while in u it is smooth.  Each panel is estimated with a
   fixed-order Gauss-Legendre rule and the error is taken from order
   doubling.  Panels are bisected in rounds, each round one vectorised
-  integrand call, until every component meets its own tolerance.
+  integrand call, until every component meets its own tolerance or the
+  bisections pass the fixed cap ``_MAX_SUBDIVISIONS`` = 512.
 
 * ``_hermite_rule`` -- the 1-D probabilists' Gauss-Hermite rule for
   E[g(Z)], Z ~ N(0, 1), with weights normalised so that E[1] = 1
   exactly; built once per level and shared read-only.  The Gaussian
   moment checks in ``stein`` take products of 1-D sums over it, so no
   tensor grid is ever formed and any dimension is served.
-
-* ``outer_product`` -- the rank-one matrix t t^T, which satisfies
-  <x, (t t^T) x> = <x, t>^2.
 """
 
 from __future__ import annotations
@@ -35,33 +33,28 @@ __all__ = [
     "QuadratureSpec",
     "DEFAULT_QUADRATURE",
     "integrate_unit",
-    "outer_product",
 ]
 
 # Gauss-Legendre kernel orders for the low/high panel estimates.
 _GL_LOW = 10
 _GL_HIGH = 20
+# Cap on panel bisections before ``integrate_unit`` gives up with ConvergenceError.
+_MAX_SUBDIVISIONS = 512
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for ``integrate_unit``.
-
-    max_subdivisions:
-        Cap on panel bisections before giving up with ConvergenceError.
-    """
+    """Tolerances for ``integrate_unit``; the bisection cap is fixed at
+    ``_MAX_SUBDIVISIONS`` = 512."""
 
     abs_tol: float = 1e-9
     rel_tol: float = 1e-9
-    max_subdivisions: int = 512
 
     def __post_init__(self):
         # an infinite abs_tol accepts any estimate unrefined, and an infinite
         # rel_tol makes a zero total's tolerance NaN, which no panel meets
         if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
             raise ParameterError("quadrature tolerances must be finite and positive")
-        if self.max_subdivisions < 1:
-            raise ParameterError("max_subdivisions must be >= 1")
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -126,7 +119,7 @@ def integrate_unit(
     Returns the estimate (a complex, or an array of the component shape),
     or ``(estimate, error_bound)`` when ``return_error`` is set.  Raises
     ConvergenceError, carrying every component's estimate and error bound,
-    when a round would take the bisections past ``max_subdivisions``, and
+    when a round would take the bisections past ``_MAX_SUBDIVISIONS``, and
     DomainError on non-finite integrand values.
     """
     edges = np.array([[0.0, 1.0]])
@@ -142,11 +135,11 @@ def integrate_unit(
         if not np.any(split):  # every panel within its share, the sum over by rounding
             split = share == np.max(share)
         splits += np.count_nonzero(split)
-        if splits > spec.max_subdivisions:
+        if splits > _MAX_SUBDIVISIONS:
             worst = np.argmax(total_err / tol)
             raise ConvergenceError(
                 f"quadrature tolerance {tol[worst]:.3e} not reached within "
-                f"{spec.max_subdivisions} bisections (error estimate {total_err[worst]:.3e})",
+                f"{_MAX_SUBDIVISIONS} bisections (error estimate {total_err[worst]:.3e})",
                 estimate=total.reshape(shape)[()],
                 error_bound=total_err.reshape(shape)[()],
             )
@@ -172,11 +165,3 @@ def _hermite_rule(level: int) -> tuple[np.ndarray, np.ndarray]:
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
-
-
-def outer_product(t: np.ndarray) -> np.ndarray:
-    """t t^T as a complex matrix; <x, (t t^T) x> = <x, t>^2 for real x."""
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 1:
-        raise ParameterError("expected a 1-D vector")
-    return np.outer(t, t).astype(np.complex128)

@@ -5,14 +5,17 @@ a finitely supported distribution on R^N with mean zero, and the cell
 covariances add up to the identity, so the row sum has unit covariance.
 Every ``ArrayRow`` is standard by construction: building one runs
 ``validate_row`` once and raises RowValidationError if the row fails,
-so no function taking a row has to check it again.
+so no function taking a row has to check it again.  There is one rule,
+with fixed tolerances: each cell's probability sum and mean within
+``DEFAULT_MEAN_TOL``, the covariance sum within ``DEFAULT_COV_TOL`` of
+the identity in every entry (docs/row-spec.md).
 
 Rows keep their atoms in flat concatenated arrays (``points``, ``probs``
 plus ``offsets`` marking cell boundaries) so that row-level reductions
 stay vectorised even at n = 10^5.  They are the only form a row is
 assembled in; a cell is a plain ``(points, probs)`` pair of arrays.
 
-A row holds only its data (``points``, ``probs``, ``offsets``, ``meta``);
+A row holds only its data (``points``, ``probs``, ``offsets``);
 derived arrays such as ``squared_norms()`` are formed per call.  Building
 a row holds few atom-sized temporaries next to the row: the builders drop
 their per-cell tables before ``ArrayRow`` validates the row, and
@@ -38,9 +41,7 @@ Built-in constructions:
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,20 +79,17 @@ class ArrayRow:
     ``points[offsets[k]:offsets[k+1]]``.  Construction rejects empty
     cells, non-finite atom coordinates and atom probabilities outside
     (0, 1] (NaN included) with ParameterError, then validates the row
-    with the default tolerances and raises RowValidationError (carrying
-    the ValidationReport) if it is not standard.  The row is read-only
-    after construction (writing into ``points``, ``probs`` or
-    ``offsets`` raises ValueError, writing into ``meta`` raises
-    TypeError, rebinding a field raises
-    ``dataclasses.FrozenInstanceError``), since families hand out one
-    shared cached row.
+    and raises RowValidationError (carrying the ValidationReport) if it
+    is not standard.  The row is read-only after construction (writing
+    into ``points``, ``probs`` or ``offsets`` raises ValueError,
+    rebinding a field raises ``dataclasses.FrozenInstanceError``), since
+    families hand out one shared cached row.
     """
 
     dimension: int
     points: np.ndarray  # (total_atoms, N)
     probs: np.ndarray  # (total_atoms,)
     offsets: np.ndarray  # (n + 1,), int64
-    meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(
@@ -99,7 +97,6 @@ class ArrayRow:
         )
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=np.float64).ravel())
         object.__setattr__(self, "offsets", np.asarray(self.offsets, dtype=np.int64).ravel())
-        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
         if self.points.shape[0] != self.probs.shape[0]:
             raise ShapeError("points and probs must have one entry per atom")
         if self.offsets[0] != 0 or self.offsets[-1] != self.points.shape[0]:
@@ -156,7 +153,7 @@ class ArrayRow:
         return np.sum(self.points**2, axis=1)
 
     @classmethod
-    def from_cells(cls, cells, meta: Mapping | None = None) -> "ArrayRow":
+    def from_cells(cls, cells) -> "ArrayRow":
         """Row from an iterable of (points, probs) pairs, one per cell; an
         (m, N) points array and m probabilities (a 1-D points array is one atom)."""
         cells = [(np.atleast_2d(np.asarray(x, dtype=np.float64)),
@@ -169,8 +166,7 @@ class ArrayRow:
             raise ShapeError("points and probs must have one entry per atom")
         points, probs = zip(*cells)
         offsets = np.concatenate([[0], np.cumsum([p.size for p in probs])])
-        return cls(points[0].shape[1], np.concatenate(points), np.concatenate(probs), offsets,
-                   meta=meta or {})
+        return cls(points[0].shape[1], np.concatenate(points), np.concatenate(probs), offsets)
 
 
 def _project(points: np.ndarray, t) -> np.ndarray:
@@ -198,8 +194,6 @@ class ValidationReport:
     mean_residuals: np.ndarray
     cov_residual_matrix: np.ndarray
     second_moment_sum: float
-    tol_mean: float
-    tol_cov: float
     passed: bool
     failing_cells: tuple[int, ...]
 
@@ -222,16 +216,15 @@ class ValidationReport:
         )
 
 
-def validate_row(
-    row: ArrayRow, tol_mean: float = DEFAULT_MEAN_TOL, tol_cov: float = DEFAULT_COV_TOL
-) -> ValidationReport:
-    """Check the standard-row properties of ``row`` against the tolerances.
+def validate_row(row: ArrayRow) -> ValidationReport:
+    """Check the standard-row properties of ``row``: the one rule.
 
     A pure function: failures are reported, never raised, and the row is
     left untouched.  The report lists per-cell residuals and passes only
-    if probabilities, means and the covariance sum are all within
-    tolerance.  ``ArrayRow`` runs it with the default tolerances on
-    construction; stricter or looser calls only inspect.
+    if every cell's probability sum and mean are within
+    ``DEFAULT_MEAN_TOL`` and every entry of the covariance sum minus the
+    identity is within ``DEFAULT_COV_TOL``.  ``ArrayRow`` runs it on
+    construction, so calling it on a built row only re-inspects.
     """
     # each atom-sized temporary is dropped as soon as it has been used
     norm2 = row.squared_norms()
@@ -251,8 +244,9 @@ def validate_row(
     prob_residuals = np.abs(prob_sums - 1.0)
     mean_residuals = np.linalg.norm(means, axis=1)
 
-    cell_ok = (prob_residuals <= tol_mean) & (mean_residuals <= tol_mean)
-    passed = bool(np.all(cell_ok)) and float(np.max(np.abs(cov_residual_matrix))) <= tol_cov
+    cell_ok = (prob_residuals <= DEFAULT_MEAN_TOL) & (mean_residuals <= DEFAULT_MEAN_TOL)
+    passed = (bool(np.all(cell_ok))
+              and float(np.max(np.abs(cov_residual_matrix))) <= DEFAULT_COV_TOL)
     return ValidationReport(
         n=row.n,
         dimension=row.dimension,
@@ -260,8 +254,6 @@ def validate_row(
         mean_residuals=mean_residuals,
         cov_residual_matrix=cov_residual_matrix,
         second_moment_sum=second_moment_sum,
-        tol_mean=tol_mean,
-        tol_cov=tol_cov,
         passed=passed,
         failing_cells=tuple(int(k) for k in np.nonzero(~cell_ok)[0]),
     )
@@ -275,7 +267,7 @@ def build_rademacher_row(n: int) -> ArrayRow:
     points = np.tile([[-scale], [scale]], (n, 1))
     probs = np.full(2 * n, 0.5)
     offsets = 2 * np.arange(n + 1, dtype=np.int64)
-    return ArrayRow(1, points, probs, offsets, meta={"family": "rademacher_iid", "n": n})
+    return ArrayRow(1, points, probs, offsets)
 
 
 def _eta_params(alpha: float) -> tuple[float, int]:
@@ -311,7 +303,8 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     For alpha > 1/2 (beta > 1) the stated probabilities go negative for
     k < beta, so such alphas are refused unless ``allow_shifted_start``
     is set; the shifted variant uses plain +-1/s_n cells for k < ceil(beta)
-    and renormalises s_n^2 accordingly (recorded in ``row.meta``).
+    and renormalises s_n^2 accordingly (``eta_scale_squared`` with
+    ``shifted_start=True``).
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -326,8 +319,7 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
         )
     if beta <= 1.0:
         k0 = 1
-    s2 = eta_scale_squared(alpha, n, shifted_start=beta > 1.0)
-    s = math.sqrt(s2)
+    s = math.sqrt(eta_scale_squared(alpha, n, shifted_start=beta > 1.0))
 
     # every cell as atoms (-sqrt(k), -1, 1, sqrt(k))/s, then one keep mask
     # drops the massless ones: the sqrt(k) pair of the plain +-1/s coins
@@ -337,9 +329,6 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     plain = k < max(k0, 2)
     p_small = 0.5 * (1.0 - beta / k)
     p_big = 0.5 * beta / k
-    negative = ~plain & (p_small < -1e-11)
-    if np.any(negative):
-        raise ConstructionError(f"negative atom probability at k={int(k[np.argmax(negative)])}")
     p_small[plain] = 0.5
     cell_points = np.stack(
         [-np.sqrt(k) / s, np.full_like(k, -1.0 / s), np.full_like(k, 1.0 / s), np.sqrt(k) / s],
@@ -352,11 +341,8 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     points = cell_points[keep][:, None]
     probs = cell_probs[keep]
     offsets = np.concatenate([[0], np.cumsum(2 * small_kept + 2 * ~plain)])
-    del k, plain, p_small, p_big, negative, cell_points, cell_probs, small_kept, keep
-    meta = {"family": "eta_alpha", "alpha": alpha, "n": n, "scale_squared": s2}
-    if beta > 1.0:
-        meta["shifted_start"] = k0
-    return ArrayRow(1, points, probs, offsets, meta=meta)
+    del k, plain, p_small, p_big, cell_points, cell_probs, small_kept, keep
+    return ArrayRow(1, points, probs, offsets)
 
 
 def build_product_row(coordinate_rows) -> ArrayRow:
@@ -403,5 +389,4 @@ def build_product_row(coordinate_rows) -> ArrayRow:
     for factor, a in zip(factors[1:], atoms[1:]):
         probs = probs * factor.probs[a]
     order = np.lexsort([*points.T[::-1], cell_of])  # by cell, then x_1, ..., x_N
-    return ArrayRow(dim, points[order], probs[order], offsets,
-                    meta={"family": "product", "n": n, "dimension": dim})
+    return ArrayRow(dim, points[order], probs[order], offsets)

@@ -14,10 +14,12 @@ kernel, K(s) = exp(-i sqrt(s) <t,x> - (1-s)|t|^2/2):
     gradient:  grad f(x) = (i t / 2) int_0^1 s^{-1/2} K(s) ds
     Hessian:   Hess f(x) = (t t^T / 2) int_0^1 K(s) ds
 
-with K(0) = e^{-|t|^2/2}.  The Hessian form is the reason this
-specialisation matters: the general integral representation carries a
-1/(1-s) endpoint factor that makes it numerically treacherous for
-arbitrary h, while for e_t the factor cancels exactly.
+with K(0) = e^{-|t|^2/2}; the rank-one t t^T is the real
+``np.outer(t, t)``, made complex by the factor it multiplies.  The
+Hessian form is the reason this specialisation matters: the general
+integral representation carries a 1/(1-s) endpoint factor that makes it
+numerically treacherous for arbitrary h, while for e_t the factor
+cancels exactly.
 ``gaussian_expectation_identity`` certifies that cancellation
 numerically, and ``alpha_identities`` checks the two algebraic
 identities (complex shift alpha = y + i sqrt(1-s) t) behind it.
@@ -38,7 +40,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_rule, integrate_unit, outer_product
+from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, _hermite_rule, integrate_unit
 from .util import as_vector, exclusive_products
 
 __all__ = [
@@ -199,7 +201,7 @@ def hessian_finite_difference(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -
 def hessian_closed_form(t, x, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
     """Hess f(x) = (t t^T / 2) * scalar integral, a rank-one matrix; singularity-free."""
     t, _, tt, a = _pair(t, x)
-    return 0.5 * integrate_unit(lambda s: _kernel(tt, a, s), spec) * outer_product(t)
+    return 0.5 * integrate_unit(lambda s: _kernel(tt, a, s), spec) * np.outer(t, t)
 
 
 def hessian_difference(t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np.ndarray:
@@ -213,7 +215,7 @@ def hessian_difference(t, x, y, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> np
     _, y, _, ay = _pair(t, y, name="y")
     dxy = float(t @ (x - y))
     integral = integrate_unit(lambda s: _kernel(tt, ay, s) * (_kernel(0.0, dxy, s) - 1.0), spec)
-    return 0.5 * integral * outer_product(t)
+    return 0.5 * integral * np.outer(t, t)
 
 
 def _hermite_factors(t: np.ndarray, x: np.ndarray, s, level: int):
@@ -269,7 +271,7 @@ def gaussian_expectation_identity(t, x, s, level: int = DEFAULT_HERMITE_LEVEL) -
     t, x, tt, a = _pair(t, x)
     s = _unit_s(s)
     grid = s[..., None, None]
-    closed = -(1.0 - grid) * outer_product(t) * _kernel(tt, a, grid)
+    closed = -(1.0 - grid) * np.outer(t, t) * _kernel(tt, a, grid)
     return _second_moment(t, x, s, level) - closed
 
 

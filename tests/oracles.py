@@ -24,6 +24,7 @@ from steinclt import (
     l_sum,
     stein_solution,
 )
+from steinclt.rows import DEFAULT_COV_TOL, DEFAULT_MEAN_TOL
 
 
 def midpoint_solution(t: float, x: float, panels: int = 1_000_000) -> complex:
@@ -164,7 +165,7 @@ def product_row_oracle(factors):
 
 
 def eta_row_oracle(alpha: float, n: int, shifted_start: bool = False):
-    """(points, probs, offsets, meta) of the two-scale row, one cell at a
+    """(points, probs, offsets) of the two-scale row, one cell at a
     time as the rows module defines it.
 
     With beta = alpha/(1-alpha), cell k puts mass beta/(2k) on each of
@@ -180,8 +181,7 @@ def eta_row_oracle(alpha: float, n: int, shifted_start: bool = False):
         if not shifted_start:
             raise ConstructionError(f"alpha={alpha} needs the shifted start")
         start = math.ceil(beta - 1e-12 * beta)
-    s2 = eta_scale_squared(alpha, n, shifted_start=beta > 1.0)
-    s = math.sqrt(s2)
+    s = math.sqrt(eta_scale_squared(alpha, n, shifted_start=beta > 1.0))
     points, probs, counts = [], [], []
     for k in range(1, n + 1):
         if k == 1 or k < start:
@@ -197,11 +197,7 @@ def eta_row_oracle(alpha: float, n: int, shifted_start: bool = False):
         points += [x for x, _ in atoms]
         probs += [p for _, p in atoms]
         counts.append(len(atoms))
-    meta = {"family": "eta_alpha", "alpha": alpha, "n": n, "scale_squared": s2}
-    if beta > 1.0:
-        meta["shifted_start"] = start
-    return (np.array(points)[:, None], np.array(probs),
-            np.concatenate([[0], np.cumsum(counts)]), meta)
+    return np.array(points)[:, None], np.array(probs), np.concatenate([[0], np.cumsum(counts)])
 
 
 def cells_doc_oracle(row) -> list:
@@ -361,9 +357,10 @@ def directional_sums_oracle(row, batch, thresholds):
     return sums[0], sums[1]
 
 
-def validation_oracle(dimension, points, probs, offsets, tol_mean, tol_cov) -> dict:
+def validation_oracle(dimension, points, probs, offsets) -> dict:
     """Every field of a ValidationReport from raw row arrays, by the plain
-    expressions that preceded the freed temporaries of ``validate_row``."""
+    expressions that preceded the freed temporaries of ``validate_row``,
+    under the one rule's tolerances."""
     starts = offsets[:-1]
     prob_sums = np.add.reduceat(probs, starts)
     means = np.add.reduceat(probs[:, None] * points, starts, axis=0)
@@ -371,7 +368,7 @@ def validation_oracle(dimension, points, probs, offsets, tol_mean, tol_cov) -> d
     cov_residual_matrix = second_matrix - np.einsum("ki,kj->ij", means, means) - np.eye(dimension)
     prob_residuals = np.abs(prob_sums - 1.0)
     mean_residuals = np.linalg.norm(means, axis=1)
-    cell_ok = (prob_residuals <= tol_mean) & (mean_residuals <= tol_mean)
+    cell_ok = (prob_residuals <= DEFAULT_MEAN_TOL) & (mean_residuals <= DEFAULT_MEAN_TOL)
     return {
         "n": len(offsets) - 1,
         "dimension": dimension,
@@ -379,8 +376,7 @@ def validation_oracle(dimension, points, probs, offsets, tol_mean, tol_cov) -> d
         "mean_residuals": mean_residuals,
         "cov_residual_matrix": cov_residual_matrix,
         "second_moment_sum": float(np.sum(probs * np.sum(points**2, axis=1))),
-        "tol_mean": tol_mean,
-        "tol_cov": tol_cov,
-        "passed": bool(np.all(cell_ok)) and float(np.max(np.abs(cov_residual_matrix))) <= tol_cov,
+        "passed": (bool(np.all(cell_ok))
+                   and float(np.max(np.abs(cov_residual_matrix))) <= DEFAULT_COV_TOL),
         "failing_cells": tuple(int(k) for k in np.nonzero(~cell_ok)[0]),
     }

@@ -131,6 +131,7 @@ def test_stein_check_x_axis_is_one_option():
     ("10", "0:1e308:1e-10", "has more than 1000000 points"),
     ("10", "0:1e9:1", "has more than 1000000 points"),
     ("10", "1e308:-1e308:1", "is empty"),
+    ("5", "0:1:0", "grid step must be positive"),
 ])
 def test_bad_grid_is_a_usage_error(n, t, message, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -139,6 +140,28 @@ def test_bad_grid_is_a_usage_error(n, t, message, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "--family", "rademacher", "--n", "5", "--t", "1", "--direction", "0"],
+     "direction must be nonzero"),
+    (["gap", "--family", "product", "--n", "5", "--t", "1", "--direction", "nan,1"],
+     "direction must be finite"),
+    (["gap", "--spec", "ROW", "--family", "rademacher", "--t", "1"], "not both"),
+    (["gap", "--family", "product", "--base", "eta", "--n", "5", "--t", "1"],
+     "--base eta requires --alpha"),
+    (["report", "--spec", "ROW", "--t", "1"], "needs a family"),
+    (["kolmogorov", "--family", "rademacher", "--n", "5", "--samples", "0"],
+     "samples must be >= 1"),
+    (["stein-check", "--level", "0"], "Gauss-Hermite level must be >= 1"),
+], ids=lambda value: value if isinstance(value, str) else None)
+def test_bad_argument_is_a_usage_error(argv, message, tmp_path, capsys):
+    spec = tmp_path / "row.json"
+    spec.write_text(GOOD_ROW)
+    code, out, err = run([str(spec) if arg == "ROW" else arg for arg in argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize("argv", [

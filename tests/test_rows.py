@@ -45,7 +45,6 @@ from oracles import (
     validation_oracle,
 )
 from steinclt.indices import _directional_sums
-from steinclt.rows import DEFAULT_COV_TOL, DEFAULT_MEAN_TOL
 from strategies import centred_rows
 
 
@@ -77,8 +76,8 @@ def test_eta_alpha_half_n1_collapses_to_coin():
 def test_eta_alpha_half_n2_atoms():
     # s_2^2 = 2n - H_2 = 4 - 1.5 = 2.5; cell 2 has all four atoms at
     # probability 1/4 each.
+    assert eta_scale_squared(0.5, 2) == pytest.approx(2.5, abs=1e-14)
     row = build_eta_row(0.5, 2)
-    assert row.meta["scale_squared"] == pytest.approx(2.5, abs=1e-14)
     s = math.sqrt(2.5)
     (points1, probs1), (points2, probs2) = row.cell(0), row.cell(1)
     assert points1.ravel() == pytest.approx([-1 / s, 1 / s])
@@ -109,7 +108,6 @@ def test_eta_parameter_validation():
 def test_eta_shifted_start_override():
     row = build_eta_row(0.8, 20, allow_shifted_start=True)
     # beta = 4 (up to float dust in 0.8/0.2), so the correction starts at k = 4
-    assert row.meta["shifted_start"] == 4
     report = validate_row(row)
     assert report.passed
     assert report.second_moment_sum == pytest.approx(1.0, abs=1e-12)
@@ -134,19 +132,18 @@ def test_eta_row_matches_the_per_cell_definition(alpha, shifted):
                 build_eta_row(alpha, n, allow_shifted_start=shifted)
             continue
         row = build_eta_row(alpha, n, allow_shifted_start=shifted)
-        points, probs, offsets, meta = expected
+        points, probs, offsets = expected
         assert np.array_equal(row.points, points)
         assert np.array_equal(row.probs, probs)
         assert np.array_equal(row.offsets, offsets)
-        assert dict(row.meta) == meta
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_eta_row_matches_the_per_cell_definition_at_large_n(alpha):
     row = build_eta_row(alpha, 100_000, allow_shifted_start=True)
-    points, probs, offsets, meta = eta_row_oracle(alpha, 100_000, True)
+    points, probs, offsets = eta_row_oracle(alpha, 100_000, True)
     assert np.array_equal(row.points, points) and np.array_equal(row.probs, probs)
-    assert np.array_equal(row.offsets, offsets) and dict(row.meta) == meta
+    assert np.array_equal(row.offsets, offsets)
 
 
 def test_eta_scale_grows_monotonically():
@@ -256,16 +253,14 @@ def test_validate_detects_bad_mean():
 
 
 def test_strict_validation_leaves_cached_row_usable():
-    # validate_row only inspects: a failed strict check must not disable
-    # the shared family row for later callers
+    # validate_row only inspects: re-checking the shared family row must
+    # leave it as later callers get it
     family = EtaAlphaFamily(0.5)
     row = family.row(1000)
-    before, meta = dict(vars(row)), dict(row.meta)
+    before = dict(vars(row))
     assert validate_row(row).passed
-    assert not validate_row(row, tol_mean=1e-30, tol_cov=1e-30).passed
     assert vars(row).keys() == before.keys()
     assert all(vars(row)[key] is value for key, value in before.items())
-    assert row.meta == meta
     assert charfn_gap(family.row(1000), 1.0) == charfn_gap(build_eta_row(0.5, 1000), 1.0)
 
 
@@ -344,19 +339,6 @@ def test_row_data_is_read_only():
     assert points.flags.writeable and probs.flags.writeable and offsets.flags.writeable
 
 
-def test_row_meta_is_read_only():
-    meta = {"family": "custom"}
-    row = ArrayRow(1, [-1.0, 1.0], [0.5, 0.5], [0, 2], meta=meta)
-    with pytest.raises(TypeError):
-        row.meta["family"] = "other"
-    meta["family"] = "other"  # the caller's dict is copied, not shared
-    assert row.meta == {"family": "custom"}
-    shared = RademacherFamily().row(4)
-    with pytest.raises(TypeError):
-        shared.meta["x"] = 1
-    assert shared.meta == {"family": "rademacher_iid", "n": 4}
-
-
 def test_cell_index_is_checked():
     row = build_rademacher_row(3)
     assert row.cell(2)[1].size == 2
@@ -370,7 +352,7 @@ def test_row_fields_cannot_be_rebound():
     # family row, change the shared cached row
     family = EtaAlphaFamily(0.5)
     row = family.row(10)
-    for name in ("dimension", "points", "probs", "offsets", "meta"):
+    for name in ("dimension", "points", "probs", "offsets"):
         with pytest.raises(FrozenInstanceError):
             setattr(row, name, getattr(row, name))
     with pytest.raises(FrozenInstanceError):
@@ -382,8 +364,7 @@ def test_row_fields_cannot_be_rebound():
 def test_rows_hold_only_their_data():
     # a family row is cached for the life of the process, so nothing a
     # caller derives from it may stay attached to it
-    assert [f.name for f in fields(ArrayRow)] == \
-        ["dimension", "points", "probs", "offsets", "meta"]
+    assert [f.name for f in fields(ArrayRow)] == ["dimension", "points", "probs", "offsets"]
     family = EtaAlphaFamily(0.5)
     row = family.row(40)
     before = dict(vars(row))
@@ -549,7 +530,7 @@ def test_explicit_family_spec():
 
 
 def assert_report_matches_oracle(report, dimension, points, probs, offsets):
-    expected = validation_oracle(dimension, points, probs, offsets, report.tol_mean, report.tol_cov)
+    expected = validation_oracle(dimension, points, probs, offsets)
     for name, value in expected.items():
         got = getattr(report, name)
         if isinstance(value, np.ndarray):
@@ -559,9 +540,9 @@ def assert_report_matches_oracle(report, dimension, points, probs, offsets):
 
 
 @settings(max_examples=60, deadline=None)
-@given(centred_rows(), st.sampled_from([(DEFAULT_MEAN_TOL, DEFAULT_COV_TOL), (1e-30, 1e-30)]))
-def test_validation_report_matches_the_plain_oracle(row, tolerances):
-    report = validate_row(row, *tolerances)
+@given(centred_rows())
+def test_validation_report_matches_the_plain_oracle(row):
+    report = validate_row(row)
     assert_report_matches_oracle(report, row.dimension, row.points, row.probs, row.offsets)
 
 
