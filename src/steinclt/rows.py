@@ -270,13 +270,18 @@ def build_rademacher_row(n: int) -> ArrayRow:
     return ArrayRow(1, points, probs, offsets)
 
 
-def _eta_params(alpha: float) -> tuple[float, int]:
-    """(beta, correction start index) for the two-scale family.
+def _eta_params(alpha: float, n: int) -> tuple[float, int]:
+    """(beta, correction start index) for the two-scale family's row n.
 
-    Float dust in alpha/(1-alpha) can land just past an integer; the
-    relative backoff keeps ceil() at the intended start, and the builder
-    drops the correspondingly negligible atom probabilities.
+    Refuses alpha outside (0, 1) and n < 1.  Float dust in alpha/(1-alpha)
+    can land just past an integer; the relative backoff keeps ceil() at the
+    intended start, and the builder drops the correspondingly negligible
+    atom probabilities.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
+    if n < 1:
+        raise ParameterError(f"row size must be >= 1, got {n}")
     beta = alpha / (1.0 - alpha)
     k0 = max(1, math.ceil(beta - 1e-12 * max(1.0, beta)))
     return beta, k0
@@ -284,7 +289,7 @@ def _eta_params(alpha: float) -> tuple[float, int]:
 
 def eta_scale_squared(alpha: float, n: int, shifted_start: bool = False) -> float:
     """Normalisation s_n^2 of the two-scale family (see module docstring)."""
-    beta, k0 = _eta_params(alpha)
+    beta, k0 = _eta_params(alpha, n)
     k = np.arange(1, n + 1, dtype=np.float64)
     if shifted_start:
         return float(n + beta * np.sum(1.0 - 1.0 / k[k >= k0]))
@@ -306,11 +311,7 @@ def build_eta_row(alpha: float, n: int, *, allow_shifted_start: bool = False) ->
     and renormalises s_n^2 accordingly (``eta_scale_squared`` with
     ``shifted_start=True``).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
-    if n < 1:
-        raise ParameterError(f"row size must be >= 1, got {n}")
-    beta, k0 = _eta_params(alpha)
+    beta, k0 = _eta_params(alpha, n)
     if beta > 1.0 and not allow_shifted_start:
         raise ConstructionError(
             f"alpha={alpha} gives beta={beta:.6g} > 1: probability (1 - beta/k)/2 "

@@ -8,8 +8,9 @@ layout of the library's own expressions, so that a rewrite can be
 checked against it bit for bit: ``master_bound_oracle`` (the per-eps
 assembly of the master inequality on the single-t gap and tail sums),
 ``masked_sum_oracle`` (one boolean-indexed sum per threshold),
-``directional_sums_oracle`` (every atom weighed and projected) and
-``validation_oracle`` (every temporary formed in one expression).
+``directional_sums_oracle`` (every atom weighed and projected),
+``validation_oracle`` (every temporary formed in one expression) and
+``kolmogorov_oracle`` (Phi compared at every sorted draw).
 """
 
 import math
@@ -22,6 +23,7 @@ from steinclt import (
     eta_scale_squared,
     gaussian_charfn,
     l_sum,
+    normal_cdf,
     stein_solution,
 )
 from steinclt.rows import DEFAULT_COV_TOL, DEFAULT_MEAN_TOL
@@ -380,3 +382,15 @@ def validation_oracle(dimension, points, probs, offsets) -> dict:
                    and float(np.max(np.abs(cov_residual_matrix))) <= DEFAULT_COV_TOL),
         "failing_cells": tuple(int(k) for k in np.nonzero(~cell_ok)[0]),
     }
+
+
+def kolmogorov_oracle(draws: np.ndarray) -> float:
+    """Kolmogorov distance of the draws' empirical CDF to N(0, 1), with
+    Phi taken at every sorted draw, ties included: the largest of
+    i/m - Phi(x_(i)) and Phi(x_(i)) - (i-1)/m over i = 1..m."""
+    draws = np.sort(draws)
+    m = draws.size
+    phi = normal_cdf(draws)
+    upper = np.max(np.arange(1, m + 1) / m - phi)
+    lower = np.max(phi - np.arange(0, m) / m)
+    return float(max(upper, lower))

@@ -8,14 +8,15 @@ from steinclt import ArrayRow, RowValidationError
 
 
 @st.composite
-def centred_rows(draw, large_cell: bool = False):
+def centred_rows(draw, large_cell: bool = False, dim: int | None = None):
     """Explicit rows of mean-zero cells with 2-4 atoms of unequal mass,
     whitened so the cell covariances sum to the identity.  The cells are
     not symmetric, so their transforms have imaginary parts.  With
-    ``large_cell`` one cell holds 30-80 atoms instead.  A draw whose
-    rounding leaves the row outside the standard-row tolerances is
-    rejected."""
-    dim = draw(st.integers(1, 3))
+    ``large_cell`` one cell holds 30-80 atoms instead.  The dimension is
+    ``dim`` when given and 1-3 otherwise.  A draw whose rounding leaves the
+    row outside the standard-row tolerances is rejected."""
+    if dim is None:
+        dim = draw(st.integers(1, 3))
     n = draw(st.integers(dim, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     large = draw(st.integers(0, n - 1)) if large_cell else -1

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
 import steinclt.util as util
-from oracles import atom_index_oracle, cell_charfn, rademacher_gap_closed_form
+from oracles import atom_index_oracle, cell_charfn, kolmogorov_oracle, rademacher_gap_closed_form
 from oracles import sample_row_sums_oracle
 from steinclt import (
     ArrayRow,
@@ -217,6 +217,24 @@ def test_kolmogorov_distance_of_coin():
 def test_kolmogorov_large_row_is_small():
     distance = kolmogorov_mc(build_rademacher_row(10_000), 100_000, RngSeed(12))
     assert distance < 0.02
+
+
+@pytest.mark.parametrize("row", [build_rademacher_row(1000), build_eta_row(0.5, 1000)],
+                         ids=["rademacher", "eta"])
+def test_kolmogorov_matches_every_draw_oracle(row):
+    # Phi once per distinct draw gives the every-draw formula's bits: the
+    # rademacher draws take 242 distinct values (heavy ties), the eta draws
+    # are all distinct
+    seed = RngSeed(31)
+    draws = sample_row_sums(row, 5000, seed)[:, 0]
+    assert kolmogorov_mc(row, 5000, seed) == kolmogorov_oracle(draws)
+
+
+@settings(max_examples=40, deadline=None)
+@given(centred_rows(dim=1), st.integers(1, 3000), st.integers(0, 2**64 - 1))
+def test_kolmogorov_matches_every_draw_oracle_on_random_rows(row, samples, seed):
+    draws = sample_row_sums(row, samples, RngSeed(seed))[:, 0]
+    assert kolmogorov_mc(row, samples, RngSeed(seed)) == kolmogorov_oracle(draws)
 
 
 def test_kolmogorov_rejects_multivariate():

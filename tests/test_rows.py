@@ -88,6 +88,15 @@ def test_eta_alpha_half_n2_atoms():
     assert probs2 == pytest.approx([0.25, 0.25, 0.25, 0.25])
 
 
+@pytest.mark.parametrize("alpha, n", [(1.0, 5), (0.5, 0), (0.5, -3), (-0.5, 4), (float("nan"), 4),
+                                      (0.0, 4)])
+def test_eta_scale_squared_refuses_what_the_builder_refuses(alpha, n):
+    with pytest.raises(ParameterError):
+        eta_scale_squared(alpha, n)
+    with pytest.raises(ParameterError):
+        build_eta_row(alpha, n)
+
+
 @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5])
 @pytest.mark.parametrize("n", [1, 7, 100])
 def test_eta_second_moment_sum_is_one(alpha, n):
