@@ -153,8 +153,9 @@ def decomposition_check(
 
     The lhs is one ``identity_lhs`` call, the rhs one ``identity_rhs``
     quadrature per t (a hard t refines only its own entry) on up to one
-    thread per core, each running its transform tiles in turn; every
-    entry equals the single-t call.
+    thread per core, each running its transform tiles in turn; threads
+    are spent here and on the sampler's blocks only.  Every entry equals
+    the single-t call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     lhs = identity_lhs(row, batch)

@@ -26,15 +26,16 @@ weights p <x, t> for its s-integrand.  A chunk is formed in tiles of at
 most ``_TILE_ELEMENTS`` (t-values x atoms) over whole cells: a tile
 projects its own atoms with ``ArrayRow.project``, takes cos and sin and
 writes the per-cell sums of each weight, so the peak memory is a few
-tiles and the chunk's outputs.  The tiles run on up to one thread per core
-through ``util._fan_out``, which spends threads at one level only: inside
-a fan-out worker (one t of ``bounds.decomposition_check``) they run in
-turn.  Each per-cell sum is np.add.reduceat's over the same atoms however
+tiles and the chunk's outputs.  The tiles run in turn on the calling
+thread: threads are spent only on the t of ``bounds.decomposition_check``
+and the sample blocks of ``sample_row_sums``, so a call with few t on a
+large row uses one core.  Each per-cell sum is np.add.reduceat's over the same atoms however
 the tiles fall: the cell's first term plus the rest added left to right.
 ``_cell_sums`` takes it with slice adds when the tile's cells share one
 width of at most ``_SLICE_ADD_MAX_WIDTH`` atoms and with reduceat
 otherwise (mixed or wider cells).  Every numpy step of a tile but reduceat
-releases the interpreter lock, so only those tiles serialise on it.  Each
+releases the interpreter lock, so the identity's concurrent t serialise on
+it only in those tiles.  Each
 transform and the gap take one t or a 2-D (m, N) batch, one entry per row
 of T equal to its single-t call, bit for bit.
 """
@@ -158,7 +159,7 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
     (t, cells, width) view in a tile of one cell width up to
     ``_SLICE_ADD_MAX_WIDTH``, which release the interpreter lock, and
     reduceat itself, which holds it, in a tile of mixed or wider cells.
-    So neither the tiles nor the threads they run on change a bit.
+    The tiles run in turn on the calling thread, and change no bit.
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
     offsets, parts = row.offsets, []
@@ -166,9 +167,7 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
     for i in range(0, batch.shape[0], chunk) or (0,):
         block = batch[i:i + chunk]
         outs = [np.empty((len(block), row.n), dtype=np.complex128) for _ in weights]
-
-        def tile(job: tuple[slice, int, int, int | None]) -> None:
-            rows, k0, k1, width = job
+        for rows, k0, k1, width in _tiles(row, len(block)) if len(block) else ():
             lo, hi = offsets[k0], offsets[k1]
             a = row.project(block[rows], lo, hi)
             cos = np.cos(a)
@@ -179,8 +178,6 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
                 w = w[lo:hi]
                 out.real[rows, k0:k1] = _cell_sums(w * cos, cuts, width)
                 out.imag[rows, k0:k1] = -_cell_sums(w * sin, cuts, width)
-
-        _fan_out(tile, _tiles(row, len(block)) if len(block) else ())
         parts.append(reduce(*outs))
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 

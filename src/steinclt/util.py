@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -72,25 +71,18 @@ def _thread_count(jobs: int) -> int:
     return max(1, min(_cores(), jobs))
 
 
-# marks the threads of a _fan_out pool, so a fan-out inside one stays on it
-_in_worker = threading.local()
-
-
-def _mark_worker() -> None:
-    _in_worker.flag = True
-
-
 def _fan_out(work, jobs) -> list:
     """[work(job) for job in jobs], on ``_thread_count(len(jobs))`` threads.
 
-    One thread runs a plain loop, and so does a fan-out called from a job
-    of another fan-out: threads are spent at one level only.  Results
-    come back in job order, and an exception raised by any job is raised
-    here.
+    One thread runs a plain loop.  Its callers are the identity's t
+    (``bounds.decomposition_check``) and the sampler's blocks
+    (``charfn.sample_row_sums``), and no job of either starts another
+    fan-out.  Results come back in job order, and an exception raised by
+    any job is raised here.
     """
     jobs = list(jobs)
     threads = _thread_count(len(jobs))
-    if threads == 1 or getattr(_in_worker, "flag", False):
+    if threads == 1:
         return [work(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=threads, initializer=_mark_worker) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(work, jobs))

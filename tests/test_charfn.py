@@ -1,5 +1,3 @@
-import os
-import sys
 import threading
 from contextlib import contextmanager
 from unittest import mock
@@ -29,7 +27,7 @@ from steinclt import (
     row_sum_charfn,
     sample_row_sums,
 )
-from steinclt.bounds import identity_rhs
+from steinclt.bounds import decomposition_check, identity_rhs, master_bound
 from steinclt.quadrature import _hermite_rule
 from strategies import centred_rows
 
@@ -345,35 +343,16 @@ def tiled_cases(draw):
 @settings(max_examples=6, deadline=None)
 @given(tiled_cases())
 def test_tiles_never_change_a_bit(case):
-    # one cell or a few atoms per tile, on 1-3 threads, gives the default call
+    # one cell or a few atoms per tile gives the default call
     row, batch, t = case
     expected = (row_sum_charfn(row, batch), charfn_gap(row, batch), row_sum_charfn(row, t),
                 identity_rhs(row, t))
     for cap in (1, 5, charfn_module._TILE_ELEMENTS):
-        for cores in (1, 2, 3):
-            with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap), \
-                    mock.patch.object(util, "_cores", lambda: cores):
-                values, gaps = row_sum_charfn(row, batch), charfn_gap(row, batch)
-                single, rhs = row_sum_charfn(row, t), identity_rhs(row, t)
-            assert np.all(values == expected[0]) and np.all(gaps == expected[1])
-            assert single == expected[2] and rhs == expected[3]
-
-
-def test_tiles_on_more_threads_than_cores_under_frequent_switches():
-    # tiles write disjoint columns of shared outputs: a lost or misplaced
-    # write would show as a changed entry
-    row = build_eta_row(0.5, 2000)
-    batch = np.linspace(-4.0, 4.0, 9)[:, None]
-    expected = row_sum_charfn(row, batch)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 256), \
-                mock.patch.object(util, "_cores", lambda: (os.cpu_count() or 1) + 2):
-            for _ in range(3):
-                assert np.all(row_sum_charfn(row, batch) == expected)
-    finally:
-        sys.setswitchinterval(interval)
+        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
+            values, gaps = row_sum_charfn(row, batch), charfn_gap(row, batch)
+            single, rhs = row_sum_charfn(row, t), identity_rhs(row, t)
+        assert np.all(values == expected[0]) and np.all(gaps == expected[1])
+        assert single == expected[2] and rhs == expected[3]
 
 
 def test_tiles_hold_at_most_the_cap_unless_one_t_by_one_cell():
@@ -427,10 +406,8 @@ def test_uniform_and_mixed_tiles_give_the_untiled_reduceat():
     expected = transforms()
     assert np.array_equal(expected, untiled)
     for cap in (1, 5, 64, charfn_module._TILE_ELEMENTS):
-        for cores in (1, 2, 3):
-            with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap), \
-                    mock.patch.object(util, "_cores", lambda: cores):
-                assert np.array_equal(transforms(), expected)
+        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
+            assert np.array_equal(transforms(), expected)
 
 
 @pytest.mark.parametrize("row", [build_rademacher_row(1001), build_eta_row(0.5, 3000),
@@ -443,23 +420,37 @@ def test_symmetric_sorted_cells_give_exactly_real_transforms(row):
     assert all(row_sum_charfn(row, t).imag == 0.0 for t in batch[:, 0])
 
 
-def test_a_nested_fan_out_runs_on_its_callers_thread(monkeypatch):
+def test_a_fan_out_runs_its_jobs_on_pool_threads(monkeypatch):
     monkeypatch.setattr(util, "_cores", lambda: 4)
-
-    def outer(job):
-        return threading.get_ident(), util._fan_out(lambda _: threading.get_ident(), range(5))
-
-    main = threading.get_ident()
-    for worker, inner in util._fan_out(outer, range(3)):
-        assert worker != main and inner == [worker] * 5
-    # the caller's own thread is not a worker: its next fan-out uses the pool
-    assert main not in util._fan_out(lambda _: threading.get_ident(), range(3))
-
-    def failing(job):
-        return util._fan_out(lambda j: 1 // (j - 2), range(4))
-
+    assert threading.get_ident() not in util._fan_out(lambda _: threading.get_ident(), range(3))
     with pytest.raises(ZeroDivisionError):
-        util._fan_out(failing, range(3))
+        util._fan_out(lambda j: 1 // (j - 2), range(4))
+
+
+def test_threads_are_spent_only_on_identity_t_and_sampler_blocks(monkeypatch):
+    # the transform tiles run in turn: of the exact paths only a batch of
+    # identity t starts a pool, and none of its jobs starts another
+    pools = []
+
+    class CountingPool(util.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(threading.get_ident())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(util, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(util, "_cores", lambda: 4)
+    monkeypatch.setattr(charfn_module, "_TILE_ELEMENTS", 256)
+    row = build_eta_row(0.5, 3000)
+    batch = np.array([[0.5], [2.0]])
+    row_sum_charfn(row, batch), charfn_gap(row, batch), master_bound(row, batch, 0.1)
+    decomposition_check(row, 1.0)
+    assert pools == []
+    decomposition_check(row, batch)
+    assert pools == [threading.get_ident()]
+    pools.clear()
+    monkeypatch.setattr(charfn_module, "_MIN_BLOCK_SAMPLES", 1)
+    sample_row_sums(row, 8, RngSeed(1))
+    assert pools == [threading.get_ident()]
 
 
 def test_threads_follow_the_cpus_this_process_may_use(monkeypatch):
