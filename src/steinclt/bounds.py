@@ -2,20 +2,23 @@
 
 The centrepiece is an exact identity for the gap between the Gaussian
 transform and a row-sum transform.  With u = sqrt(s), phi_k the cell
-transforms, psi_k(v) = E[<X_k, t> e^{-i <v, X_k>}], mu_k(t) = E[<X_k, t>]
-and m2_k(t) = E[<X_k, t>^2],
+transforms, psi_k(v) = E[<X_k, t> e^{-i <v, X_k>}], mu_k(t) = E[<X_k, t>],
+m2_k(t) = E[<X_k, t>^2] and tau = sum_k m2_k(t),
 
   phi_Gauss(t) - phi_row(t)
-    = 1/2 int_0^1 sum_k prod_{j!=k} phi_j(u t)
+    = e^{-|t|^2/2} - e^{-tau/2}
+      + 1/2 int_0^1 sum_k prod_{j!=k} phi_j(u t)
          * [ i (psi_k(u t) - mu_k(t)) / u - phi_k(u t) m2_k(t) ]
-         e^{-(1-s)|t|^2/2} ds.
+         e^{-(1-s) tau/2} ds.
 
 The integrand I(s) is exactly -2 g'(s) along the Gaussian interpolation
-path g(s) = phi_row(sqrt(s) t) e^{-(1-s)|t|^2/2}, which runs from
-g(0) = phi_Gauss(t) to g(1) = phi_row(t): d/ds phi_k(u t) =
--i psi_k(u t) / (2u), and a standard row has mu_k = 0 and
-sum_k m2_k = |t|^2.  So the identity is the fundamental theorem of
-calculus along that path.  Its Stein form splits the bracket into the
+path g(s) = phi_row(sqrt(s) t) e^{-(1-s) tau/2}, which runs from
+g(0) = e^{-tau/2} to g(1) = phi_row(t): d/ds phi_k(u t) =
+-i psi_k(u t) / (2u), and a standard row has mu_k = 0.  So the
+integral is the fundamental theorem of calculus along that path, with
+no assumption on tau.  A standard row has tau = |t|^2 up to the
+covariance rounding that validation accepts, and the first term, added
+exactly, carries that difference.  Its Stein form splits the bracket into the
 same-copy term E[<X_k,t>^2 R(u <t, X_k>)] = i (psi_k - mu_k)/u - m2_k,
 with R(a) = (1 - e^{-ia})/(ia) - 1 = int_0^1 (e^{-ira} - 1) dr, and the
 independent-copy term (phi_k - 1) m2_k.  mu_k is computed, not taken as
@@ -95,15 +98,17 @@ def identity_rhs(
     each node the cell transforms phi_k (weights p) and psi_k (weights
     p <x, t>).  Its reduction returns sum_k prod_{j!=k} phi_j (psi_k -
     mu_k) and sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand
-    divides the first by sqrt(s), which the reduction does not see.
+    divides the first by sqrt(s), which the reduction does not see, and
+    takes the Gaussian factor at tau = sum_k m2_k, not |t|^2.  The exact
+    term phi_Gauss(t) - e^{-tau/2} is added to the integral.
     Returns (value, estimated quadrature error).
     """
     t = as_vector(t, row.dimension)
-    tt = float(t @ t)
     d = row.project(t)
     pd = row.probs * d
     mu = row.per_cell_sum(pd)
     m2t = row.per_cell_sum(pd * d)
+    tau = float(np.sum(m2t))
 
     def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
@@ -121,10 +126,10 @@ def identity_rhs(
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         u = np.sqrt(s)
         moved, second = _cell_transforms(row, u[:, None] * t, (row.probs, pd), eval_nodes).T
-        return (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tt)
+        return (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tau)
 
     value, err = integrate_unit(integrand, spec, return_error=True)
-    return 0.5 * complex(value), 0.5 * err
+    return 0.5 * complex(value) + (gaussian_charfn(t) - np.exp(-0.5 * tau)), 0.5 * err
 
 
 @dataclass(frozen=True)

@@ -227,15 +227,15 @@ def identity_integrand_r_form(row, t, s: float) -> complex:
     atom at a time: at u = sqrt(s),
 
       sum_k prod_{j!=k} phi_j(u t) [ sum_a p_a d_a^2 R(u d_a)
-                                     - (phi_k(u t) - 1) m2_k ] e^{-(1-s)|t|^2/2},
+                                     - (phi_k(u t) - 1) m2_k ] e^{-(1-s) tau/2},
 
-    with d_a = <x_a, t>, m2_k = sum_a p_a d_a^2, R from ``r_factor_exp_form``
-    and every exclusive product taken directly."""
+    with d_a = <x_a, t>, m2_k = sum_a p_a d_a^2, tau = sum_k m2_k, R from
+    ``r_factor_exp_form`` and every exclusive product taken directly."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     u = math.sqrt(s)
     cells = list(row.cells())
     phis = [cell_charfn(points, probs, u * t) for points, probs in cells]
-    total = 0j
+    total, tau = 0j, 0.0
     for k, (points, probs) in enumerate(cells):
         others = 1.0 + 0j
         for j, phi in enumerate(phis):
@@ -247,7 +247,8 @@ def identity_integrand_r_form(row, t, s: float) -> complex:
             same += p * d * d * complex(r_factor_exp_form(u * d))
             m2 += p * d * d
         total += others * (same - (phis[k] - 1.0) * m2)
-    return total * math.exp(-0.5 * (1.0 - s) * float(t @ t))
+        tau += m2
+    return total * math.exp(-0.5 * (1.0 - s) * tau)
 
 
 def rademacher_gap_closed_form(n: int, t: float) -> float:

@@ -117,6 +117,16 @@ def test_identity_atom_heavy_cells():
         assert report.residual < 1e-12
 
 
+def test_identity_holds_on_a_row_scaled_within_the_covariance_tolerance():
+    # a covariance sum of (1 + 4e-11)^2, which validation accepts: without
+    # the term e^{-|t|^2/2} - e^{-tau/2} the rhs misses the gap by ~1e-11
+    base = build_rademacher_row(1000)
+    row = ArrayRow(1, base.points * (1.0 + 4e-11), base.probs, base.offsets)
+    for t in (0.5, 1.0, 2.0, 4.0):
+        report = decomposition_check(row, t)
+        assert report.residual <= 10.0 * report.quadrature_error + 1e-13
+
+
 @st.composite
 def rows_and_t(draw):
     """(row, t) with a random asymmetric row in dims 1-3 and |t| <= 6."""
