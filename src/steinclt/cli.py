@@ -173,7 +173,8 @@ def _resolve_source(args):
             base = lambda: EtaAlphaFamily(args.alpha, shifted_start=args.shifted_start)
         else:
             base = RademacherFamily
-        return ProductFamily([base() for _ in range(args.dim)])
+        # one factor object, so each n builds its coordinate row once
+        return ProductFamily([base()] * args.dim)
     raise SteinCltError("no input: give --spec or --family")
 
 
@@ -223,8 +224,6 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):

@@ -492,6 +492,13 @@ def test_product_family_cli(capsys):
     assert len(csv_rows(out)) == 3  # header + 2 rows
 
 
+def test_a_product_family_builds_each_coordinate_row_once(capsys, monkeypatch):
+    built, build = [], RademacherFamily._build
+    monkeypatch.setattr(RademacherFamily, "_build", lambda self, n: built.append(n) or build(self, n))
+    code, _, _ = run(["gap", "--family", "product", "--dim", "3", "--n", "5,10", "--t", "1"], capsys)
+    assert code == 0 and built == [5, 10]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         execute(["--version"])

@@ -331,6 +331,35 @@ def test_row_constructor_rejects_signed_measures():
         ArrayRow(1, [-1.0, 0.0, 1.0], [0.5, 0.0, 0.5], [0, 3])
 
 
+COIN = ([[-1.0], [1.0]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: ProductFamily([]), ShapeError, "at least one factor"),
+    (lambda: ProductFamily([ProductFamily([RademacherFamily()] * 2)]), ShapeError,
+     "factor 0 must be one-dimensional"),
+    (lambda: ExplicitFamily({}), ShapeError, "at least one row"),
+    (lambda: ExplicitFamily({1: ArrayRow.from_cells([COIN]),
+                             2: build_product_row([build_rademacher_row(2)] * 2)}),
+     ShapeError, "share one dimension"),
+    (lambda: ExplicitFamily({3: build_rademacher_row(2)}), ShapeError,
+     "stored under n=3 actually has 2 cells"),
+    (lambda: ArrayRow(1, [-1.0, 1.0], [1.0], [0, 2]), ShapeError, "one entry per atom"),
+    (lambda: ArrayRow(1, [-1.0, 1.0], [0.5, 0.5], [0, 1]), ShapeError, "span the atom arrays"),
+    (lambda: ArrayRow(1, [-1.0, 1.0], [0.5, 0.5], [0, 0, 2]), ParameterError,
+     "at least one atom"),
+    (lambda: ArrayRow.from_cells([]), ParameterError, "at least one cell"),
+    (lambda: ArrayRow.from_cells([COIN, ([[-1.0, 0.0], [1.0, 0.0]], [0.5, 0.5])]), ShapeError,
+     "share one dimension"),
+    (lambda: build_product_row([]), ParameterError, "at least one coordinate row"),
+], ids=["product-no-factor", "product-2d-factor", "explicit-no-row", "explicit-mixed-dims",
+        "explicit-wrong-n", "points-probs-lengths", "offsets-short", "empty-cell",
+        "from-no-cells", "from-mixed-dims", "product-row-no-factor"])
+def test_constructors_reject_malformed_input(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_row_data_is_read_only():
     row = EtaAlphaFamily(0.5).row(6)
     for array in (row.points, row.probs, row.offsets):
@@ -456,6 +485,11 @@ def test_family_row_generation_matches_builders():
     assert np.array_equal(EtaAlphaFamily(0.5).row(2).points, build_eta_row(0.5, 2).points)
 
 
+ONE_ATOM = '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1, "cells": [{"atoms": [%s]}]}'
+COIN_ROW = ONE_ATOM % '{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}'
+CELLS = '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1, "cells": %s}'
+
+
 def test_spec_parse_errors_have_context():
     with pytest.raises(RowSpecError, match="line"):
         load_row_spec("{not json")
@@ -468,10 +502,20 @@ def test_spec_parse_errors_have_context():
             '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1,'
             ' "cells": [{"atoms": [{"x": [1.0], "p": 1.5}]}]}'
         )
-
-
-ONE_ATOM = '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1, "cells": [{"atoms": [%s]}]}'
-COIN_ROW = ONE_ATOM % '{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}'
+    with pytest.raises(RowSpecError, match="document: missing required field 'schema'"):
+        load_row_spec('{"kind": "rademacher_iid"}')
+    with pytest.raises(RowSpecError, match=r"document\.cells\[0\]\.atoms: must be non-empty"):
+        load_row_spec(ONE_ATOM % "")
+    with pytest.raises(RowSpecError, match=r"document\.alpha: must lie in \(0, 1\)"):
+        load_row_spec('{"schema": "stein-clt-row/1", "kind": "eta_alpha", "alpha": 1.0}')
+    with pytest.raises(RowSpecError, match=r"document\.N: must be >= 1"):
+        load_row_spec(COIN_ROW.replace('"N": 1', '"N": 0'))
+    rows = '{"schema": "stein-clt-row/1", "kind": "explicit", "N": 1, "rows": {"%s": [%s]}}'
+    coin_cell = '{"atoms": [{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}]}'
+    with pytest.raises(RowSpecError, match=r"document\.rows: key 'one' is not an integer"):
+        load_row_spec(rows % ("one", coin_cell))
+    with pytest.raises(RowSpecError, match=r"document\.rows\[2\]: 1 cells listed under n=2"):
+        load_row_spec(rows % ("2", coin_cell))
 
 
 @pytest.mark.parametrize("doc, field", [
@@ -489,8 +533,14 @@ COIN_ROW = ONE_ATOM % '{"x": [1.0], "p": 0.5}, {"x": [-1.0], "p": 0.5}'
     ('{"schema": "stein-clt-row/1", "kind": "product", "factors": [{"kind": "product", '
      '"factors": [{"kind": "rademacher_iid"}, {"kind": "rademacher_iid"}]}]}',
      r"document.factors\[0\]"),
+    (CELLS % "{}", "document: 'cells' must be a non-empty list"),
+    (CELLS % "[]", "document: 'cells' must be a non-empty list"),
+    (CELLS % "[5]", r"document.cells\[0\]: expected an object"),
+    (ONE_ATOM % "5", r"document.cells\[0\].atoms\[0\]: expected an object"),
+    ("[]", "top level of an array-spec document must be an object"),
 ], ids=["string-shifted-start", "bool-x", "bool-p", "nan-x", "inf-x", "bool-N", "row-factor",
-        "number-factor", "huge-integer-x", "nested-product-factor"])
+        "number-factor", "huge-integer-x", "nested-product-factor", "object-cells", "empty-cells",
+        "number-cell", "number-atom", "array-document"])
 def test_spec_rejects_mistyped_fields(doc, field):
     # a JSON boolean is not a number, a string is not a boolean, a
     # non-finite coordinate (or an integer beyond the float range) is not
