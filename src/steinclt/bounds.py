@@ -18,8 +18,8 @@ g(0) = e^{-tau/2} to g(1) = phi_row(t): d/ds phi_k(u t) =
 integral is the fundamental theorem of calculus along that path, with
 no assumption on tau.  A standard row has tau = |t|^2 up to the
 covariance rounding that validation accepts, and the first term, added
-exactly, carries that difference.  Its Stein form splits the bracket into the
-same-copy term E[<X_k,t>^2 R(u <t, X_k>)] = i (psi_k - mu_k)/u - m2_k,
+exactly, carries that difference.  The Stein form splits the bracket into
+the same-copy term E[<X_k,t>^2 R(u <t, X_k>)] = i (psi_k - mu_k)/u - m2_k,
 with R(a) = (1 - e^{-ia})/(ia) - 1 = int_0^1 (e^{-ira} - 1) dr, and the
 independent-copy term (phi_k - 1) m2_k.  mu_k is computed, not taken as
 0.  psi_k - mu_k is a difference of terms of size E|<X_k, t>|, so its
