@@ -442,7 +442,9 @@ def test_threads_are_spent_only_on_identity_t_and_sampler_blocks(monkeypatch):
     monkeypatch.setattr(charfn_module, "_TILE_ELEMENTS", 256)
     row = build_eta_row(0.5, 3000)
     batch = np.array([[0.5], [2.0]])
-    row_sum_charfn(row, batch), charfn_gap(row, batch), master_bound(row, batch, 0.1)
+    row_sum_charfn(row, batch)
+    charfn_gap(row, batch)
+    master_bound(row, batch, 0.1)
     decomposition_check(row, 1.0)
     assert pools == []
     decomposition_check(row, batch)
