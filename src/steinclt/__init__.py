@@ -17,6 +17,7 @@ from .bounds import (
     identity_lhs,
     identity_rhs,
     master_bound,
+    master_bound_infimum,
     theorem_bound_report,
     truncation_bound_check,
 )
@@ -86,4 +87,4 @@ from .stein import (
     stein_solution,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

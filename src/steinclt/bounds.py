@@ -41,7 +41,8 @@ finite-n master inequality
 
 with S_same / S_indep the directional truncated second-moment sums of
 the indices module at threshold eps.  This holds for every row, every t
-and every eps, with no tolerance; asymptotic versions (sup over t,
+and every eps, with no tolerance, and so at its exact infimum over eps
+(``master_bound_infimum``); asymptotic versions (sup over t,
 limsup over n) are estimated on finite grids with explicit truncation
 metadata, t as an (m, N) batch and the n grid and tail window checked
 by the indices module's ``_tail_window`` rule before any row is built.
@@ -72,6 +73,7 @@ __all__ = [
     "decomposition_check",
     "truncation_bound_check",
     "master_bound",
+    "master_bound_infimum",
     "theorem_bound_report",
     "gap_table_with_lambda_f",
     "DEFAULT_BOUND_EPS_GRID",
@@ -205,7 +207,8 @@ class BoundReport:
     + 2 (term_same + term_indep) * envelope, with term_eps = 2 eps N and
     envelope = 1 - e^{-|t|^2/2}; slack = rhs - lhs_gap must be
     nonnegative for every row, t and eps.  The rhs-minimising eps of
-    each t is at ``np.argmin(report.rhs, axis=-1)``.
+    each t is at ``np.argmin(report.rhs, axis=-1)``;
+    ``master_bound_infimum`` gives the infimum over every eps > 0.
     """
 
     dimension: int
@@ -253,6 +256,40 @@ def master_bound(row: ArrayRow, t, eps) -> BoundReport:
     return BoundReport(row.dimension, eps=table(grid), lhs_gap=table(gap[:, None]),
                        term_same=table(term_same), term_indep=table(term_indep),
                        envelope=table(envelope[:, None]))
+
+
+def master_bound_infimum(row: ArrayRow, t) -> BoundReport:
+    """The master inequality at its exact infimum over eps > 0, per t.
+
+    The rhs 2 eps N + 2 env S(eps), with S(eps) both copies' weight over
+    the atoms whose phase v_a = |<x_a, t>| exceeds eps, rises linearly
+    between the phases and drops at each, so its infimum is its least
+    value at the positive v_a and in the limit eps -> 0+, reported as eps
+    0.0.  Per t, one argsort of v over every atom, suffix sums of each
+    copy's weights in that order and searchsorted(side="right") give S
+    at every candidate; those sums round differently from the masked
+    sums of ``master_bound``.  t is one vector or an (m, N) batch, and
+    the report's arrays hold one entry per t, with no eps axis.
+    """
+    batch, is_batch = _as_batch(t, row.dimension)
+    weights = [_copy_weights(row, copy) for copy in ("same", "independent")]
+    envelope = 1.0 - gaussian_charfn(batch)
+    eps, term_same, term_indep = np.empty((3, len(batch)))
+    for i, (tvec, env) in enumerate(zip(batch, envelope)):
+        v = np.abs(row.project(tvec))
+        order = np.argsort(v)
+        v = v[order]
+        candidates = np.concatenate(([0.0], v))
+        # each copy's weight over the sorted atoms past[c], past[c] + 1, ...,
+        # those whose phase exceeds candidate c
+        past = np.searchsorted(v, candidates, side="right")
+        same, indep = (np.append(np.cumsum(w[order][::-1])[::-1], 0.0)[past] for w in weights)
+        best = np.argmin(2.0 * candidates * row.dimension + 2.0 * (same + indep) * env)
+        eps[i], term_same[i], term_indep[i] = candidates[best], same[best], indep[best]
+    pick = slice(None) if is_batch else 0
+    return BoundReport(row.dimension, eps=eps[pick], lhs_gap=charfn_gap(row, batch)[pick],
+                       term_same=term_same[pick], term_indep=term_indep[pick],
+                       envelope=envelope[pick])
 
 
 @dataclass(frozen=True)

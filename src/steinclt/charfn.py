@@ -13,7 +13,9 @@ transforms.  The standard normal vector has phi(t) = exp(-|t|^2 / 2).
 ``charfn_gap`` is the pointwise distance |phi_Gauss(t) - phi_row(t)|,
 the quantity whose sup/limsup behaviour the rest of the package bounds
 and estimates.  Monte Carlo counterparts (``empirical_charfn``,
-``kolmogorov_mc``) provide independent cross-checks of the exact paths.
+``kolmogorov_mc``) provide independent cross-checks of the exact paths;
+they draw from the PCG64DXSM streams of the rng module, so their numbers
+are fixed by (seed, stream) and the tool version.
 
 Every exact row transform comes from one kernel, ``_cell_transforms``:
 for an (m, N) batch T and a tuple of per-atom weights w it hands a
@@ -46,7 +48,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError, UnsupportedDimensionError
 from .normal_cdf import normal_cdf
-from .rng import RngSeed, _seek
+from .rng import RngSeed
 from .rows import ArrayRow
 from .util import _fan_out, _thread_count, as_vector
 
@@ -77,16 +79,19 @@ _TILE_ELEMENTS = 2**15
 # made product rows of 16 and 64 atoms 6-14% slower (2-core x86 VM)
 _SLICE_ADD_MAX_WIDTH = 8
 
-# sample_row_sums counts comparisons up to this many atoms per cell and
-# binary-searches above: one pass per atom against a log-depth search
-# (both near 6.5 ms per 1e5 draws at 64 atoms on a 2-core x86 VM)
-_COUNTING_MAX_ATOMS = 64
+# sample_row_sums counts comparisons, in bytes, up to this many atoms per
+# cell and binary-searches above.  Per 1e5 draws on a 2-core x86 VM the
+# count took 1.2-1.6 ms at 64 atoms and 5.0-6.1 ms at 256, the search
+# 5.5-6.5 and 7.9-8.8 ms; a byte holds the count of up to 256 atoms, and
+# a wider count, in intp, took 29 ms at 320
+_COUNTING_MAX_ATOMS = 256
 
 # sample_row_sums gives a thread a block of the sample axis only when the
-# block holds at least this many samples: below it the per-cell seeks and
-# interpreter-lock hand-offs outweigh the draws saved (1000-cell rademacher
-# and eta rows on a 2-core x86 VM: two blocks of 8192 took 1.1-1.8x the
-# time of one block, two of 16 384 took 0.74-0.77x)
+# block holds at least this many samples: below it the interpreter-lock
+# hand-offs of the per-cell steps outweigh the draws saved, a 1.5 us advance
+# per cell included (1000-cell rademacher and eta rows on a 2-core x86 VM:
+# two blocks of 8192 took 1.2-1.8x the time of one block, two of 16 384
+# took 0.48-0.57x)
 _MIN_BLOCK_SAMPLES = 16_384
 
 
@@ -225,13 +230,17 @@ def sample_row_sums(row: ArrayRow, samples: int, seed: RngSeed) -> np.ndarray:
     Samples are independent of one another, so the sample axis is cut
     into contiguous blocks, one per core when each holds at least
     ``_MIN_BLOCK_SAMPLES``; a block reads its uniforms from its own
-    generator, positioned by ``rng._seek``, and the blocks are drawn
+    generator, which the exact ``advance`` of the bit generator moves to
+    the block's first uniform and then, between cells, past the other
+    blocks' uniforms (one block never advances), and the blocks are drawn
     concurrently.  Neither the block count nor the order in which blocks
     run changes a bit of the result.
 
     The count is taken by one comparison pass per atom for cells of at
     most ``_COUNTING_MAX_ATOMS`` atoms and by a binary search above;
     every p > 0, so cum is non-decreasing and both give the same index.
+    Each coordinate of the picked atoms is gathered and added on its own,
+    the same adds as a gather of whole atoms.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -242,24 +251,39 @@ def sample_row_sums(row: ArrayRow, samples: int, seed: RngSeed) -> np.ndarray:
     def draw(block: int) -> None:
         start, stop = edges[block], edges[block + 1]
         rng = seed.generator()
-        out = total[start:stop]
+        # this block's uniforms of cell k start at k * samples + start: one
+        # advance to cell 0's, then one past the other blocks' between cells
+        skip = samples - (stop - start)
+        if start:
+            rng.bit_generator.advance(start)
         for k in range(row.n):
-            _seek(rng, k * samples + start)
+            if k and skip:
+                rng.bit_generator.advance(skip)
             lo, hi = row.offsets[k], row.offsets[k + 1]
             idx = _atom_index(np.cumsum(row.probs[lo:hi]), rng.random(stop - start))
-            out += row.points[lo:hi].take(idx, axis=0)
+            for j in range(row.dimension):
+                total[start:stop, j] += row.points[lo:hi, j].take(idx)
 
     _fan_out(draw, range(blocks))
     return total
 
 
 def _atom_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-transform atom of each uniform: the count of cum[:-1] <= u."""
+    """Inverse-transform atom of each uniform: the count of cum[:-1] <= u.
+
+    Cells of at most _COUNTING_MAX_ATOMS atoms add one comparison per
+    atom, each viewed as bytes, into a byte count, which holds the count
+    of a cell of up to 256 atoms; a wider counted cell counts in intp.
+    """
     if cum.size > _COUNTING_MAX_ATOMS:
         return np.searchsorted(cum[:-1], u, side="right")
-    idx = np.zeros(u.size, dtype=np.intp)
-    for c in cum[:-1]:
-        idx += u >= c
+    if cum.size == 1:
+        return np.zeros(u.size, dtype=np.uint8)
+    idx = (u >= cum[0]).view(np.uint8)
+    if cum.size > 256:
+        idx = idx.astype(np.intp)
+    for c in cum[1:-1]:
+        idx += (u >= c).view(np.uint8)
     return idx
 
 

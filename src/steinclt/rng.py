@@ -1,12 +1,13 @@
 """Deterministic random streams.
 
-Sampling is keyed by an (seed, stream) pair fed to a counter-based
-Philox generator, so distinct streams are statistically independent and
-every draw sequence is reproducible bit for bit regardless of how work
-is scheduled.  Philox makes uniform number i of a stream a function of
-(key, i // 4) alone, so ``_seek`` can position a generator at any index
-without drawing what comes before it; that is how the sampler draws
-blocks of one stream on separate threads, in any order.
+Sampling is keyed by a (seed, stream) pair: the stream is the spawn key
+of a ``SeedSequence`` of the seed, and that sequence seeds a PCG64DXSM
+generator, so distinct streams are statistically independent and every
+draw sequence is reproducible bit for bit regardless of how work is
+scheduled.  ``Generator.random`` takes one 64-bit output per double, so
+``bit_generator.advance(delta)`` is an exact seek of delta uniforms
+without drawing them; that is how the sampler draws blocks of one stream
+on separate threads, in any order.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from .errors import ParameterError
 __all__ = ["RngSeed"]
 
 _U64 = 2**64
-# Philox4x64 turns one 256-bit counter into four 64-bit words, one per uniform
-_WORDS_PER_COUNTER = 4
 
 
 @dataclass(frozen=True)
@@ -38,25 +37,6 @@ class RngSeed:
                 raise ParameterError(f"{name} must be a 64-bit unsigned integer")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator for this (seed, stream); counter starts at zero."""
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-def _seek(generator: np.random.Generator, at: int) -> None:
-    """Position a Philox generator so that its next uniform is number ``at``.
-
-    numpy's Philox steps its counter before filling its four-word buffer,
-    so a counter of at // 4 with the buffer spent makes the next draw fill
-    block at // 4; the at % 4 words ahead of ``at`` are then drawn and
-    dropped.  ``generator.random`` takes one word per double, so after the
-    call it returns the stream's uniforms at, at + 1, ... bit for bit.
-    """
-    block, skip = divmod(int(at), _WORDS_PER_COUNTER)
-    state = generator.bit_generator.state
-    state["state"]["counter"] = np.array(
-        [(block >> (64 * i)) % _U64 for i in range(4)], dtype=np.uint64
-    )
-    state.update(buffer_pos=_WORDS_PER_COUNTER, has_uint32=0, uinteger=0)
-    generator.bit_generator.state = state
-    generator.random(skip)
+        """Fresh generator for this (seed, stream), at uniform 0 of the stream."""
+        seq = np.random.SeedSequence(int(self.seed), spawn_key=(int(self.stream),))
+        return np.random.Generator(np.random.PCG64DXSM(seq))

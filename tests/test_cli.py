@@ -521,6 +521,32 @@ def test_bound_and_l_sum_reports_are_pinned(capsys):
     assert_reports_pinned("bound_and_l_sum_reports.json", capsys)
 
 
+def test_bound_eps_infimum_prints_one_row_per_n_and_t(capsys):
+    argv = ["bound", "--family", "rademacher", "--n", "1000,100000", "--t", "0.5,4"]
+    code, out, _ = run(argv + ["--eps-infimum"], capsys)
+    assert code == 0
+    header, *data = csv_rows(out)
+    assert header == ["n", "t", "eps", "gap", "term_eps", "term_same", "term_indep",
+                      "envelope", "rhs", "slack", "passed"]
+    assert [row[:2] for row in data] == [["1000", "0.5"], ["1000", "4.0"],
+                                         ["100000", "0.5"], ["100000", "4.0"]]
+    for n, t, eps, *_, rhs, _, passed in data:
+        assert float(rhs) == pytest.approx(2.0 * float(t) / np.sqrt(int(n)), rel=1e-14)
+        assert float(eps) == pytest.approx(float(t) / np.sqrt(int(n)), rel=1e-14)
+        assert passed == "true"
+    assert '"eps_infimum":true' in out
+    # the option adds no config key when absent, so grid reports keep their bytes
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "eps_infimum" not in out
+
+
+def test_bound_eps_infimum_with_an_eps_grid_is_a_usage_error(capsys):
+    code, out, err = run(["bound", "--family", "rademacher", "--n", "10", "--t", "1",
+                          "--eps", "0.1", "--eps-infimum"], capsys)
+    assert (code, out) == (2, "")
+    assert "--eps-infimum" in err
+
+
 def test_identity_and_charfn_reports_are_pinned(capsys):
     # written by the per-(n, t) identity cases and the per-t Monte Carlo
     # records that preceded the identity table and the (value, stderr)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from steinclt import ParameterError, RngSeed
-from steinclt.rng import _seek
 
 
 def test_same_key_same_sequence():
@@ -27,25 +26,35 @@ def test_key_range_validated():
 
 
 def test_seek_lands_on_the_stream_index():
-    # every offset within a Philox block and across the first sixteen blocks
+    # advance(at) is an exact seek of at uniforms: one 64-bit output per double
     plain = RngSeed(77, 3).generator().random(80)
-    sought = RngSeed(77, 3).generator()
     for at in range(64):
-        _seek(sought, at)
+        sought = RngSeed(77, 3).generator()
+        sought.bit_generator.advance(at)
         assert sought.random(16).tolist() == plain[at:at + 16].tolist()
 
 
 @pytest.mark.parametrize("a", [2**40, 2**40 + 1, 2**50 + 3, 2**66 - 3])
 def test_seek_then_draw_equals_a_longer_seek(a):
     # far into the stream, where no plain draw reaches: drawing j values
-    # after seeking a leaves the generator where seeking a + j puts it
-    # (2**66 - 3 sits in block 2**64 - 1, so the walk carries into the
-    # counter's second word)
+    # after advancing a leaves the generator where advancing a + j puts it,
+    # and so do two advances, by a and then by j, as the sampler makes them
     for j in (1, 3, 4, 9):
-        walked, jumped = RngSeed(5).generator(), RngSeed(5).generator()
-        _seek(walked, a)
-        head = walked.random(j)
-        _seek(jumped, a + j)
-        assert walked.random(8).tolist() == jumped.random(8).tolist()
-        _seek(jumped, a)
-        assert jumped.random(j).tolist() == head.tolist()
+        walked, jumped, stepped = (RngSeed(5).generator() for _ in range(3))
+        walked.bit_generator.advance(a)
+        walked.random(j)
+        jumped.bit_generator.advance(a + j)
+        stepped.bit_generator.advance(a)
+        stepped.bit_generator.advance(j)
+        tail = walked.random(8).tolist()
+        assert jumped.random(8).tolist() == tail
+        assert stepped.random(8).tolist() == tail
+
+
+def test_streams_of_one_seed_are_uncorrelated():
+    # the sample correlation of independent uniforms has standard deviation
+    # 1/sqrt(m); two spawn keys of one seed stay within 5 of them
+    m = 200_000
+    for seed in (0, 2026):
+        a, b = (RngSeed(seed, stream).generator().random(m) for stream in (0, 1))
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5.0 / np.sqrt(m)
