@@ -53,14 +53,13 @@ from .families import (
 )
 from .indices import (
     IndexEstimate,
-    cauchy_schwarz_domination,
     infinitesimality_profile,
     l_sum,
     lindeberg_index_estimate,
     lindeberg_sum,
 )
 from .normal_cdf import normal_cdf
-from .quadrature import QuadratureSpec, integrate_unit
+from .quadrature import integrate_unit
 from .rng import RngSeed
 from .rows import (
     ArrayRow,
@@ -87,4 +86,4 @@ from .stein import (
     stein_solution,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

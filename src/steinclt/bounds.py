@@ -60,7 +60,7 @@ from .charfn import row_sum_charfn
 from .errors import ParameterError, ShapeError
 from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _directional_sums, _eps_grid, _tail_window
 from .indices import l_sum, lindeberg_index_estimate
-from .quadrature import DEFAULT_QUADRATURE, QuadratureSpec, integrate_unit
+from .quadrature import integrate_unit
 from .rows import ArrayRow
 from .util import _fan_out, as_vector, exclusive_products
 
@@ -90,9 +90,7 @@ def identity_lhs(row: ArrayRow, t):
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
 
-def identity_rhs(
-    row: ArrayRow, t, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> tuple[complex, float]:
+def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
     """Right side of the identity, by one adaptive s-quadrature.
 
     Each batch of s-nodes is one ``charfn._cell_transforms`` call over
@@ -130,7 +128,7 @@ def identity_rhs(
         moved, second = _cell_transforms(row, u[:, None] * t, (row.probs, pd), eval_nodes).T
         return (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tau)
 
-    value, err = integrate_unit(integrand, spec, return_error=True)
+    value, err = integrate_unit(integrand, return_error=True)
     return 0.5 * complex(value) + (gaussian_charfn(t) - np.exp(-0.5 * tau)), 0.5 * err
 
 
@@ -153,9 +151,7 @@ class IdentityReport:
         return self.residual <= np.maximum(IDENTITY_TOL, 10.0 * self.quadrature_error)
 
 
-def decomposition_check(
-    row: ArrayRow, t, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> IdentityReport:
+def decomposition_check(row: ArrayRow, t) -> IdentityReport:
     """Exact lhs vs quadrature rhs, per t of a single t or an (m, N) batch.
 
     The lhs is one ``identity_lhs`` call, the rhs one ``identity_rhs``
@@ -166,7 +162,7 @@ def decomposition_check(
     """
     batch, is_batch = _as_batch(t, row.dimension)
     lhs = identity_lhs(row, batch)
-    pairs = _fan_out(lambda v: identity_rhs(row, v, spec), batch)
+    pairs = _fan_out(lambda v: identity_rhs(row, v), batch)
     rhs = np.array([value for value, _ in pairs], dtype=np.complex128)
     err = np.array([error for _, error in pairs], dtype=np.float64)
     # the builtin abs of a complex: np.abs may round |z| otherwise

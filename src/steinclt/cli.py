@@ -56,7 +56,6 @@ from .families import ArrayFamily, EtaAlphaFamily, ProductFamily, RademacherFami
 from .indices import DEFAULT_EPS_GRID, DEFAULT_TAIL_WINDOW, _directional_sums, _tail_window
 from .indices import l_sum  # noqa: F401  unused here; perfbench's tracer test wraps cli.l_sum
 from .indices import lindeberg_index_estimate, lindeberg_sum
-from .quadrature import QuadratureSpec
 from .rng import RngSeed
 from .rows import ArrayRow, validate_row
 from .stein import DEFAULT_HERMITE_LEVEL, shift_identity_check, stein_check_battery
@@ -197,10 +196,6 @@ def _t_batch(args, dim, default=None):
     """The t grid as its scalar values and as one (m, N) batch of vectors."""
     t_values = _collect_grid(args, "t", default)
     return t_values, np.array([lift_scalar(t, dim, args.direction) for t in t_values])
-
-
-def _quad_spec(args) -> QuadratureSpec:
-    return QuadratureSpec(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
 def _seed(args) -> RngSeed:
@@ -354,12 +349,11 @@ def _cmd_l_sum(args) -> int:
 
 
 def _cmd_identity(args) -> int:
-    spec = _quad_spec(args)
     out = []
     all_ok = True
     for n, row in _rows_for(args):
         t_values, batch = _t_batch(args, row.dimension)
-        rep = decomposition_check(row, batch, spec)
+        rep = decomposition_check(row, batch)
         table = (rep.lhs.real, rep.lhs.imag, rep.rhs.real, rep.rhs.imag, rep.residual,
                  rep.quadrature_error, rep.passed)
         all_ok &= bool(np.all(table[-1]))
@@ -442,7 +436,6 @@ def _cmd_stein_check(args) -> int:
         raise SteinCltError(f"--dim must be >= 1 (got {dim})")
     if args.trials < 1:
         raise SteinCltError(f"--trials must be >= 1 (got {args.trials})")
-    spec = _quad_spec(args)
     t_values, t_batch = _t_batch(args, dim, default=[1.0, 2.0, 3.0])
     x_values = _collect_grid(args, "x", default=[0.0, 0.7, 2.5])
     x_dir = [1.0] + [-1.0] * (dim - 1)  # off the default t diagonal
@@ -452,7 +445,7 @@ def _cmd_stein_check(args) -> int:
             xvec = lift_scalar(xval, dim, x_dir)
             yvec = lift_scalar(xval * 0.5 - 0.3, dim, args.direction)
             checks.extend((tval, xval, *check) for check in
-                          stein_check_battery(tvec, xvec, yvec, spec, args.level))
+                          stein_check_battery(tvec, xvec, yvec, args.level))
     checks.extend((None, None, *check)
                   for check in shift_identity_check(dim, args.trials, args.seed))
     rows = [[check, dim, tval, xval, residual, tol, residual <= tol]
@@ -466,14 +459,11 @@ def _cmd_stein_check(args) -> int:
 # ---------------------------------------------------------------------------
 # parser assembly
 
-def _add_common(parser, *, grids=(), source=True, quad=False, mc=False):
+def _add_common(parser, *, grids=(), source=True, mc=False):
     if source:
         _source_options(parser)
     for grid in grids:
         _grid_option(parser, grid, _whole if grid == "n" else float)
-    if quad:
-        parser.add_argument("--abs-tol", type=float, default=1e-9)
-        parser.add_argument("--rel-tol", type=float, default=1e-9)
     if mc:
         parser.add_argument("--samples", type=int, default=0 if mc == "optional" else 100_000)
         parser.add_argument("--seed", type=int, default=0)
@@ -514,11 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_l_sum)
 
     p = sub.add_parser("identity", help="exact identity residuals")
-    _add_common(p, grids=("n", "t"), quad=True)
+    _add_common(p, grids=("n", "t"))
     p.set_defaults(func=_cmd_identity)
 
     p = sub.add_parser("stein-check", help="Stein machinery verification battery")
-    _add_common(p, grids=("t", "x"), source=False, quad=True)
+    _add_common(p, grids=("t", "x"), source=False)
     p.add_argument("--dim", type=int, default=1,
                    help="dimension of t and x (any N >= 1: the Gaussian moment checks "
                         "multiply 1-D Gauss-Hermite sums, O(N * level) each)")

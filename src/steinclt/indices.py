@@ -57,7 +57,6 @@ __all__ = [
     "lindeberg_index_estimate",
     "l_sum",
     "infinitesimality_profile",
-    "cauchy_schwarz_domination",
 ]
 
 # sup over eps is approached from small eps, hence a log grid down to 1e-3
@@ -257,18 +256,3 @@ def infinitesimality_profile(row: ArrayRow, eps: float) -> tuple[float, float]:
         bound = np.inf
     max_prob = float(np.max(row.per_cell_sum(row.probs * exceeds)))
     return max_prob, float(bound)
-
-
-def cauchy_schwarz_domination(row: ArrayRow, t) -> tuple[float, float]:
-    """(directional sum at threshold 1, Lindeberg sum at 1/|t|).
-
-    |<x, t>| > 1 forces |x| > 1/|t|, so the first component never
-    exceeds the second; they agree exactly in dimension one.
-    """
-    t = as_vector(t, row.dimension)
-    norm = float(np.linalg.norm(t))
-    if norm == 0.0:
-        raise ParameterError("t must be nonzero")
-    lhs = l_sum(row, "same", t, 1.0)
-    rhs = lindeberg_sum(row, 1.0 / norm)
-    return lhs, rhs

@@ -10,7 +10,10 @@ Two tools live here:
   fixed-order Gauss-Legendre rule and the error is taken from order
   doubling.  Panels are bisected in rounds, each round one vectorised
   integrand call, until every component meets its own tolerance or the
-  bisections pass the fixed cap ``_MAX_SUBDIVISIONS`` = 512.
+  bisections pass the fixed cap ``_MAX_SUBDIVISIONS`` = 512.  The
+  tolerance is fixed too: max(1e-9, 1e-9 * |integral|) per component,
+  the value every acceptance ceiling of ``stein`` and ``bounds`` was set
+  against.
 
 * ``_hermite_rule`` -- the 1-D probabilists' Gauss-Hermite rule for
   E[g(Z)], Z ~ N(0, 1), with weights normalised so that E[1] = 1
@@ -21,7 +24,6 @@ Two tools live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -30,8 +32,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
-    "QuadratureSpec",
-    "DEFAULT_QUADRATURE",
     "integrate_unit",
 ]
 
@@ -40,24 +40,9 @@ _GL_LOW = 10
 _GL_HIGH = 20
 # Cap on panel bisections before ``integrate_unit`` gives up with ConvergenceError.
 _MAX_SUBDIVISIONS = 512
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for ``integrate_unit``; the bisection cap is fixed at
-    ``_MAX_SUBDIVISIONS`` = 512."""
-
-    abs_tol: float = 1e-9
-    rel_tol: float = 1e-9
-
-    def __post_init__(self):
-        # an infinite abs_tol accepts any estimate unrefined, and an infinite
-        # rel_tol makes a zero total's tolerance NaN, which no panel meets
-        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
-            raise ParameterError("quadrature tolerances must be finite and positive")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# Absolute and relative tolerance of every ``integrate_unit`` component.
+_ABS_TOL = 1e-9
+_REL_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -93,12 +78,7 @@ def _panels(f: Callable, edges: np.ndarray):
     return hi, np.abs(hi - lo), shape
 
 
-def integrate_unit(
-    f: Callable[[np.ndarray], np.ndarray],
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-    *,
-    return_error: bool = False,
-):
+def integrate_unit(f: Callable[[np.ndarray], np.ndarray], *, return_error: bool = False):
     """Integrate a complex-valued ``f``, scalar or array-valued, over [0, 1].
 
     ``f`` maps a 1-D array of s to an array whose leading axis follows s;
@@ -110,8 +90,8 @@ def integrate_unit(
 
     The panels are refined in rounds, and each round evaluates the nodes
     of all its new panels in one ``f`` call.  Component c has the
-    tolerance tol_c = max(abs_tol, rel_tol * |total_c|), the one a scalar
-    call on it alone gets.  A panel stays when its error estimate is at
+    tolerance tol_c = max(1e-9, 1e-9 * |total_c|), the one a scalar call
+    on it alone gets.  A panel stays when its error estimate is at
     most width * tol_c in every component; every other panel is bisected.
     The rounds stop when every component's total error estimate is at
     most its tol_c.
@@ -127,7 +107,7 @@ def integrate_unit(
     splits = 0
     while True:
         total, total_err = np.sum(value, axis=0), np.sum(err, axis=0)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(total))
         if np.all(total_err <= tol):
             break
         share = np.max(err / tol, axis=1) / (edges[:, 1] - edges[:, 0])

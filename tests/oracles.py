@@ -268,16 +268,14 @@ def fd_gradient_of_solution(t, x, step: float = 1e-5) -> np.ndarray:
                      for e in step * np.eye(x.size)])
 
 
-def fd_hessian_of_solution(t, x, step: float = 1e-4, spec=None) -> np.ndarray:
+def fd_hessian_of_solution(t, x, step: float = 1e-4) -> np.ndarray:
     """Second central differences of the Stein solution."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     x = np.atleast_1d(np.asarray(x, dtype=float))
     dim = x.size
 
     def f(point):
-        if spec is None:
-            return stein_solution(t, point)[0]
-        return stein_solution(t, point, spec)[0]
+        return stein_solution(t, point)[0]
 
     matrix = np.empty((dim, dim), dtype=complex)
     eye = step * np.eye(dim)

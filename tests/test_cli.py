@@ -17,6 +17,7 @@ from steinclt import (
     shift_identity_check,
     stein_check_battery,
 )
+from steinclt import quadrature
 from steinclt.cli import TOOL, _parse_grid, build_parser, execute
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -74,14 +75,16 @@ def test_identity_example(capsys):
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="false convergence at a lattice resonance, ROADMAP item 3")
-def test_identity_at_a_lattice_resonance_is_not_misreported_as_broken(capsys):
-    # at t = 100 pi = pi sqrt(n) the row transform returns to modulus 1 at
-    # s = 1, a spike the single-panel rule misses; the identity holds, so the
-    # run must pass (exit 0) or own up to numerical failure (exit 3), not exit 1
-    code, _, _ = run(
-        ["identity", "--family", "rademacher", "--n", "10000", "--t", "314.1592653589793"],
-        capsys,
-    )
+@pytest.mark.parametrize("n, t", [
+    # t = 100 pi = pi sqrt(n): the row transform returns to modulus 1 at s = 1
+    ("10000", "314.1592653589793"),
+    # pi sqrt(1000) = 99.35: the spike sits inside the interval, at u = 0.9935
+    ("1000", "100"),
+])
+def test_identity_at_a_lattice_resonance_is_not_misreported_as_broken(n, t, capsys):
+    # the single-panel rule misses the spike; the identity holds, so the run
+    # must pass (exit 0) or own up to numerical failure (exit 3), not exit 1
+    code, _, _ = run(["identity", "--family", "rademacher", "--n", n, "--t", t], capsys)
     assert code in (0, 3)
 
 
@@ -301,12 +304,9 @@ def test_a_row_too_large_to_allocate_exits_two(monkeypatch, capsys):
     assert (code, out, err) == (2, "", "stein-clt: Unable to allocate the atoms of n=3000000000\n")
 
 
-def test_convergence_failure_exits_three(capsys):
-    code, _, err = run(
-        ["identity", "--family", "rademacher", "--n", "25", "--t", "1",
-         "--abs-tol", "1e-30", "--rel-tol", "1e-30"],
-        capsys,
-    )
+def test_convergence_failure_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 0)
+    code, _, err = run(["identity", "--family", "rademacher", "--n", "25", "--t", "12"], capsys)
     assert code == 3
     assert "converge" in err
 
@@ -317,12 +317,15 @@ def test_convergence_failure_exits_three(capsys):
     ["stein-check", "--trials", "10"],
 ])
 def test_infinite_quadrature_tolerance_is_a_usage_error(command, tolerance, capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = run(command + [tolerance, "inf"], capsys)
-    assert code == 2
-    assert out == ""
-    assert "finite and positive" in err
+    # the quadrature tolerance is fixed: no value of either option, finite
+    # or not, is accepted
+    for value in ("inf", "1e-9"):
+        with pytest.raises(SystemExit) as excinfo:
+            execute(command + [tolerance, value])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {tolerance} {value}" in captured.err
 
 
 def test_reports_are_byte_identical(tmp_path):

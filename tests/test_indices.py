@@ -11,7 +11,6 @@ from steinclt import (
     build_eta_row,
     build_product_row,
     build_rademacher_row,
-    cauchy_schwarz_domination,
     infinitesimality_profile,
     l_sum,
     lindeberg_index_estimate,
@@ -223,16 +222,20 @@ def test_eta_family_is_infinitesimal_in_n():
         assert probs[-1] < 0.03
 
 
+def _cauchy_schwarz_pair(row, t):
+    """(directional sum at threshold 1, Lindeberg sum at 1/|t|): |<x, t>| > 1
+    forces |x| > 1/|t|, so the first never exceeds the second, and they
+    agree exactly in dimension one."""
+    return l_sum(row, "same", t, 1.0), lindeberg_sum(row, 1.0 / np.linalg.norm(t))
+
+
 def test_cauchy_schwarz_domination():
     row = build_product_row([build_rademacher_row(9), build_rademacher_row(9)])
-    lhs, rhs = cauchy_schwarz_domination(row, [3.0, 0.0])
+    lhs, rhs = _cauchy_schwarz_pair(row, [3.0, 0.0])
     # |3 x_1| = 1 exactly: strict inequality keeps lhs empty, while
     # |x| = sqrt(2)/3 > 1/3 counts every atom into rhs
     assert lhs == 0.0
     assert rhs == pytest.approx(2.0, abs=1e-12)
-
-    with pytest.raises(ParameterError):
-        cauchy_schwarz_domination(row, [0.0, 0.0])
 
 
 def test_cauchy_schwarz_equality_in_dimension_one():
@@ -240,7 +243,7 @@ def test_cauchy_schwarz_equality_in_dimension_one():
     row = build_eta_row(0.3, 25)
     for _ in range(20):
         t = rng.uniform(0.2, 15.0)
-        lhs, rhs = cauchy_schwarz_domination(row, t)
+        lhs, rhs = _cauchy_schwarz_pair(row, t)
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
@@ -251,7 +254,7 @@ def test_cauchy_schwarz_inequality_random():
         t = rng.uniform(-8, 8, 2)
         if np.linalg.norm(t) == 0:
             continue
-        lhs, rhs = cauchy_schwarz_domination(row, t)
+        lhs, rhs = _cauchy_schwarz_pair(row, t)
         assert lhs <= rhs + 1e-14
 
 

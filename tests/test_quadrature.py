@@ -6,14 +6,10 @@ from hypothesis import strategies as st
 from steinclt import (
     ConvergenceError,
     DomainError,
-    ParameterError,
-    QuadratureSpec,
     integrate_unit,
 )
 from steinclt import quadrature
 from steinclt.quadrature import _hermite_rule
-
-SQRT_SPEC = QuadratureSpec()
 
 
 def test_constant_integrand():
@@ -22,7 +18,7 @@ def test_constant_integrand():
 
 def test_inverse_sqrt_singularity():
     # int_0^1 s^{-1/2}/2 ds = 1
-    value = integrate_unit(lambda s: 0.5 / np.sqrt(s), SQRT_SPEC)
+    value = integrate_unit(lambda s: 0.5 / np.sqrt(s))
     assert value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -63,26 +59,24 @@ def test_sqrt_weighted_polynomials():
             powers = np.vstack([s**j for j in range(7)])
             return (coeffs @ powers) / np.sqrt(s)
 
-        assert integrate_unit(f, SQRT_SPEC) == pytest.approx(exact, abs=1e-9)
+        assert integrate_unit(f) == pytest.approx(exact, abs=1e-9)
 
 
 def test_convergence_error_carries_estimate(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(ConvergenceError) as excinfo:
-        integrate_unit(lambda s: np.sin(50.0 / (s + 1e-3)), spec)
+        integrate_unit(lambda s: np.sin(50.0 / (s + 1e-3)))
     assert excinfo.value.error_bound > 0
     assert np.isfinite(abs(excinfo.value.estimate))
 
 
 def test_convergence_error_on_an_array_integrand_carries_arrays(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 3)
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
     with pytest.raises(ConvergenceError) as excinfo:
-        integrate_unit(lambda s: np.stack((np.sin(50.0 / (s + 1e-3)), np.ones_like(s)), -1), spec)
+        integrate_unit(lambda s: np.stack((np.sin(50.0 / (s + 1e-3)), np.ones_like(s)), -1))
     estimate, error = excinfo.value.estimate, excinfo.value.error_bound
     assert estimate.shape == error.shape == (2,)
-    assert error[0] > 1e-12 and error[1] <= 1e-12
+    assert error[0] > 1e-9 and error[1] <= 1e-12
     assert estimate[1] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -100,21 +94,20 @@ def _components(coeffs, omega, s):
 
 @settings(max_examples=40, deadline=None)
 @given(coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
-       omega=st.floats(1.0, 60.0), rel_tol=st.sampled_from([1e-6, 1e-9, 1e-11]))
-def test_array_components_meet_their_own_scalar_tolerance(coeffs, omega, rel_tol):
-    # abs_tol far below the tiny component, so every component is held to
-    # rel_tol of its own size, as a scalar call on it alone would be
-    spec = QuadratureSpec(abs_tol=1e-300, rel_tol=rel_tol)
-    values, errors = integrate_unit(lambda s: _components(coeffs, omega, s)[0], spec,
+       omega=st.floats(1.0, 60.0))
+def test_array_components_meet_their_own_scalar_tolerance(coeffs, omega):
+    # every component is held to max(1e-9, 1e-9 * |its integral|), as a
+    # scalar call on it alone would be
+    values, errors = integrate_unit(lambda s: _components(coeffs, omega, s)[0],
                                     return_error=True)
     _, exact = _components(coeffs, omega, 0.5)
     assert values.shape == errors.shape == (3,)
     for c in range(3):
         scalar, scalar_err = integrate_unit(lambda s: _components(coeffs, omega, s)[0][:, c],
-                                            spec, return_error=True)
-        tol = max(spec.abs_tol, rel_tol * abs(scalar))
+                                            return_error=True)
+        tol = max(1e-9, 1e-9 * abs(scalar))
         assert scalar_err <= tol
-        assert errors[c] <= max(spec.abs_tol, rel_tol * abs(values[c]))
+        assert errors[c] <= max(1e-9, 1e-9 * abs(values[c]))
         assert abs(values[c] - scalar) <= tol
         assert abs(values[c] - exact[c]) <= tol
 
@@ -139,10 +132,9 @@ def test_oscillatory_integrand_takes_few_rounds():
         calls.append(s.size)
         return np.sin(50.0 / (s + 0.05))
 
-    spec = QuadratureSpec(abs_tol=1e-12, rel_tol=1e-12)
-    value, err = integrate_unit(f, spec, return_error=True)
+    value, err = integrate_unit(f, return_error=True)
     assert len(calls) <= 12
-    assert err <= 1e-12
+    assert err <= 1e-9
     # reference: 64 equal u-panels, 40-node Gauss-Legendre on each
     nodes, weights = np.polynomial.legendre.leggauss(40)
     u = ((np.arange(64)[:, None] + 0.5 * (nodes + 1.0)) / 64).ravel()
@@ -153,17 +145,6 @@ def test_oscillatory_integrand_takes_few_rounds():
 def test_non_finite_integrand_is_domain_error():
     with pytest.raises(DomainError):
         integrate_unit(lambda s: np.where(s > 0.5, np.inf, 1.0))
-
-
-def test_bad_spec_rejected():
-    with pytest.raises(ParameterError):
-        QuadratureSpec(abs_tol=0.0)
-    # an infinite tolerance made a zero integral's tolerance NaN, or accepted
-    # any one-panel estimate unrefined
-    for tolerance in ("abs_tol", "rel_tol"):
-        for value in (float("inf"), float("nan")):
-            with pytest.raises(ParameterError, match="finite and positive"):
-                QuadratureSpec(**{tolerance: value})
 
 
 def test_gauss_hermite_normalisation_and_variance():

@@ -9,7 +9,6 @@ import steinclt.stein as stein_module
 from steinclt import (
     ConvergenceError,
     ParameterError,
-    QuadratureSpec,
     integrate_unit,
     alpha_identities,
     gaussian_expectation_identity,
@@ -272,13 +271,6 @@ def test_stein_residual_vanishes():
         for t, x in (([2.0], [1.5]), ([3.0], [-3.0]), ([1.0, -2.0], [0.4, 0.9]))
     )
     assert worst < 1e-7
-
-
-def test_quadrature_spec_is_honoured():
-    loose = QuadratureSpec(abs_tol=1e-6, rel_tol=1e-6)
-    value, error = stein_solution([2.0], [1.0], loose)
-    tight, tight_error = stein_solution([2.0], [1.0])
-    assert abs(value - tight) <= max(1e-6, error + tight_error)
 
 
 def test_stein_check_battery_runs_every_check_in_order():
