@@ -107,17 +107,20 @@ def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
     d = row.project(t)
     pd = row.probs * d
     mu = row.per_cell_sum(pd)
-    m2t = row.per_cell_sum(pd * d)
+    # a real product commutes bit for bit: d * pd is pd * d
+    d *= pd
+    m2t = row.per_cell_sum(d)
+    del d
     tau = float(np.sum(m2t))
 
     def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
         # a complex product is not commutative bit for bit, so each one is
-        # formed in place in a stated order: excl * (psis - mu), whatever the
-        # size of the temporary, then excl * phis * m2t
-        moved = psis - mu
-        np.multiply(excl, moved, out=moved)
-        moved = np.sum(moved, axis=1)
+        # formed in place in a stated order: excl * (psis - mu), in the
+        # kernel's own psis buffer, then excl * phis * m2t
+        np.subtract(psis, mu, out=psis)
+        np.multiply(excl, psis, out=psis)
+        moved = np.sum(psis, axis=1)
         excl *= phis
         excl *= m2t
         return np.stack([moved, excl.sum(axis=1)], axis=-1)

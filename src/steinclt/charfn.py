@@ -64,7 +64,7 @@ __all__ = [
 
 # cap on (t-values x atoms) of each t-chunk of _cell_transforms, which
 # bounds the (chunk, n) transforms a reduction is handed
-_PHASE_BUDGET = 1_000_000
+_PHASE_BUDGET = 500_000
 
 # cap on (t-values x atoms) elements of each tile of a chunk: 2**15 doubles
 # (256 kB) keep a tile's temporaries in cache while its fixed cost of about
@@ -167,12 +167,14 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
     The tiles run in turn on the calling thread, and change no bit.
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
-    offsets, parts = row.offsets, []
+    offsets, parts, tiles = row.offsets, [], {}
     # an empty batch still makes one (0, n) pass, so the result has its shape
     for i in range(0, batch.shape[0], chunk) or (0,):
         block = batch[i:i + chunk]
         outs = [np.empty((len(block), row.n), dtype=np.complex128) for _ in weights]
-        for rows, k0, k1, width in _tiles(row, len(block)) if len(block) else ():
+        if len(block) not in tiles:
+            tiles[len(block)] = _tiles(row, len(block)) if len(block) else ()
+        for rows, k0, k1, width in tiles[len(block)]:
             lo, hi = offsets[k0], offsets[k1]
             a = row.project(block[rows], lo, hi)
             cos = np.cos(a)
@@ -256,13 +258,15 @@ def sample_row_sums(row: ArrayRow, samples: int, seed: RngSeed) -> np.ndarray:
         skip = samples - (stop - start)
         if start:
             rng.bit_generator.advance(start)
+        u, picked = np.empty(stop - start), np.empty(stop - start)
         for k in range(row.n):
             if k and skip:
                 rng.bit_generator.advance(skip)
             lo, hi = row.offsets[k], row.offsets[k + 1]
-            idx = _atom_index(np.cumsum(row.probs[lo:hi]), rng.random(stop - start))
+            idx = _atom_index(np.cumsum(row.probs[lo:hi]), rng.random(out=u))
             for j in range(row.dimension):
-                total[start:stop, j] += row.points[lo:hi, j].take(idx)
+                # idx <= hi - lo - 1, so "clip" never clips
+                total[start:stop, j] += row.points[lo:hi, j].take(idx, out=picked, mode="clip")
 
     _fan_out(draw, range(blocks))
     return total
