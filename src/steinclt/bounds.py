@@ -100,7 +100,10 @@ def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
     mu_k) and sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand
     divides the first by sqrt(s), which the reduction does not see, and
     takes the Gaussian factor at tau = sum_k m2_k, not |t|^2.  The exact
-    term phi_Gauss(t) - e^{-tau/2} is added to the integral.
+    term phi_Gauss(t) - e^{-tau/2} is added to the integral.  Besides
+    the row and the kernel's chunks the call keeps one atom-sized array,
+    p <x, t>, and the reduction forms psis - mu and its product with the
+    exclusive products in the kernel's own psis.
     Returns (value, estimated quadrature error).
     """
     t = as_vector(t, row.dimension)
@@ -159,9 +162,9 @@ def decomposition_check(row: ArrayRow, t) -> IdentityReport:
 
     The lhs is one ``identity_lhs`` call, the rhs one ``identity_rhs``
     quadrature per t (a hard t refines only its own entry) on up to one
-    thread per core, each running its transform tiles in turn; threads
-    are spent here and on the sampler's blocks only.  Every entry equals
-    the single-t call.
+    thread per core, the calling thread among them, each running its
+    transform tiles in turn; threads are spent here and on the sampler's
+    blocks only.  Every entry equals the single-t call.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     lhs = identity_lhs(row, batch)

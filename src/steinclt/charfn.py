@@ -62,8 +62,12 @@ __all__ = [
 ]
 
 
-# cap on (t-values x atoms) of each t-chunk of _cell_transforms, which
-# bounds the (chunk, n) transforms a reduction is handed
+# cap on (t-values x atoms) of each t-chunk of _cell_transforms.  The tiles
+# bound the phase arrays; this cap sizes only the (chunk, n) transforms a
+# reduction is handed and the reduction's temporaries.  At 5e5 the 400k-atom
+# eta row of 100 000 cells takes one s-node per chunk, and one identity_rhs
+# call on it peaks at 11.3 MB of traced allocations against 21.2 MB at 1e6
+# (two nodes per chunk), at the same in-process wall time (2-core x86 VM)
 _PHASE_BUDGET = 500_000
 
 # cap on (t-values x atoms) elements of each tile of a chunk: 2**15 doubles
@@ -164,7 +168,9 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
     (t, cells, width) view in a tile of one cell width up to
     ``_SLICE_ADD_MAX_WIDTH``, which release the interpreter lock, and
     reduceat itself, which holds it, in a tile of mixed or wider cells.
-    The tiles run in turn on the calling thread, and change no bit.
+    The tiles run in turn on the calling thread, and change no bit; they
+    are laid out once per distinct chunk length of the call.  The outputs
+    are fresh arrays for each chunk, which ``reduce`` may overwrite.
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
     offsets, parts, tiles = row.offsets, [], {}
@@ -236,7 +242,10 @@ def sample_row_sums(row: ArrayRow, samples: int, seed: RngSeed) -> np.ndarray:
     the block's first uniform and then, between cells, past the other
     blocks' uniforms (one block never advances), and the blocks are drawn
     concurrently.  Neither the block count nor the order in which blocks
-    run changes a bit of the result.
+    run changes a bit of the result.  Each block draws every cell's
+    uniforms into one buffer and gathers each coordinate of the picked
+    atoms into another, so a block allocates no sample-sized array per
+    cell, whichever thread runs it.
 
     The count is taken by one comparison pass per atom for cells of at
     most ``_COUNTING_MAX_ATOMS`` atoms and by a binary search above;

@@ -75,14 +75,15 @@ def _thread_count(jobs: int) -> int:
 def _fan_out(work, jobs) -> list:
     """[work(job) for job in jobs], on ``_thread_count(len(jobs))`` threads.
 
-    One thread runs a plain loop.  Otherwise the calling thread runs jobs
-    beside ``threads - 1`` pool workers, so the memory its earlier work
-    freed serves its own jobs, and each thread takes the next job index
-    under a lock until none is left or a job has raised.  Its callers are
-    the identity's t (``bounds.decomposition_check``) and the sampler's
-    blocks (``charfn.sample_row_sums``), and no job of either starts
-    another fan-out.  Results come back in job order, and the exception
-    of the earliest job that raised is raised here.
+    One thread runs a plain loop.  Otherwise the calling thread claims the
+    first job, starts ``threads - 1`` pool workers and works beside them,
+    so the memory its earlier work freed serves its own jobs; each thread
+    then claims the next job index under a lock until none is left or a
+    job has raised.  Its callers are the identity's t
+    (``bounds.decomposition_check``) and the sampler's blocks
+    (``charfn.sample_row_sums``), and no job of either starts another
+    fan-out.  Results come back in job order, and the exception of the
+    earliest job that raised is raised here.
     """
     jobs = list(jobs)
     threads = _thread_count(len(jobs))
@@ -91,22 +92,24 @@ def _fan_out(work, jobs) -> list:
     results, errors = [None] * len(jobs), {}
     lock, order = threading.Lock(), iter(range(len(jobs)))
 
-    def take() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(order, None)
-            if i is None:
-                return
+    def claim() -> int | None:
+        with lock:
+            return None if errors else next(order, None)
+
+    def take(i: int | None) -> None:
+        while i is not None:
             try:
                 results[i] = work(jobs[i])
             except BaseException as exc:
                 with lock:
                     errors[i] = exc
+            i = claim()
 
+    first = claim()
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
         for _ in range(threads - 1):
-            pool.submit(take)
-        take()
+            pool.submit(lambda: take(claim()))
+        take(first)
     if errors:
         raise errors[min(errors)]
     return results

@@ -1,4 +1,5 @@
 import threading
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -445,11 +446,63 @@ def test_symmetric_sorted_cells_give_exactly_real_transforms(row):
     assert all(row_sum_charfn(row, t).imag == 0.0 for t in batch[:, 0])
 
 
-def test_a_fan_out_runs_its_jobs_on_pool_threads(monkeypatch):
-    monkeypatch.setattr(util, "_cores", lambda: 4)
-    assert threading.get_ident() not in util._fan_out(lambda _: threading.get_ident(), range(3))
-    with pytest.raises(ZeroDivisionError):
-        util._fan_out(lambda j: 1 // (j - 2), range(4))
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_a_fan_out_runs_each_job_once_in_order_on_the_caller_and_its_pool(monkeypatch, cores):
+    monkeypatch.setattr(util, "_cores", lambda: cores)
+    caller = threading.get_ident()
+    for count in (0, 1, 2, 3, 7):
+        threads = util._thread_count(count)
+        runs, lock, elsewhere = [], threading.Lock(), threading.Event()
+
+        def job(j):
+            with lock:
+                runs.append((j, threading.get_ident()))
+            if threading.get_ident() != caller:
+                elsewhere.set()
+            elif threads > 1:
+                # hold the caller until a pool thread has run a job
+                assert elsewhere.wait(10)
+            return j * j
+
+        assert util._fan_out(job, range(count)) == [j * j for j in range(count)]
+        assert sorted(j for j, _ in runs) == list(range(count))
+        ran_on = {ident for _, ident in runs}
+        assert len(ran_on) <= threads
+        assert count < 2 or caller in ran_on
+
+
+@pytest.mark.parametrize("cores", [1, 2, 4])
+def test_a_fan_out_raises_the_first_exception_of_either_share(monkeypatch, cores):
+    monkeypatch.setattr(util, "_cores", lambda: cores)
+    caller = threading.get_ident()
+
+    def failing_on_caller(j):
+        if threading.get_ident() == caller:
+            raise ZeroDivisionError(j)
+        return j
+
+    with pytest.raises(ZeroDivisionError, match="^0$"):
+        util._fan_out(failing_on_caller, range(6))
+    if cores == 1:
+        return
+    runs, lock, elsewhere = [], threading.Lock(), threading.Event()
+
+    def failing_on_pool(j):
+        with lock:
+            runs.append(j)
+        if threading.get_ident() == caller:
+            # wait for a pool job to raise, and for its thread to record it
+            assert elsewhere.wait(10)
+            time.sleep(0.05)
+            return j
+        elsewhere.set()
+        raise ValueError(j)
+
+    # after a job has raised no thread claims another, so each thread runs
+    # its first job only
+    with pytest.raises(ValueError):
+        util._fan_out(failing_on_pool, range(50))
+    assert 2 <= len(runs) <= util._thread_count(50)
 
 
 def test_threads_are_spent_only_on_identity_t_and_sampler_blocks(monkeypatch):
