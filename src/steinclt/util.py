@@ -107,9 +107,10 @@ def _fan_out(work, jobs) -> list:
 
     first = claim()
     with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        for _ in range(threads - 1):
-            pool.submit(lambda: take(claim()))
+        workers = [pool.submit(lambda: take(claim())) for _ in range(threads - 1)]
         take(first)
+    for worker in workers:
+        worker.result()
     if errors:
         raise errors[min(errors)]
     return results

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 import steinclt.bounds as bounds_module
 import steinclt.util as util
-from oracles import identity_integrand_r_form, master_bound_oracle
+from oracles import identity_by_stein_route, identity_integrand_r_form, master_bound_oracle
 from steinclt import (
     ArrayRow,
     EtaAlphaFamily,
@@ -36,6 +37,7 @@ from steinclt import (
     truncation_bound_check,
 )
 from steinclt.bounds import DEFAULT_BOUND_EPS_GRID, SLACK_FLOOR
+from steinclt.stein import hessian_closed_form, hessian_quadrature_representation
 from strategies import centred_rows
 
 # frozen: e^{-1/2} - cos(1), mpmath 40 digits
@@ -188,6 +190,59 @@ def test_identity_rhs_bits_do_not_depend_on_the_chunk_size(monkeypatch):
         monkeypatch.setattr(charfn_module, "_PHASE_BUDGET", budget)
         values.append(identity_rhs(row, 1.7))
     assert values[0] == values[1] == values[2]
+
+
+def test_identity_rhs_keeps_a_bounded_working_set():
+    # numpy reports its buffers to tracemalloc.  On the 400k-atom eta row one
+    # call must stay within four atom-sized float64 arrays (12.8 MB) besides
+    # the row.  It peaks at 11.3 MB with one s-node per transform chunk and
+    # psis - mu formed in place; two nodes per chunk, a kept <x, t> and a
+    # separate psis - mu array peaked at 21.2 MB (numpy 2.4, x86-64)
+    row = EtaAlphaFamily(0.5).row(10**5)
+    identity_rhs(row, 1.3)
+    tracemalloc.start()
+    try:
+        identity_rhs(row, 1.3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * row.total_atoms * 8
+
+
+@st.composite
+def enumerable_rows_and_t(draw):
+    """(row, t) with a random asymmetric row in dims 1-3 whose sum has at
+    most 9 support points, and |t| <= 1/2.  Each cell is centred again after
+    the whitening, whose rounding leaves means of up to 1e-14, so that the
+    route's E X_k = 0 holds to rounding."""
+    dim = draw(st.integers(1, 3))
+    row = draw(centred_rows(dim=dim, max_cells=2, max_atoms=3 if dim < 3 else 2))
+    row = ArrayRow.from_cells((x - p @ x, p) for x, p in row.cells())
+    coords = st.floats(-0.5, 0.5, allow_subnormal=False)
+    t = np.array(draw(st.lists(coords, min_size=dim, max_size=dim)))
+    norm = float(np.linalg.norm(t))
+    return row, t if norm <= 0.5 else t * (0.5 / norm)
+
+
+def quadrature_hessian(t, x):
+    return hessian_quadrature_representation(t, x)[0]
+
+
+@pytest.mark.parametrize("hessian", [hessian_closed_form, quadrature_hessian])
+@settings(max_examples=8, deadline=None)
+@given(enumerable_rows_and_t())
+def test_the_stein_route_gives_both_sides_of_the_identity(hessian, case):
+    # the paper's route from the Hessian of the Stein solution to the gap,
+    # by enumeration, joins the stein module to both sides of the identity
+    row, t = case
+    route = identity_by_stein_route(row, t, hessian)
+    assert abs(route - identity_lhs(row, t)) <= 1e-15
+    assert abs(route - identity_rhs(row, t)[0]) <= 1e-15
+
+
+def test_the_stein_route_refuses_a_large_support():
+    with pytest.raises(ValueError, match="4096"):
+        identity_by_stein_route(build_rademacher_row(13), 1.0, hessian_closed_form)
 
 
 def identity_integrand(row, t):

@@ -1,3 +1,4 @@
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -469,6 +470,27 @@ def test_a_fan_out_runs_each_job_once_in_order_on_the_caller_and_its_pool(monkey
         ran_on = {ident for _, ident in runs}
         assert len(ran_on) <= threads
         assert count < 2 or caller in ran_on
+
+
+def test_a_fan_out_hands_out_each_job_once_under_contention(monkeypatch):
+    # more threads than cores and a short switch interval: a job index
+    # claimed twice or skipped would show in the counts or the results
+    monkeypatch.setattr(util, "_cores", lambda: 8)
+    counts, lock = [0] * 3000, threading.Lock()
+
+    def job(j):
+        with lock:
+            counts[j] += 1
+        return j
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = util._fan_out(job, range(len(counts)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == list(range(len(counts)))
+    assert counts == [1] * len(counts)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])
