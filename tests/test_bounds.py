@@ -213,7 +213,7 @@ def test_identity_rhs_keeps_a_bounded_working_set():
 def enumerable_rows_and_t(draw):
     """(row, t) with a random asymmetric row in dims 1-3 whose sum has at
     most 9 support points, and |t| <= 1/2.  Each cell is centred again after
-    the whitening, whose rounding leaves means of up to 1e-14, so that the
+    the whitening, whose rounding leaves means of a few 1e-15, so that the
     route's E X_k = 0 holds to rounding."""
     dim = draw(st.integers(1, 3))
     row = draw(centred_rows(dim=dim, max_cells=2, max_atoms=3 if dim < 3 else 2))
