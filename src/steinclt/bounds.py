@@ -31,7 +31,10 @@ Both sides are computable essentially exactly for finitely supported
 rows (the left side as a finite product, the right side with one smooth
 s-quadrature), which makes the identity a sharp end-to-end test of the
 whole Stein pipeline: its derivation uses the solution's Hessian
-difference and nothing else.
+difference and nothing else.  Along a ray t = r e the integrand of every
+t is the longest t's times its own Gaussian factor, taken up to its own
+upper limit in s, so ``decomposition_check`` integrates each ray of a
+batch in one quadrature whose kernel nodes all its t share.
 
 From the identity, elementary truncation at a level eps > 0 gives the
 finite-n master inequality
@@ -90,7 +93,17 @@ def identity_lhs(row: ArrayRow, t):
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
 
-def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
+def _directions(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(|t|^2, t/|t|) per row of an (m, N) batch, |t|^2 added in coordinate
+    order; a t of |t|^2 = 0 has direction 0.  The direction's bits name the
+    t's ray (+0.0 turns a -0.0 coordinate into +0.0)."""
+    sq = sum((c * c for c in batch.T), np.zeros(len(batch)))
+    norm = np.sqrt(sq)
+    unit = np.divide(batch, norm[:, None], out=np.zeros_like(batch), where=norm[:, None] > 0.0)
+    return sq, unit + 0.0
+
+
+def identity_rhs(row: ArrayRow, t):
     """Right side of the identity, by one adaptive s-quadrature.
 
     Each batch of s-nodes is one ``charfn._cell_transforms`` call over
@@ -105,8 +118,41 @@ def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
     p <x, t>, and the reduction forms psis - mu and its product with the
     exclusive products in the kernel's own psis.
     Returns (value, estimated quadrature error).
+
+    t may also be an (m, N) batch of nonzero t on one ray, that is with
+    the same bits of t/|t|; it returns an array of m values and one of m
+    errors from one quadrature, whose kernel nodes every t shares.  Let
+    t_top be the longest t (the first of equal lengths) and b_j =
+    |t_j|^2 / |t_top|^2, so t_j = sqrt(b_j) t_top.  At the node u t_j =
+    u' t_top, u' = sqrt(b_j) u, the weights <x, t_j> of psi_k and mu_k(t_j)
+    are sqrt(b_j) times t_top's, m2_k(t_j) and tau_j are b_j times t_top's,
+    and phi_k is t_top's at u'.  So the bracket of t_j at s is b_j times
+    that of t_top at s' = b_j s, and e^{-(1 - s) tau_j / 2} = e^{-(1 - s')
+    tau_top / 2} e^{(1 - b_j) tau_top / 2}: I_j(s) = b_j I_top(b_j s)
+    e^{(1 - b_j) tau_top / 2}, and in s',
+
+      int_0^1 I_j(s) ds = int_0^{b_j} I_top(s') e^{(1 - b_j) tau_top / 2} ds',
+
+    with tau_top = sum_k m2_k(t_top) and b_j tau_top = tau_j.  Column j of
+    the integrand is therefore t_top's integrand times e^{(1 - b_j)
+    tau_top / 2}, a factor that is exactly 1 for t_top, integrated by
+    ``integrate_unit`` up to b_j; rhs_j = value_j / 2 + (phi_Gauss(t_j) -
+    e^{-b_j tau_top / 2}), and t_j keeps its own tolerance on its own
+    total.  The top t's column is the single-t integrand bit for bit, so
+    its rhs and error are the single-t call's unless another t's panel
+    bisections refine it.  A t whose direction differs from t_top's by
+    rounding (t_j is not exactly sqrt(b_j) t_top) is integrated at
+    sqrt(b_j) t_top; the lhs is taken at t_j itself.  A batch off one ray
+    raises ParameterError.
     """
-    t = as_vector(t, row.dimension)
+    batch, is_batch = _as_batch(t, row.dimension)
+    if not len(batch):
+        return np.empty(0, dtype=np.complex128), np.empty(0)
+    sq, unit = _directions(batch)
+    top = int(np.argmax(sq))
+    if is_batch and (not sq[top] or np.any(unit != unit[top])):
+        raise ParameterError("a batch of t must be nonzero t on one ray (one t/|t|)")
+    t = batch[top]
     d = row.project(t)
     pd = row.probs * d
     mu = row.per_cell_sum(pd)
@@ -115,6 +161,8 @@ def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
     m2t = row.per_cell_sum(d)
     del d
     tau = float(np.sum(m2t))
+    upper = sq / sq[top] if is_batch else None
+    scale = None if upper is None else np.exp(0.5 * (1.0 - upper) * tau)
 
     def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
@@ -132,10 +180,13 @@ def identity_rhs(row: ArrayRow, t) -> tuple[complex, float]:
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         u = np.sqrt(s)
         moved, second = _cell_transforms(row, u[:, None] * t, (row.probs, pd), eval_nodes).T
-        return (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tau)
+        values = (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tau)
+        return values if scale is None else values[:, None] * scale
 
-    value, err = integrate_unit(integrand, return_error=True)
-    return 0.5 * complex(value) + (gaussian_charfn(t) - np.exp(-0.5 * tau)), 0.5 * err
+    value, err = integrate_unit(integrand, return_error=True, upper=upper)
+    if upper is None:
+        return 0.5 * complex(value) + (gaussian_charfn(t) - np.exp(-0.5 * tau)), 0.5 * err
+    return 0.5 * value + (gaussian_charfn(batch) - np.exp(-0.5 * upper * tau)), 0.5 * err
 
 
 @dataclass(frozen=True)
@@ -144,37 +195,88 @@ class IdentityReport:
 
     Each array has the t-batch axis first; a single t drops it.  An
     entry passes when its residual |lhs - rhs| is within max(1e-6,
-    10 * quadrature error).
+    10 * quadrature error).  ``mean_bound`` is sum_k |mu_k(t)|, which
+    bounds what cell means within validation's tolerance add to the
+    residual (it does not enter ``passed``).
     """
 
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
     quadrature_error: np.ndarray
+    mean_bound: np.ndarray = 0.0
 
     @property
     def passed(self) -> np.ndarray:
         return self.residual <= np.maximum(IDENTITY_TOL, 10.0 * self.quadrature_error)
 
 
+# a ray's t share one quadrature while (|t_top|^2 - |t|^2) / 2, the log of the
+# largest Gaussian factor e^{(1 - b) tau / 2} that a shorter t's column takes,
+# stays at most this; a longer span is cut into runs, each its own quadrature
+_RAY_SPAN = 64.0
+
+
+def _rays(batch: np.ndarray) -> list[np.ndarray]:
+    """The batch's t indices, one array per quadrature, each longest first.
+
+    t are grouped by the bits of t/|t| (in 1-D, by sign), in order of
+    decreasing |t| with ties in coordinate order, so the groups and their
+    order do not depend on the batch's; each t = 0 is a group of its own.
+    A group whose squared norms fall more than 2 * ``_RAY_SPAN`` below its
+    longest starts a new group there.
+    """
+    sq, unit = _directions(batch)
+    rays: dict = {}
+    for i in np.lexsort((*batch.T[::-1], -sq)):
+        key = unit[i].tobytes() if sq[i] else i
+        runs = rays.setdefault(key, [[]])
+        if runs[-1] and 0.5 * (sq[runs[-1][0]] - sq[i]) > _RAY_SPAN:
+            runs.append([])
+        runs[-1].append(i)
+    return [np.array(run) for runs in rays.values() for run in runs]
+
+
+def _ray_rhs(row: ArrayRow, ts: np.ndarray) -> tuple:
+    """(rhs, quadrature error, mean bound) of the t of one ray, longest first:
+    one ``identity_rhs`` call (a lone t takes the single-t call), and the
+    mean bound x_j sum_k |mu_k(t_top)| with x_j = |t_j| / |t_top|."""
+    mean = float(np.sum(np.abs(row.per_cell_sum(row.probs * row.project(ts[0])))))
+    if len(ts) == 1:
+        return (*identity_rhs(row, ts[0]), mean)
+    sq, _ = _directions(ts)
+    return (*identity_rhs(row, ts), np.sqrt(sq / sq[0]) * mean)
+
+
 def decomposition_check(row: ArrayRow, t) -> IdentityReport:
     """Exact lhs vs quadrature rhs, per t of a single t or an (m, N) batch.
 
-    The lhs is one ``identity_lhs`` call, the rhs one ``identity_rhs``
-    quadrature per t (a hard t refines only its own entry) on up to one
-    thread per core, the calling thread among them, each running its
-    transform tiles in turn; threads are spent here and on the sampler's
-    blocks only.  Every entry equals the single-t call.
+    The lhs is one ``identity_lhs`` call.  The rhs is one ``identity_rhs``
+    quadrature per ray of t (``_rays``: the t with the same bits of t/|t|,
+    each t = 0 alone, a ray cut where its Gaussian factors would pass
+    e^{``_RAY_SPAN``}), whose kernel nodes every t of the ray shares while
+    each keeps its own tolerance.  The rays run on up to one thread per
+    core, the calling thread among them, each running its transform tiles
+    in turn, and nothing inside a ray is spread (measured: two threads on
+    one ray's nodes gained nothing on two cores).  Threads are spent here
+    and on the sampler's blocks only, so a single t, or a batch on one
+    ray, uses one core.  An entry's bits do not depend on the batch order
+    or the thread count; the longest t of a ray equals its single-t call
+    unless a shorter t's panels refine it, and every entry agrees with its
+    single-t call within both error estimates.  ``mean_bound`` is x_j
+    sum_k |mu_k(t_top)| per t of a ray, x_j = |t_j| / |t_top|, which is
+    sum_k |mu_k(t_j)|.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     lhs = identity_lhs(row, batch)
-    pairs = _fan_out(lambda v: identity_rhs(row, v), batch)
-    rhs = np.array([value for value, _ in pairs], dtype=np.complex128)
-    err = np.array([error for _, error in pairs], dtype=np.float64)
+    rays = _rays(batch)
+    rhs, err, mean = np.zeros(len(batch), np.complex128), np.zeros(len(batch)), np.zeros(len(batch))
+    for ray, (values, errors, means) in zip(rays, _fan_out(lambda r: _ray_rhs(row, batch[r]), rays)):
+        rhs[ray], err[ray], mean[ray] = values, errors, means
     # the builtin abs of a complex: np.abs may round |z| otherwise
     residual = np.array([abs(z) for z in lhs - rhs], dtype=np.float64)
     pick = slice(None) if is_batch else 0
-    return IdentityReport(lhs[pick], rhs[pick], residual[pick], err[pick])
+    return IdentityReport(lhs[pick], rhs[pick], residual[pick], err[pick], mean[pick])
 
 
 def truncation_bound_check(

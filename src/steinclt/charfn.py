@@ -29,15 +29,16 @@ most ``_TILE_ELEMENTS`` (t-values x atoms) over whole cells: a tile
 projects its own atoms with ``ArrayRow.project``, takes cos and sin and
 writes the per-cell sums of each weight, so the peak memory is a few
 tiles and the chunk's outputs.  The tiles run in turn on the calling
-thread: threads are spent only on the t of ``bounds.decomposition_check``
-and the sample blocks of ``sample_row_sums``, so a call with few t on a
-large row uses one core.  Each per-cell sum is np.add.reduceat's over the
+thread: threads are spent only on the rays of t of
+``bounds.decomposition_check`` (one quadrature per ray) and the sample
+blocks of ``sample_row_sums``, so a call with few t on a large row uses
+one core.  Each per-cell sum is np.add.reduceat's over the
 same atoms however the tiles fall: the cell's first term plus the rest
 added left to right.  ``_cell_sums`` takes it with slice adds when the
 tile's cells share one width of at most ``_SLICE_ADD_MAX_WIDTH`` atoms and
 with reduceat otherwise (mixed or wider cells).  Every numpy step of a
 tile but reduceat releases the interpreter lock, so the identity's
-concurrent t serialise on it only in those tiles.  Each transform and the
+concurrent rays serialise on it only in those tiles.  Each transform and the
 gap take one t or a 2-D (m, N) batch, one entry per row of T equal to its
 single-t call, bit for bit.
 """

@@ -79,7 +79,7 @@ def _fan_out(work, jobs) -> list:
     first job, starts ``threads - 1`` pool workers and works beside them,
     so the memory its earlier work freed serves its own jobs; each thread
     then claims the next job index under a lock until none is left or a
-    job has raised.  Its callers are the identity's t
+    job has raised.  Its callers are the identity's rays of t
     (``bounds.decomposition_check``) and the sampler's blocks
     (``charfn.sample_row_sums``), and no job of either starts another
     fan-out.  Results come back in job order, and the exception of the

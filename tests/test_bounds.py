@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import steinclt.bounds as bounds_module
@@ -38,6 +38,7 @@ from steinclt import (
 )
 from steinclt.bounds import DEFAULT_BOUND_EPS_GRID, SLACK_FLOOR
 from steinclt.stein import hessian_closed_form, hessian_quadrature_representation
+from steinclt.util import exclusive_products
 from strategies import centred_rows
 
 # frozen: e^{-1/2} - cos(1), mpmath 40 digits
@@ -158,15 +159,19 @@ def test_master_bound_holds_on_random_rows(case):
 
 
 def test_identity_rhs_node_chunking_is_transparent(monkeypatch):
-    # force one s-node per phase-pass chunk and check it returns the same value
+    # force one s-node per phase-pass chunk and one atom per tile, and check
+    # that a single t and a ray of t return the same values
     import steinclt.charfn as charfn_module
 
     row = build_eta_row(0.5, 12)
-    whole = identity_rhs(row, 1.5)
+    ray = [[1.5], [0.4], [0.9]]
+    whole, shared = identity_rhs(row, 1.5), identity_rhs(row, ray)
     monkeypatch.setattr(charfn_module, "_PHASE_BUDGET", 1)
-    chunked = identity_rhs(row, 1.5)
+    monkeypatch.setattr(charfn_module, "_TILE_ELEMENTS", 1)
+    chunked, chunked_ray = identity_rhs(row, 1.5), identity_rhs(row, ray)
     assert chunked[0] == whole[0]
     assert chunked[1] == whole[1]
+    assert np.array_equal(chunked_ray[0], shared[0]) and np.array_equal(chunked_ray[1], shared[1])
 
 
 def test_identity_rhs_bits_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -317,31 +322,124 @@ def test_identity_with_a_zero_rhs_fails():
 
 
 @st.composite
-def rows_and_t_batch(draw):
-    """(row, batch) with a random asymmetric row in dims 1-3 and 0-5 t of |t| <= 6."""
+def rows_and_ray_batch(draw):
+    """(row, batch, order) with a random asymmetric row in dims 1-3, 1-6 t =
+    r e on one random unit direction e, |r| <= 6, and a permutation of the
+    batch.  Radii of mixed sign put the t on the two rays e and -e, and a
+    radius 0 gives t = 0."""
     row = draw(centred_rows())
-    coords = st.floats(-6.0, 6.0, allow_subnormal=False)
-    vectors = st.lists(coords, min_size=row.dimension, max_size=row.dimension)
-    batch = np.array(draw(st.lists(vectors, max_size=5))).reshape(-1, row.dimension)
-    return row, batch * (6.0 / np.maximum(np.linalg.norm(batch, axis=1, keepdims=True), 6.0))
+    coords = st.floats(-1.0, 1.0, allow_subnormal=False)
+    e = np.array(draw(st.lists(coords, min_size=row.dimension, max_size=row.dimension)))
+    assume(np.linalg.norm(e) > 0.1)
+    e /= np.linalg.norm(e)
+    radii = draw(st.lists(st.floats(-6.0, 6.0, allow_subnormal=False), min_size=1, max_size=6))
+    order = draw(st.permutations(range(len(radii))))
+    return row, np.array(radii)[:, None] * e, order
 
 
 @settings(max_examples=30, deadline=None)
-@given(rows_and_t_batch())
-def test_identity_batch_equals_single_t_calls_at_any_thread_count(case):
-    # the batch fans its t out to one thread per core; no count may change a bit
-    row, batch = case
-    singles = [decomposition_check(row, t) for t in batch]
+@given(rows_and_ray_batch())
+def test_identity_rays_share_one_quadrature_at_any_thread_count_and_order(case):
+    # one quadrature per ray: an entry's bits depend on its ray's t only, not
+    # on the thread count or the batch order, and stay within both error
+    # estimates (and the rounding of the lhs) of the single-t call
+    row, batch, order = case
+    tables = []
     for cores in (1, 4):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(util, "_cores", lambda: cores)
-            table = decomposition_check(row, batch)
-        assert table.lhs.shape == (len(batch),)
-        for i, single in enumerate(singles):
-            assert table.lhs[i] == single.lhs and table.rhs[i] == single.rhs
-            assert table.residual[i] == single.residual
-            assert table.quadrature_error[i] == single.quadrature_error
-            assert table.passed[i] == single.passed
+            tables.append(decomposition_check(row, batch))
+    shuffled = decomposition_check(row, batch[order])
+    table, eps = tables[0], np.finfo(float).eps
+    for i, t in enumerate(batch):
+        for other, k in ((tables[1], i), (shuffled, order.index(i))):
+            assert other.lhs[k] == table.lhs[i] and other.rhs[k] == table.rhs[i]
+            assert other.quadrature_error[k] == table.quadrature_error[i]
+            assert other.mean_bound[k] == table.mean_bound[i]
+        assert table.passed[i]
+        single = decomposition_check(row, t)
+        one = decomposition_check(row, t[None, :])
+        assert (one.rhs[0], one.quadrature_error[0]) == (single.rhs, single.quadrature_error)
+        if t @ t > 0.0:
+            values, errors = identity_rhs(row, t[None, :])
+            assert (values[0], errors[0]) == identity_rhs(row, t)
+        slack = table.quadrature_error[i] + single.quadrature_error + 16 * eps * (1 + float(t @ t))
+        assert abs(table.rhs[i] - single.rhs) <= slack
+
+
+def test_identity_rhs_takes_a_batch_only_on_one_ray():
+    row = build_product_row([build_rademacher_row(3), build_eta_row(0.5, 3)])
+    values, errors = identity_rhs(row, [[0.6, 0.8], [1.2, 1.6]])
+    assert values.shape == errors.shape == (2,)
+    for batch in ([[0.6, 0.8], [0.8, 0.6]], [[0.6, 0.8], [-0.6, -0.8]], [[0.6, 0.8], [0.0, 0.0]]):
+        with pytest.raises(ParameterError, match="one ray"):
+            identity_rhs(row, batch)
+
+
+def test_a_long_ray_is_cut_where_the_gaussian_factor_grows_too_large():
+    # one quadrature over t = 0.5 and 40 would scale the column of 0.5 by
+    # e^{(40^2 - 0.5^2) / 2}, which overflows; the ray runs as two quadratures
+    row = build_eta_row(0.5, 200)
+    batch = np.array([[0.5], [8.0], [40.0], [-0.5], [0.0]])
+    assert [ray.tolist() for ray in bounds_module._rays(batch)] == [[2], [1, 0], [3], [4]]
+    report = decomposition_check(row, batch)
+    assert report.passed.all()
+    assert report.rhs[2] == decomposition_check(row, 40.0).rhs
+    assert report.rhs[4] == decomposition_check(row, 0.0).rhs
+
+
+def test_identity_rhs_forms_excl_times_psis_minus_mu_in_that_order():
+    # an asymmetric 3000-cell row, where the two operand orders of the complex
+    # product differ in the last bit on about a quarter of the entries: the
+    # captured integrand must equal, bit for bit, an oracle that forms
+    # excl * (psis - mu) in that order.  The oracle names psis - mu, so numpy
+    # cannot reuse it as a temporary and swap the operands
+    rng = np.random.default_rng(7)
+    cells = []
+    for k in range(3000):
+        x = rng.normal(size=(2 + k % 2, 1))
+        q = rng.uniform(0.2, 1.0, x.shape[0])
+        q /= q.sum()
+        cells.append((x - q @ x, q))
+    scale = np.sqrt(sum(float(q @ x[:, 0] ** 2) for x, q in cells))
+    row = ArrayRow.from_cells((x / scale, q) for x, q in cells)
+    t = np.array([1.7])
+    s = np.array([0.04, 0.3, 0.81])
+    u = np.sqrt(s)
+    pd = row.probs * row.project(t)
+    mu, m2t = row.per_cell_sum(pd), row.per_cell_sum(row.project(t) * pd)
+    phase = row.project(u[:, None] * t)
+
+    def transform(w):
+        out = np.empty((len(s), row.n), dtype=np.complex128)
+        out.real = row.per_cell_sum((w * np.cos(phase)).T).T
+        out.imag = -row.per_cell_sum((w * np.sin(phase)).T).T
+        return out
+
+    phis, psis = transform(row.probs), transform(pd)
+    excl = exclusive_products(phis)
+    moved = psis - mu
+    second = excl * phis
+    second *= m2t
+
+    def oracle(product):
+        sums = np.sum(product, axis=1)
+        return (1j * sums / u - np.sum(second, axis=1)) * np.exp(-0.5 * (1.0 - s) * float(np.sum(m2t)))
+
+    f = identity_integrand(row, t)(s)
+    assert np.array_equal(f, oracle(np.multiply(excl, moved)))
+    assert not np.array_equal(f, oracle(np.multiply(moved, excl)))
+
+
+def test_identity_mean_bound_covers_cell_means_within_the_tolerance():
+    # rademacher n = 1000 with every point shifted by 5e-13 validates; its
+    # cell means add up to sum_k |mu_k(t)| = 1000 * 5e-13 * |t| to the residual
+    base = build_rademacher_row(1000)
+    row = ArrayRow(1, base.points + 5e-13, base.probs, base.offsets)
+    report = decomposition_check(row, [[0.5], [1.0], [2.0]])
+    assert np.allclose(report.mean_bound, [2.5e-10, 5e-10, 1e-9], rtol=1e-6)
+    assert np.all(report.residual - report.mean_bound <= 10 * report.quadrature_error + 1e-13)
+    assert decomposition_check(base, [[0.5], [2.0]]).mean_bound.tolist() == [0.0, 0.0]
 
 
 def test_truncation_bound_examples():

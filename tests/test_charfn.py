@@ -527,9 +527,10 @@ def test_a_fan_out_raises_the_first_exception_of_either_share(monkeypatch, cores
     assert 2 <= len(runs) <= util._thread_count(50)
 
 
-def test_threads_are_spent_only_on_identity_t_and_sampler_blocks(monkeypatch):
+def test_threads_are_spent_only_on_identity_rays_and_sampler_blocks(monkeypatch):
     # the transform tiles run in turn: of the exact paths only a batch of
-    # identity t starts a pool, and none of its jobs starts another
+    # identity t on two or more rays starts a pool, and none of its jobs
+    # starts another; the t of one ray share one quadrature on one thread
     pools = []
 
     class CountingPool(util.ThreadPoolExecutor):
@@ -546,8 +547,9 @@ def test_threads_are_spent_only_on_identity_t_and_sampler_blocks(monkeypatch):
     charfn_gap(row, batch)
     master_bound(row, batch, 0.1)
     decomposition_check(row, 1.0)
-    assert pools == []
     decomposition_check(row, batch)
+    assert pools == []
+    decomposition_check(row, np.array([[0.5], [-2.0]]))
     assert pools == [threading.get_ident()]
     pools.clear()
     monkeypatch.setattr(charfn_module, "_MIN_BLOCK_SAMPLES", 1)
