@@ -65,12 +65,11 @@ def _interpolation_inverses() -> tuple[np.ndarray, np.ndarray]:
     Built on first use and frozen so the cache stays safe."""
     xs_lo, _ = _legendre_rule(_GL_LOW)
     xs_hi, _ = _legendre_rule(_GL_HIGH)
-    inverses = []
-    for xs in (xs_hi, np.concatenate((xs_lo, xs_hi))):
-        inverse = np.linalg.inv(np.polynomial.legendre.legvander(xs, xs.size - 1))
+    inverses = tuple(np.linalg.inv(np.polynomial.legendre.legvander(xs, xs.size - 1))
+                     for xs in (xs_hi, np.concatenate((xs_lo, xs_hi))))
+    for inverse in inverses:
         inverse.setflags(write=False)
-        inverses.append(inverse)
-    return inverses[0], inverses[1]
+    return inverses
 
 
 def _partial_weights(x: np.ndarray, inverse: np.ndarray) -> np.ndarray:
@@ -90,14 +89,8 @@ def _panels(f: Callable, edges: np.ndarray, cuts: np.ndarray | None = None):
     """High-order estimates and error estimates of 2u f(u^2) on the panels
     ``edges`` (one [left, right] row each), from one ``f`` call on all
     their nodes.  Returns them as (panels, components) arrays, with the
-    component shape of ``f``.
-
-    With ``cuts`` (one upper limit in u per component) a panel wholly
-    below its component's cut keeps its estimates, one wholly above gives
-    0 with error 0, and the panel holding the cut gives the integral up to
-    it of the interpolant through its 20 high-order node values, with the
-    difference from the same integral of the interpolant through all 30
-    of its node values as the error."""
+    component shape of ``f``.  ``cuts`` holds one upper limit in u per
+    component, applied as ``integrate_unit`` describes for ``upper``."""
     xs_lo, ws_lo = _legendre_rule(_GL_LOW)
     xs_hi, ws_hi = _legendre_rule(_GL_HIGH)
     half = 0.5 * (edges[:, 1:] - edges[:, :1])
@@ -124,10 +117,10 @@ def _panels(f: Callable, edges: np.ndarray, cuts: np.ndarray | None = None):
     panel, comp = np.nonzero(~below & (edges[:, :1] < cuts))
     if panel.size:
         x = (cuts[comp] - mid[panel, 0]) / half[panel, 0]
-        high, every = _interpolation_inverses()
-        part = half[panel, 0] * np.sum(_partial_weights(x, high) * values[panel, comp, _GL_LOW:], axis=-1)
-        whole = half[panel, 0] * np.sum(_partial_weights(x, every) * values[panel, comp], axis=-1)
-        hi[panel, comp], err[panel, comp] = part, np.abs(part - whole)
+        high, both = _interpolation_inverses()
+        cut20 = half[panel, 0] * np.sum(_partial_weights(x, high) * values[panel, comp, _GL_LOW:], axis=-1)
+        cut30 = half[panel, 0] * np.sum(_partial_weights(x, both) * values[panel, comp], axis=-1)
+        hi[panel, comp], err[panel, comp] = cut20, np.abs(cut20 - cut30)
     return hi, err, shape
 
 

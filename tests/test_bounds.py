@@ -174,13 +174,8 @@ def test_identity_rhs_node_chunking_is_transparent(monkeypatch):
     assert np.array_equal(chunked_ray[0], shared[0]) and np.array_equal(chunked_ray[1], shared[1])
 
 
-def test_identity_rhs_bits_do_not_depend_on_the_chunk_size(monkeypatch):
-    # 3000 asymmetric cells of 2 and 3 atoms (7500 atoms): a 30-node chunk
-    # makes a (30, 3000) complex temporary of 1.4 MB and a 4-node chunk one
-    # of 192 kB, on either side of the 256 KiB where numpy starts to reuse
-    # temporaries, which once swapped the operands of a complex product
-    import steinclt.charfn as charfn_module
-
+def asymmetric_row():
+    """3000 centred, asymmetric 1-D cells of 2 and 3 atoms (7500 atoms)."""
     rng = np.random.default_rng(7)
     cells = []
     for k in range(3000):
@@ -189,7 +184,17 @@ def test_identity_rhs_bits_do_not_depend_on_the_chunk_size(monkeypatch):
         q /= q.sum()
         cells.append((x - q @ x, q))
     scale = np.sqrt(sum(float(q @ x[:, 0] ** 2) for x, q in cells))
-    row = ArrayRow.from_cells((x / scale, q) for x, q in cells)
+    return ArrayRow.from_cells((x / scale, q) for x, q in cells)
+
+
+def test_identity_rhs_bits_do_not_depend_on_the_chunk_size(monkeypatch):
+    # 3000 asymmetric cells of 2 and 3 atoms (7500 atoms): a 30-node chunk
+    # makes a (30, 3000) complex temporary of 1.4 MB and a 4-node chunk one
+    # of 192 kB, on either side of the 256 KiB where numpy starts to reuse
+    # temporaries, which once swapped the operands of a complex product
+    import steinclt.charfn as charfn_module
+
+    row = asymmetric_row()
     values = []
     for budget in (10**6, 2 * 10**5, 3 * 10**4):
         monkeypatch.setattr(charfn_module, "_PHASE_BUDGET", budget)
@@ -394,15 +399,7 @@ def test_identity_rhs_forms_excl_times_psis_minus_mu_in_that_order():
     # captured integrand must equal, bit for bit, an oracle that forms
     # excl * (psis - mu) in that order.  The oracle names psis - mu, so numpy
     # cannot reuse it as a temporary and swap the operands
-    rng = np.random.default_rng(7)
-    cells = []
-    for k in range(3000):
-        x = rng.normal(size=(2 + k % 2, 1))
-        q = rng.uniform(0.2, 1.0, x.shape[0])
-        q /= q.sum()
-        cells.append((x - q @ x, q))
-    scale = np.sqrt(sum(float(q @ x[:, 0] ** 2) for x, q in cells))
-    row = ArrayRow.from_cells((x / scale, q) for x, q in cells)
+    row = asymmetric_row()
     t = np.array([1.7])
     s = np.array([0.04, 0.3, 0.81])
     u = np.sqrt(s)

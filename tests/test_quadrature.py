@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from steinclt import (
     ConvergenceError,
     DomainError,
+    ParameterError,
+    ShapeError,
     integrate_unit,
 )
 from steinclt import quadrature
@@ -140,6 +142,62 @@ def test_oscillatory_integrand_takes_few_rounds():
     u = ((np.arange(64)[:, None] + 0.5 * (nodes + 1.0)) / 64).ravel()
     reference = np.sum(np.tile(weights, 64) * 2.0 * u * np.sin(50.0 / (u * u + 0.05))) / 128
     assert abs(value - reference) <= 1e-12
+
+
+def _limited(s):
+    """Components with closed-form integrals from 0 to b: cos 3s, an
+    s^{-1/2} blow-up, an oscillation, a steep exponential and 1."""
+    return np.stack((np.cos(3.0 * s), 0.5 / np.sqrt(s), np.exp(5j * s), np.exp(30.0 * s),
+                     np.ones_like(s)), axis=-1)
+
+
+def test_each_component_is_integrated_up_to_its_own_limit():
+    upper = np.array([0.3, 0.77, 0.05, 0.4, 0.0])
+    values, errors = integrate_unit(_limited, return_error=True, upper=upper)
+    exact = [np.sin(0.9) / 3.0, np.sqrt(0.77), (np.exp(0.25j) - 1.0) / 5j,
+             (np.exp(12.0) - 1.0) / 30.0, 0.0]
+    tol = np.maximum(1e-9, 1e-9 * np.abs(exact))
+    assert np.all(errors <= tol)
+    assert np.all(np.abs(values - exact) <= tol)
+    assert values[4] == errors[4] == 0.0
+    # limits of 1 give the plain sums, bit for bit
+    plain = integrate_unit(_limited, return_error=True)
+    ones = integrate_unit(_limited, return_error=True, upper=np.ones(5))
+    assert np.array_equal(ones[0], plain[0]) and np.array_equal(ones[1], plain[1])
+
+
+def test_the_error_of_a_cut_panel_tracks_its_true_error(monkeypatch):
+    # one panel, cut inside at u = sqrt(0.4): the 20-node interpolant's
+    # partial integral of e^{30 s} misses by about its difference from the
+    # 30-node one (the bisections that follow are checked above)
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 0)
+    with pytest.raises(ConvergenceError) as excinfo:
+        integrate_unit(lambda s: np.exp(30.0 * s)[:, None], upper=[0.4])
+    exact = (np.exp(12.0) - 1.0) / 30.0
+    miss, estimate = abs(excinfo.value.estimate[0] - exact), excinfo.value.error_bound[0]
+    assert 0.5 * estimate <= miss <= 2.0 * estimate
+
+
+def test_upper_limits_are_checked():
+    def f(s):
+        return np.stack((s, s), axis=-1)
+
+    with pytest.raises(ShapeError):
+        integrate_unit(f, upper=[0.5])
+    with pytest.raises(ShapeError):
+        integrate_unit(f, upper=[[0.5, 0.5]])
+    for bad in (1.5, -0.1, np.nan):
+        with pytest.raises(ParameterError):
+            integrate_unit(f, upper=[0.5, bad])
+
+
+def test_partial_weights_are_built_only_for_a_cut_panel():
+    quadrature._interpolation_inverses.cache_clear()
+    integrate_unit(lambda s: np.stack((s, s), axis=-1), upper=[1.0, 1.0])
+    integrate_unit(lambda s: s)
+    assert quadrature._interpolation_inverses.cache_info().currsize == 0
+    assert integrate_unit(lambda s: s[:, None], upper=[0.5])[0] == pytest.approx(0.125, abs=1e-15)
+    assert quadrature._interpolation_inverses.cache_info().currsize == 1
 
 
 def test_non_finite_integrand_is_domain_error():
