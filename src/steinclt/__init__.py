@@ -86,4 +86,4 @@ from .stein import (
     stein_solution,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

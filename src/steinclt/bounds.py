@@ -95,8 +95,8 @@ def identity_lhs(row: ArrayRow, t):
 
 def _directions(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(|t|^2, t/|t|) per row of an (m, N) batch, |t|^2 added in coordinate
-    order; a t of |t|^2 = 0 has direction 0.  The direction's bits name the
-    t's ray (+0.0 turns a -0.0 coordinate into +0.0)."""
+    order; a t of |t|^2 = 0 has direction 0 (+0.0 turns a -0.0 coordinate
+    into +0.0)."""
     sq = sum((c * c for c in batch.T), np.zeros(len(batch)))
     norm = np.sqrt(sq)
     unit = np.divide(batch, norm[:, None], out=np.zeros_like(batch), where=norm[:, None] > 0.0)
@@ -119,17 +119,18 @@ def identity_rhs(row: ArrayRow, t):
     exclusive products in the kernel's own psis.
     Returns (value, estimated quadrature error).
 
-    t may also be an (m, N) batch of nonzero t on one ray, that is with
-    the same bits of t/|t|; it returns an array of m values and one of m
-    errors from one quadrature, whose kernel nodes every t shares.  Let
-    t_top be the longest t (the first of equal lengths) and b_j =
-    |t_j|^2 / |t_top|^2, so t_j = sqrt(b_j) t_top.  At the node u t_j =
-    u' t_top, u' = sqrt(b_j) u, the weights <x, t_j> of psi_k and mu_k(t_j)
-    are sqrt(b_j) times t_top's, m2_k(t_j) and tau_j are b_j times t_top's,
-    and phi_k is t_top's at u'.  So the bracket of t_j at s is b_j times
-    that of t_top at s' = b_j s, and e^{-(1 - s) tau_j / 2} = e^{-(1 - s')
-    tau_top / 2} e^{(1 - b_j) tau_top / 2}: I_j(s) = b_j I_top(b_j s)
-    e^{(1 - b_j) tau_top / 2}, and in s',
+    t may also be an (m, N) batch of nonzero t on one ray, that is whose
+    t/|t| lie within ``_RAY_TOL`` (max-norm) of the longest t's; it
+    returns an array of m values and one of m errors from one quadrature,
+    whose kernel nodes every t shares.  Let t_top be the longest t (the
+    first of equal lengths) and b_j = |t_j|^2 / |t_top|^2, so t_j =
+    sqrt(b_j) t_top.  At the node u t_j = u' t_top, u' = sqrt(b_j) u, the
+    weights <x, t_j> of psi_k and mu_k(t_j) are sqrt(b_j) times t_top's,
+    m2_k(t_j) and tau_j are b_j times t_top's, and phi_k is t_top's at u'.
+    So the bracket of t_j at s is b_j times that of t_top at s' = b_j s,
+    and e^{-(1 - s) tau_j / 2} = e^{-(1 - s') tau_top / 2} e^{(1 - b_j)
+    tau_top / 2}: I_j(s) = b_j I_top(b_j s) e^{(1 - b_j) tau_top / 2}, and
+    in s',
 
       int_0^1 I_j(s) ds = int_0^{b_j} I_top(s') e^{(1 - b_j) tau_top / 2} ds',
 
@@ -150,7 +151,7 @@ def identity_rhs(row: ArrayRow, t):
         return np.empty(0, dtype=np.complex128), np.empty(0)
     sq, unit = _directions(batch)
     top = int(np.argmax(sq))
-    if is_batch and (not sq[top] or np.any(unit != unit[top])):
+    if is_batch and (not sq[top] or np.max(np.abs(unit - unit[top])) > _RAY_TOL):
         raise ParameterError("a batch of t must be nonzero t on one ray (one t/|t|)")
     t = batch[top]
     d = row.project(t)
@@ -216,25 +217,35 @@ class IdentityReport:
 # stays at most this; a longer span is cut into runs, each its own quadrature
 _RAY_SPAN = 64.0
 
+# t share a ray when t/|t| lies within this (max-norm) of the ray's longest t's
+# direction: a grid r e lifted per r rounds t/|t| by up to an ulp
+_RAY_TOL = 4.0 * np.finfo(np.float64).eps
+
 
 def _rays(batch: np.ndarray) -> list[np.ndarray]:
     """The batch's t indices, one array per quadrature, each longest first.
 
-    t are grouped by the bits of t/|t| (in 1-D, by sign), in order of
-    decreasing |t| with ties in coordinate order, so the groups and their
-    order do not depend on the batch's; each t = 0 is a group of its own.
-    A group whose squared norms fall more than 2 * ``_RAY_SPAN`` below its
-    longest starts a new group there.
+    t are taken in order of decreasing |t| with ties in coordinate order,
+    and each joins the first ray whose longest t has a direction within
+    ``_RAY_TOL`` (max-norm) of its own t/|t| (in 1-D, the same sign), or
+    starts one; so the groups and their order do not depend on the
+    batch's, and each t = 0 is a group of its own.  A group whose squared
+    norms fall more than 2 * ``_RAY_SPAN`` below its longest starts a new
+    group there.
     """
     sq, unit = _directions(batch)
-    rays: dict = {}
+    heads, rays = np.empty((0, batch.shape[1])), []
     for i in np.lexsort((*batch.T[::-1], -sq)):
-        key = unit[i].tobytes() if sq[i] else i
-        runs = rays.setdefault(key, [[]])
+        near = np.flatnonzero(np.max(np.abs(heads - unit[i]), axis=1) <= _RAY_TOL) if sq[i] else ()
+        if not len(near):
+            # a t = 0 gets a head that no direction comes near
+            heads = np.vstack([heads, unit[i] if sq[i] else np.full(len(unit[i]), np.inf)])
+            rays.append([[]])
+        runs = rays[near[0] if len(near) else -1]
         if runs[-1] and 0.5 * (sq[runs[-1][0]] - sq[i]) > _RAY_SPAN:
             runs.append([])
         runs[-1].append(i)
-    return [np.array(run) for runs in rays.values() for run in runs]
+    return [np.array(run) for runs in rays for run in runs]
 
 
 def _ray_rhs(row: ArrayRow, ts: np.ndarray) -> tuple:
@@ -252,8 +263,8 @@ def decomposition_check(row: ArrayRow, t) -> IdentityReport:
     """Exact lhs vs quadrature rhs, per t of a single t or an (m, N) batch.
 
     The lhs is one ``identity_lhs`` call.  The rhs is one ``identity_rhs``
-    quadrature per ray of t (``_rays``: the t with the same bits of t/|t|,
-    each t = 0 alone, a ray cut where its Gaussian factors would pass
+    quadrature per ray of t (``_rays``: the t whose t/|t| agree within
+    ``_RAY_TOL``, each t = 0 alone, a ray cut where its Gaussian factors would pass
     e^{``_RAY_SPAN``}), whose kernel nodes every t of the ray shares while
     each keeps its own tolerance.  The rays run on up to one thread per
     core, the calling thread among them, each running its transform tiles

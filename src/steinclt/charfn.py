@@ -50,7 +50,7 @@ import numpy as np
 from .errors import ParameterError, ShapeError, UnsupportedDimensionError
 from .normal_cdf import normal_cdf
 from .rng import RngSeed
-from .rows import ArrayRow
+from .rows import ArrayRow, _project
 from .util import _fan_out, _thread_count, as_vector
 
 __all__ = [
@@ -155,6 +155,67 @@ def _cell_sums(terms: np.ndarray, cuts: np.ndarray, width: int | None) -> np.nda
     return cells[..., 0] + rest
 
 
+def _parities(row: ArrayRow, weights: tuple, k0: int, k1: int, width: int | None):
+    """(even per weight, repeated per upper column) of a mirrored tile, else None.
+
+    A tile is mirrored when its cells share one width W in {2, 4}, every
+    cell is centrally symmetric in storage order (atom lo + j is the
+    bitwise negation of atom hi - 1 - j) and each weight is even
+    (w[lo + j] == w[hi - 1 - j], all positive) or odd (w[lo + j] the
+    bitwise negation of w[hi - 1 - j]).  Upper column j of a tile is its
+    cells' atoms lo + W/2 + j; it is repeated when all of them hold one
+    point, bit for bit.
+    """
+    if width not in (2, 4):
+        return None
+    lo, hi, half = row.offsets[k0], row.offsets[k1], width // 2
+    x = row.points[lo:hi].reshape(-1, width, row.dimension)
+    upper, lower = x[:, half:], x[:, half - 1::-1]
+    if not np.array_equal(lower.view(np.uint64), (-upper).view(np.uint64)):
+        return None
+    even = []
+    for w in weights:
+        w = w[lo:hi].reshape(-1, width)
+        up, down = w[:, half:], w[:, half - 1::-1]
+        if np.array_equal(up, down) and np.all(up > 0.0):
+            even.append(True)
+        elif np.array_equal(down.view(np.uint64), (-up).view(np.uint64)):
+            even.append(False)
+        else:
+            return None
+    bits = upper.view(np.uint64)
+    return tuple(even), tuple(bool(np.all(bits[:, j] == bits[0, j])) for j in range(half))
+
+
+def _mirrored_sums(row, block, weights, outs, tile, parities) -> bool:
+    """Write a mirrored tile's per-cell sums from its upper atoms; False when
+    a zero phase in two or more dimensions leaves it to the general path."""
+    rows, k0, k1, width = tile
+    even, repeated = parities
+    lo, hi, half = row.offsets[k0], row.offsets[k1], width // 2
+    phases = []
+    for j in range(half):
+        # atom lo + half + j of every cell, or of the first when all share it
+        points = row.points[lo + half + j:hi:width]
+        phases.append(_project(points[:1] if repeated[j] else points, block[rows]))
+    if row.dimension > 1 and not all(even) and not all(a.all() for a in phases):
+        return False
+    cos = [np.cos(a) for a in phases] if any(even) else None
+    sin = [np.sin(a, out=a) for a in phases] if not all(even) else None
+    for w, is_even, out in zip(weights, even, outs):
+        terms = [w[lo + half + j:hi:width] * (cos if is_even else sin)[j] for j in range(half)]
+        # reduceat's order over the mirrored cell: T0 + T0, or T1 + ((T0 + T0) + T1)
+        total = terms[0] + terms[0]
+        if half == 2:
+            total += terms[1]
+            total = np.add(terms[1], total, out=total)
+        if is_even:
+            out.real[rows, k0:k1], out.imag[rows, k0:k1] = total, -0.0
+        else:
+            out.real[rows, k0:k1], out.imag[rows, k0:k1] = 0.0, -total
+    return True
+
+
 def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -> np.ndarray:
     """reduce(*transforms) over row-chunks of the batch, stacked along axis 0.
 
@@ -169,19 +230,56 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
     (t, cells, width) view in a tile of one cell width up to
     ``_SLICE_ADD_MAX_WIDTH``, which release the interpreter lock, and
     reduceat itself, which holds it, in a tile of mixed or wider cells.
+
+    A mirrored tile (``_parities``: one width W in {2, 4}, centrally
+    symmetric cells, each weight even and positive or odd) projects only
+    its cells' upper atoms, and an upper column that holds one point in
+    every cell (the +-1/s_n atoms of eta, every atom of rademacher) only
+    that point, one phase per t.  Its sums are the general path's, bit
+    for bit, because for the lower atom of a pair the phase is -a, cos
+    is even and sin odd (bit for bit on every numpy the tests run), and
+    x + (-x) = +0 in round-to-nearest:
+
+    * an even weight's cos terms of a pair are equal, so its real part is
+      reduceat's T0 + T0 (W = 2) or T1 + ((T0 + T0) + T1) (W = 4) of the
+      upper terms T0, T1; its sin terms are exact negations, so
+      t0 + ((t1 + t2) + t3) is +0 (a zero sum is -0 only when all its
+      terms are -0, and a positive weight's pair w sin(+-0) holds a +0),
+      and its imaginary part is -0.0 without a sin;
+    * an odd weight's sin terms of a pair are equal, so its imaginary part
+      is minus that sum of the upper terms; its cos terms are exact
+      negations, since cos never returns 0, and its real part is +0.0
+      without a cos.
+
+    The one exception is the projection's: fl(<t, -x>) = -fl(<t, x>) bit
+    for bit in one dimension, and in more unless the sum is an exact 0,
+    which it is as +0 for both atoms.  An odd weight's pair then holds
+    sin terms of opposite zero signs, so in two or more dimensions a tile
+    with an odd weight and a zero upper phase takes the general path.
+    Every other tile does, mixed-width tiles (an eta row's first, which
+    holds its 2-atom cell 0) and wider cells included.
+
     The tiles run in turn on the calling thread, and change no bit; they
-    are laid out once per distinct chunk length of the call.  The outputs
-    are fresh arrays for each chunk, which ``reduce`` may overwrite.
+    and their parities are laid out once per distinct chunk length of the
+    call, and every numpy step of a tile but reduceat releases the
+    interpreter lock.  The outputs are fresh arrays for each chunk, which
+    ``reduce`` may overwrite.
     """
     chunk = max(1, _PHASE_BUDGET // row.total_atoms)
-    offsets, parts, tiles = row.offsets, [], {}
+    offsets, parts, tiles, plans = row.offsets, [], {}, {}
     # an empty batch still makes one (0, n) pass, so the result has its shape
     for i in range(0, batch.shape[0], chunk) or (0,):
         block = batch[i:i + chunk]
         outs = [np.empty((len(block), row.n), dtype=np.complex128) for _ in weights]
         if len(block) not in tiles:
             tiles[len(block)] = _tiles(row, len(block)) if len(block) else ()
-        for rows, k0, k1, width in tiles[len(block)]:
+            for _, k0, k1, width in tiles[len(block)]:
+                if (k0, k1) not in plans:
+                    plans[k0, k1] = _parities(row, weights, k0, k1, width)
+        for tile in tiles[len(block)]:
+            rows, k0, k1, width = tile
+            if plans[k0, k1] and _mirrored_sums(row, block, weights, outs, tile, plans[k0, k1]):
+                continue
             lo, hi = offsets[k0], offsets[k1]
             a = row.project(block[rows], lo, hi)
             cos = np.cos(a)
