@@ -208,7 +208,7 @@ def _mirrored_sums(row, block, weights, outs, tile, parities) -> bool:
         total = terms[0] + terms[0]
         if half == 2:
             total += terms[1]
-            total = np.add(terms[1], total, out=total)
+            np.add(terms[1], total, out=total)
         if is_even:
             out.real[rows, k0:k1], out.imag[rows, k0:k1] = total, -0.0
         else:

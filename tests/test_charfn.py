@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
@@ -15,7 +15,10 @@ from oracles import atom_index_oracle, cell_charfn, kolmogorov_oracle, rademache
 from oracles import sample_row_sums_oracle
 from steinclt import (
     ArrayRow,
+    EtaAlphaFamily,
     ParameterError,
+    RademacherFamily,
+    RowValidationError,
     RngSeed,
     ShapeError,
     UnsupportedDimensionError,
@@ -31,6 +34,7 @@ from steinclt import (
 )
 from steinclt.bounds import decomposition_check, identity_rhs, master_bound
 from steinclt.quadrature import _hermite_rule
+from steinclt.rows import _project
 from strategies import centred_rows
 
 # frozen: cos(0.2)**25 and exp(-1/2) - cos(0.2)**25, mpmath 40 digits
@@ -413,15 +417,25 @@ def test_cell_sums_equal_reduceat(width, rows, cells, seed):
                           np.add.reduceat(terms, cuts, axis=1))
 
 
-def test_uniform_and_mixed_tiles_give_the_untiled_reduceat():
+@pytest.mark.parametrize("mirrored", [False, True], ids=["asymmetric", "mirrored"])
+def test_uniform_and_mixed_tiles_give_the_untiled_reduceat(mirrored):
     # runs of 4- and 8-atom cells around short runs of mixed widths: at a cap
-    # of 64 tiles of one width and tiles of mixed widths meet
+    # of 64 tiles of one width and tiles of mixed widths meet.  The mirrored
+    # row makes its 2- and 4-atom cells centrally symmetric, with one column
+    # shared by the first run's cells, so its uniform tiles of those widths
+    # take the mirrored path
     counts = [4] * 150 + [2, 3, 2, 5, 1, 1, 7, 9, 8] + [1] * 20 + [3, 2] * 6 + [8] * 100 + [12, 4]
-    row = _row_with_cells(counts, 2, seed=11)
+    if mirrored:
+        row = _mirrored_row([(c, c in (2, 4)) for c in counts], 2, seed=11)
+    else:
+        row = _row_with_cells(counts, 2, seed=11)
     batch = np.array([[0.3, -1.2], [2.0, 0.7], [-4.5, 3.1]])
-    with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 64):
-        assert {4, 8, None} <= {width for *_, width in charfn_module._tiles(row, len(batch))}
     weights = (row.probs, row.probs * row.project(batch[0]))
+    with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 64):
+        tiles = charfn_module._tiles(row, len(batch))
+        assert {4, 8, None} <= {width for *_, width in tiles}
+        plans = [charfn_module._parities(row, weights, k0, k1, width) for _, k0, k1, width in tiles]
+        assert any(plans) == mirrored
     a = row.project(batch)
     cuts = row.offsets[:-1]
     untiled = np.stack([np.add.reduceat(w * np.cos(a), cuts, axis=1)
@@ -445,6 +459,158 @@ def test_symmetric_sorted_cells_give_exactly_real_transforms(row):
     batch = np.array([[0.3], [1.0], [2.5], [7.0], [31.4]])
     assert np.all(row_sum_charfn(row, batch).imag == 0.0)
     assert all(row_sum_charfn(row, t).imag == 0.0 for t in batch[:, 0])
+
+
+def _mirrored_cell(upper: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The centrally symmetric cell of upper atoms ``upper`` and masses ``q``
+    (summing to 1/2), in storage order: atom j mirrors atom W - 1 - j."""
+    return np.concatenate([-upper[::-1], upper]), np.concatenate([q[::-1], q])
+
+
+def _mirrored_row(cells, dim: int, seed: int, shared: bool = True) -> ArrayRow:
+    """A standard row of the given (atom count, mirrored) cells.  A mirrored
+    cell of 2 or 4 atoms is centrally symmetric and whitened on its upper
+    atoms, so that each lower atom stays the exact negation of its mirror;
+    with ``shared`` the mirrored cells of one width share their first upper
+    atom, bit for bit, as eta's +-1/s_n atoms do.  Other cells are as in
+    ``_row_with_cells``."""
+    rng = np.random.default_rng(seed)
+    drawn, first = [], {}
+    for atoms, mirrored in cells:
+        if mirrored:
+            y = rng.normal(size=(atoms // 2, dim))
+            if shared:
+                y[0] = first.setdefault(atoms, y[0])
+            q = rng.uniform(0.05, 1.0, atoms // 2)
+            drawn.append((y, 0.5 * q / q.sum(), True))
+        else:
+            x = rng.normal(size=(atoms, dim))
+            q = rng.uniform(0.05, 1.0, atoms)
+            q /= q.sum()
+            drawn.append((x - q @ x, q, False))
+    # a mirrored cell's covariance is twice that of its upper half
+    cov = sum((2.0 if mirrored else 1.0) * np.einsum("a,ai,aj->ij", q, x, x)
+              for x, q, mirrored in drawn)
+    vals, vecs = np.linalg.eigh(cov)
+    white = vecs @ np.diag(vals**-0.5) @ vecs.T
+    # one whitened copy per distinct atom, so shared atoms keep one bit pattern
+    whitened = {}
+
+    def whiten(x):
+        return whitened.setdefault(x.tobytes(), x[None, :] @ white)[0]
+
+    return ArrayRow.from_cells(_mirrored_cell(np.array([whiten(a) for a in x]), q)
+                               if mirrored else (x @ white, q) for x, q, mirrored in drawn)
+
+
+@st.composite
+def mirrored_cases(draw):
+    """(row, t, ray): a row in dims 1-3 of runs of mirrored 2- and 4-atom
+    cells (one column shared or not) among asymmetric and mixed-width cells;
+    a t of 0, +-1e-9 times a direction or of |t| up to 40, and a ray batch
+    (t and 0.6 t, |t| at most 10) for the identity."""
+    dim = draw(st.integers(1, 3))
+    runs = draw(st.lists(st.tuples(st.sampled_from([2, 4, 3, 0]), st.integers(1, 5)),
+                         min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    # width 0 is a run of asymmetric cells of 2 to 5 atoms
+    cells = [(int(rng.integers(2, 6)), False) if width == 0 else (width, width != 3)
+             for width, n in runs for _ in range(n)]
+    cells += [(4, True)] * dim
+    try:
+        row = _mirrored_row(cells, dim, seed, shared=draw(st.booleans()))
+    except RowValidationError:
+        reject()
+    e = rng.normal(size=dim)
+    e /= np.linalg.norm(e)
+    radius = draw(st.one_of(st.just(0.0), st.just(1e-9), st.just(-1e-9), st.floats(-40.0, 40.0)))
+    if draw(st.booleans()):
+        # an axis direction, whose projections on mirrored atoms can cancel to 0
+        e = np.eye(dim)[0] + (np.eye(dim)[-1] if dim > 1 else 0.0)
+    t = radius * e
+    top = t if 0.0 < np.linalg.norm(t) <= 10.0 else 10.0 * e
+    return row, t, np.array([top, 0.6 * top])
+
+
+def _all_bits(*values) -> list[np.ndarray]:
+    """The uint64 bits of each value, complex parts apart, so zeros keep their sign."""
+    return [np.atleast_1d(np.asarray(v, dtype=np.complex128)).view(np.uint64) for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(mirrored_cases())
+def test_mirrored_tiles_give_the_general_paths_bits(case):
+    # the general path is forced by a parity check that finds no mirrored
+    # tile; the bits are compared as uint64, since == cannot see the sign of
+    # a zero.  Small caps cut the row into tiles of one width
+    row, t, ray = case
+    batch = np.array([t, -t, 0.5 * t])
+
+    def results():
+        return _all_bits(row_sum_charfn(row, batch), row_sum_charfn(row, t), charfn_gap(row, batch),
+                         *identity_rhs(row, t), *identity_rhs(row, ray))
+
+    for cap in (4, 8, 64, charfn_module._TILE_ELEMENTS):
+        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
+            mirrored = results()
+            with mock.patch.object(charfn_module, "_parities", lambda *args: None):
+                general = results()
+        for a, b in zip(mirrored, general):
+            assert np.array_equal(a, b)
+
+
+def test_cos_is_even_and_sin_odd_bit_for_bit():
+    # the mirrored tiles take cos and sin of the upper atoms' phases only,
+    # so this numpy's cos(-x) must be cos(x) and sin(-x) -sin(x) in every
+    # bit, over subnormals, +-0 and magnitudes from 1e-300 to 1e6, and
+    # whatever the array's layout
+    rng = np.random.default_rng(5)
+    tiny = np.finfo(np.float64).tiny
+    x = np.concatenate([[0.0, tiny, 2.0 * tiny, 1e-300, np.pi / 2, np.pi, 1e6],
+                        tiny * rng.uniform(0.0, 1.0, 500),
+                        10.0 ** rng.uniform(-300.0, 6.0, 20_000), rng.uniform(0.0, 1e6, 20_000)])
+    for values in (x, x[::3], x.reshape(-1, 1)):
+        assert np.array_equal(np.cos(-values).view(np.uint64), np.cos(values).view(np.uint64))
+        assert np.array_equal(np.sin(-values).view(np.uint64), (-np.sin(values)).view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_projection_of_a_negated_atom_is_the_negated_projection(dim):
+    # fl(<t, -x>) = -fl(<t, x>) bit for bit in the coordinate-order sum,
+    # except that an exact 0 is +0 for both atoms (dims 2 and 3): the case
+    # in which a mirrored tile with an odd weight takes the general path
+    rng = np.random.default_rng(dim)
+    x = rng.normal(size=(5000, dim)) * 10.0 ** rng.integers(-8, 9, (5000, dim))
+    ts = rng.normal(size=(20, dim)) * 10.0 ** rng.integers(-5, 6, (20, dim))
+    if dim > 1:
+        # atoms whose projections on the diagonal t cancel exactly
+        x[:100, 1] = -x[:100, 0]
+        x[:100, 2:] = 0.0
+        ts[0] = 1.0
+    a, b = _project(x, ts), _project(-x, ts)
+    exact = a != 0.0
+    assert np.array_equal(b[exact].view(np.uint64), (-a[exact]).view(np.uint64))
+    if dim == 1:
+        assert np.array_equal(b.view(np.uint64), (-a).view(np.uint64))
+    else:
+        zero = np.float64(0.0).view(np.uint64)
+        assert (~exact).any()
+        assert np.all(a[~exact].view(np.uint64) == zero) and np.all(b[~exact].view(np.uint64) == zero)
+
+
+@pytest.mark.parametrize("family, share", [(EtaAlphaFamily(0.5), 0.9), (RademacherFamily(), 1.0)],
+                         ids=["eta", "rademacher"])
+def test_mirrored_tiles_hold_most_atoms_of_the_built_in_rows(family, share):
+    # the speed of the identity and of the gap tables rests on this share:
+    # at one t, with the identity's weights p (even) and p <x, t> (odd), all
+    # but eta's first tile (its 2-atom cell 0 among 4-atom ones) is mirrored
+    row, t = family.row(100_000), np.array([1.3])
+    weights = (row.probs, row.probs * row.project(t))
+    mirrored = sum(int(row.offsets[k1] - row.offsets[k0])
+                   for _, k0, k1, width in charfn_module._tiles(row, 1)
+                   if charfn_module._parities(row, weights, k0, k1, width))
+    assert mirrored >= share * row.total_atoms
 
 
 @pytest.mark.parametrize("cores", [1, 2, 4])

@@ -11,14 +11,18 @@ from steinclt import (
     EtaAlphaFamily,
     RademacherFamily,
     RngSeed,
+    build_product_row,
+    build_rademacher_row,
+    decomposition_check,
     empirical_charfn,
     gap_table_with_lambda_f,
     row_sum_charfn,
     shift_identity_check,
     stein_check_battery,
 )
+import steinclt.bounds as bounds_module
 from steinclt import quadrature
-from steinclt.cli import TOOL, _parse_grid, build_parser, execute
+from steinclt.cli import TOOL, _parse_grid, _t_batch, build_parser, execute
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -557,6 +561,34 @@ def test_identity_and_charfn_reports_are_pinned(capsys):
     # one sample.  A residual taken with np.abs moves the dim-3 one by an ulp.
     # The dims 2-3 entries were re-written when <t, x> took the in-order projection.
     assert_reports_pinned("identity_and_charfn_reports.json", capsys)
+
+
+RADIAL_GRID = ["identity", "--family", "product", "--dim", "2", "--n-list", "8",
+               "--t-list", "0.1:2.5:0.2", "--direction", "1,-0.5"]
+
+
+def test_a_radial_grid_runs_one_quadrature(monkeypatch, capsys):
+    # the grid's t lifted along one direction differ in t/|t| by up to an
+    # ulp, and still share one ray and one quadrature
+    calls = []
+    monkeypatch.setattr(bounds_module, "integrate_unit",
+                        lambda *args, **kwargs: calls.append(1) or quadrature.integrate_unit(*args, **kwargs))
+    code, out, _ = run(RADIAL_GRID, capsys)
+    assert code == 0 and len(csv_rows(out)) == 14
+    assert len(calls) == 1
+
+
+def test_a_radial_grid_agrees_with_its_single_t_calls():
+    # each entry of the one-ray batch is within both error estimates and the
+    # rounding of the lift of its single-t call
+    row = build_product_row([build_rademacher_row(8)] * 2)
+    _, batch = _t_batch(build_parser().parse_args(RADIAL_GRID), 2)
+    assert len(bounds_module._rays(batch)) == 1
+    table, eps = decomposition_check(row, batch), np.finfo(float).eps
+    for i, t in enumerate(batch):
+        single = decomposition_check(row, t)
+        slack = table.quadrature_error[i] + single.quadrature_error + 16 * eps * (1 + float(t @ t))
+        assert abs(table.rhs[i] - single.rhs) <= slack
 
 
 @pytest.mark.parametrize("t", ["10", "12", "30"])
