@@ -28,7 +28,12 @@ weights p <x, t> for its s-integrand.  A chunk is formed in tiles of at
 most ``_TILE_ELEMENTS`` (t-values x atoms) over whole cells: a tile
 projects its own atoms with ``ArrayRow.project``, takes cos and sin and
 writes the per-cell sums of each weight, so the peak memory is a few
-tiles and the chunk's outputs.  The tiles run in turn on the calling
+tiles and the chunk's outputs.  A mirrored tile (one cell width of 2 or
+4, centrally symmetric cells, each weight even or odd; every tile of a
+rademacher row and all but the first of an eta row) projects only the
+upper half of each cell, takes cos for even weights and sin for odd ones,
+and writes the sums that cancel as the exact zeros they are, with the
+same bits as the general path.  The tiles run in turn on the calling
 thread: threads are spent only on the rays of t of
 ``bounds.decomposition_check`` (one quadrature per ray) and the sample
 blocks of ``sample_row_sums``, so a call with few t on a large row uses
@@ -37,8 +42,9 @@ same atoms however the tiles fall: the cell's first term plus the rest
 added left to right.  ``_cell_sums`` takes it with slice adds when the
 tile's cells share one width of at most ``_SLICE_ADD_MAX_WIDTH`` atoms and
 with reduceat otherwise (mixed or wider cells).  Every numpy step of a
-tile but reduceat releases the interpreter lock, so the identity's
-concurrent rays serialise on it only in those tiles.  Each transform and the
+tile but reduceat releases the interpreter lock (a mirrored tile takes
+none), so the identity's concurrent rays serialise on it only in the
+mixed or wider tiles.  Each transform and the
 gap take one t or a 2-D (m, N) batch, one entry per row of T equal to its
 single-t call, bit for bit.
 """
@@ -248,8 +254,8 @@ def _cell_transforms(row: ArrayRow, batch: np.ndarray, weights: tuple, reduce) -
       and its imaginary part is -0.0 without a sin;
     * an odd weight's sin terms of a pair are equal, so its imaginary part
       is minus that sum of the upper terms; its cos terms are exact
-      negations, since cos never returns 0, and its real part is +0.0
-      without a cos.
+      negations, as its weights are, and its real part is +0.0 without a
+      cos.
 
     The one exception is the projection's: fl(<t, -x>) = -fl(<t, x>) bit
     for bit in one dimension, and in more unless the sum is an exact 0,

@@ -417,38 +417,36 @@ def test_cell_sums_equal_reduceat(width, rows, cells, seed):
                           np.add.reduceat(terms, cuts, axis=1))
 
 
-@pytest.mark.parametrize("mirrored", [False, True], ids=["asymmetric", "mirrored"])
-def test_uniform_and_mixed_tiles_give_the_untiled_reduceat(mirrored):
+def test_uniform_and_mixed_tiles_give_the_untiled_reduceat():
     # runs of 4- and 8-atom cells around short runs of mixed widths: at a cap
-    # of 64 tiles of one width and tiles of mixed widths meet.  The mirrored
-    # row makes its 2- and 4-atom cells centrally symmetric, with one column
-    # shared by the first run's cells, so its uniform tiles of those widths
-    # take the mirrored path
+    # of 64 tiles of one width and tiles of mixed widths meet.  The second
+    # row makes its 2- and 4-atom cells centrally symmetric, the 4-atom ones
+    # sharing one atom, so its uniform tiles of those widths are mirrored;
+    # each cap must give the same bits, zero signs included
     counts = [4] * 150 + [2, 3, 2, 5, 1, 1, 7, 9, 8] + [1] * 20 + [3, 2] * 6 + [8] * 100 + [12, 4]
-    if mirrored:
-        row = _mirrored_row([(c, c in (2, 4)) for c in counts], 2, seed=11)
-    else:
-        row = _row_with_cells(counts, 2, seed=11)
     batch = np.array([[0.3, -1.2], [2.0, 0.7], [-4.5, 3.1]])
-    weights = (row.probs, row.probs * row.project(batch[0]))
-    with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 64):
-        tiles = charfn_module._tiles(row, len(batch))
-        assert {4, 8, None} <= {width for *_, width in tiles}
-        plans = [charfn_module._parities(row, weights, k0, k1, width) for _, k0, k1, width in tiles]
-        assert any(plans) == mirrored
-    a = row.project(batch)
-    cuts = row.offsets[:-1]
-    untiled = np.stack([np.add.reduceat(w * np.cos(a), cuts, axis=1)
-                        - 1j * np.add.reduceat(w * np.sin(a), cuts, axis=1) for w in weights], 1)
+    rows = (_row_with_cells(counts, 2, seed=11),
+            _mirrored_row([(c, c in (2, 4)) for c in counts], 2, seed=11))
+    for mirrored, row in enumerate(rows):
+        weights = (row.probs, row.probs * row.project(batch[0]))
+        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", 64):
+            tiles = charfn_module._tiles(row, len(batch))
+            assert {4, 8, None} <= {width for *_, width in tiles}
+            plans = [charfn_module._parities(row, weights, k0, k1, width) for _, k0, k1, width in tiles]
+            assert any(plans) == bool(mirrored)
+        a = row.project(batch)
+        cuts = row.offsets[:-1]
+        untiled = np.stack([np.add.reduceat(w * np.cos(a), cuts, axis=1)
+                            - 1j * np.add.reduceat(w * np.sin(a), cuts, axis=1) for w in weights], 1)
 
-    def transforms():
-        return charfn_module._cell_transforms(row, batch, weights, lambda *outs: np.stack(outs, 1))
+        def transforms():
+            return charfn_module._cell_transforms(row, batch, weights, lambda *outs: np.stack(outs, 1))
 
-    expected = transforms()
-    assert np.array_equal(expected, untiled)
-    for cap in (1, 5, 64, charfn_module._TILE_ELEMENTS):
-        with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
-            assert np.array_equal(transforms(), expected)
+        expected = transforms()
+        assert np.array_equal(expected, untiled)
+        for cap in (1, 5, 64, charfn_module._TILE_ELEMENTS):
+            with mock.patch.object(charfn_module, "_TILE_ELEMENTS", cap):
+                assert np.array_equal(transforms().view(np.uint64), expected.view(np.uint64))
 
 
 @pytest.mark.parametrize("row", [build_rademacher_row(1001), build_eta_row(0.5, 3000),
@@ -558,6 +556,27 @@ def test_mirrored_tiles_give_the_general_paths_bits(case):
                 general = results()
         for a, b in zip(mirrored, general):
             assert np.array_equal(a, b)
+
+
+def test_a_zero_phase_in_two_dimensions_leaves_an_odd_weight_to_the_general_path():
+    # at t = (1, 1) the cell +-(a, -a) projects to +0 for both atoms, so an
+    # odd weight (0.5, -0.5) gives sin terms +0 and -0, whose sum is +0 and
+    # imaginary part -0; the upper half doubled would give -0 and +0
+    a = np.sqrt(0.5)
+    row = ArrayRow.from_cells([(np.array([[-a, a], [a, -a]]), [0.5, 0.5]),
+                               (np.array([[-a, -a], [a, a]]), [0.5, 0.5])])
+    weights = (row.probs, np.array([0.5, -0.5, 0.5, -0.5]))
+    assert charfn_module._parities(row, weights, 0, 2, 2) is not None
+
+    def transforms():
+        return charfn_module._cell_transforms(row, np.array([[1.0, 1.0]]), weights,
+                                              lambda *outs: np.stack(outs, 1))
+
+    mirrored = transforms()
+    with mock.patch.object(charfn_module, "_parities", lambda *args: None):
+        general = transforms()
+    assert np.signbit(general[0, 1, 0].imag)
+    assert np.array_equal(mirrored.view(np.uint64), general.view(np.uint64))
 
 
 def test_cos_is_even_and_sin_odd_bit_for_bit():
