@@ -64,7 +64,7 @@ from .errors import ParameterError, ShapeError
 from .indices import DEFAULT_TAIL_WINDOW, _copy_weights, _directional_sums, _eps_grid, _tail_window
 from .indices import l_sum, lindeberg_index_estimate
 from .quadrature import integrate_unit
-from .rows import ArrayRow
+from .rows import ArrayRow, _project
 from .util import _fan_out, as_vector, exclusive_products
 
 __all__ = [
@@ -93,38 +93,31 @@ def identity_lhs(row: ArrayRow, t):
     return gaussian_charfn(t) - row_sum_charfn(row, t)
 
 
-def _directions(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(|t|^2, t/|t|) per row of an (m, N) batch, |t|^2 added in coordinate
-    order; a t of |t|^2 = 0 has direction 0 (+0.0 turns a -0.0 coordinate
-    into +0.0)."""
-    sq = sum((c * c for c in batch.T), np.zeros(len(batch)))
-    norm = np.sqrt(sq)
-    unit = np.divide(batch, norm[:, None], out=np.zeros_like(batch), where=norm[:, None] > 0.0)
-    return sq, unit + 0.0
+def _directions(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(|t|^2 / 4^e, t/|t|, e) per row of an (m, N) batch, 2^e the batch's
+    largest power of two of a max |t_i| (e = 0 for no nonzero t).  Each t
+    is scaled by the power of two of its max |t_i| before |t|^2 is added
+    in coordinate order, so t/|t| cannot underflow; the scaling is exact,
+    so a normal |t|^2 keeps its bits.  A t = 0 has direction 0 (+0.0 turns
+    a -0.0 coordinate into +0.0)."""
+    _, exps = np.frexp(np.max(np.abs(batch), axis=1))
+    scaled = np.ldexp(batch, -exps[:, None])
+    sq = sum((c * c for c in scaled.T), np.zeros(len(batch)))
+    unit = np.divide(scaled, np.sqrt(sq)[:, None], out=np.zeros_like(batch), where=sq[:, None] > 0.0)
+    nonzero = sq > 0.0
+    lead = int(np.max(exps[nonzero])) if nonzero.any() else 0
+    return np.ldexp(sq, 2 * (exps - lead)), unit + 0.0, lead
 
 
 def identity_rhs(row: ArrayRow, t):
-    """Right side of the identity, by one adaptive s-quadrature.
+    """Right side of the identity for the t of one ray, by one adaptive
+    s-quadrature whose kernel nodes every t shares.
 
-    Each batch of s-nodes is one ``charfn._cell_transforms`` call over
-    sqrt(s) t, which also bounds the memory of atom-heavy rows, and gives
-    each node the cell transforms phi_k (weights p) and psi_k (weights
-    p <x, t>).  Its reduction returns sum_k prod_{j!=k} phi_j (psi_k -
-    mu_k) and sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand
-    divides the first by sqrt(s), which the reduction does not see, and
-    takes the Gaussian factor at tau = sum_k m2_k, not |t|^2.  The exact
-    term phi_Gauss(t) - e^{-tau/2} is added to the integral.  Besides
-    the row and the kernel's chunks the call keeps one atom-sized array,
-    p <x, t>, and the reduction forms psis - mu and its product with the
-    exclusive products in the kernel's own psis.
-    Returns (value, estimated quadrature error).
-
-    t may also be an (m, N) batch of nonzero t on one ray, that is whose
-    t/|t| lie within ``_RAY_TOL`` (max-norm) of the longest t's; it
-    returns an array of m values and one of m errors from one quadrature,
-    whose kernel nodes every t shares.  Let t_top be the longest t (the
-    first of equal lengths) and b_j = |t_j|^2 / |t_top|^2, so t_j =
-    sqrt(b_j) t_top.  At the node u t_j = u' t_top, u' = sqrt(b_j) u, the
+    t is one vector (a ray of one) or an (m, N) batch whose t/|t| lie
+    within ``_RAY_TOL`` (max-norm) of the longest t's, so a t = 0 only
+    beside t = 0.  Let t_top be the longest t (the first of equal lengths)
+    and b_j = |t_j|^2 / |t_top|^2, so t_j = sqrt(b_j) t_top.  At the node
+    u t_j = u' t_top, u' = sqrt(b_j) u, the
     weights <x, t_j> of psi_k and mu_k(t_j) are sqrt(b_j) times t_top's,
     m2_k(t_j) and tau_j are b_j times t_top's, and phi_k is t_top's at u'.
     So the bracket of t_j at s is b_j times that of t_top at s' = b_j s,
@@ -136,23 +129,33 @@ def identity_rhs(row: ArrayRow, t):
 
     with tau_top = sum_k m2_k(t_top) and b_j tau_top = tau_j.  Column j of
     the integrand is therefore t_top's integrand times e^{(1 - b_j)
-    tau_top / 2}, a factor that is exactly 1 for t_top, integrated by
-    ``integrate_unit`` up to b_j; rhs_j = value_j / 2 + (phi_Gauss(t_j) -
-    e^{-b_j tau_top / 2}), and t_j keeps its own tolerance on its own
-    total.  The top t's column is the single-t integrand bit for bit, so
-    its rhs and error are the single-t call's unless another t's panel
-    bisections refine it.  A t whose direction differs from t_top's by
-    rounding (t_j is not exactly sqrt(b_j) t_top) is integrated at
-    sqrt(b_j) t_top; the lhs is taken at t_j itself.  A batch off one ray
-    raises ParameterError.
+    tau_top / 2}, integrated by ``integrate_unit`` up to b_j (exactly 1,
+    factor and limit, for t_top whatever its |t|^2); rhs_j = value_j / 2 +
+    (phi_Gauss(t_j) - e^{-b_j tau_top / 2}), and t_j keeps its own
+    tolerance on its own total.  A t whose direction differs from t_top's
+    by rounding is integrated at sqrt(b_j) t_top; the lhs is taken at t_j.
+
+    Each batch of s-nodes is one ``charfn._cell_transforms`` call over
+    sqrt(s) t_top, which also bounds the memory of atom-heavy rows, and
+    gives each node phi_k (weights p) and psi_k (weights p <x, t_top>).
+    Its reduction returns sum_k prod_{j!=k} phi_j (psi_k - mu_k) and
+    sum_k prod_{j!=k} phi_j phi_k m2_k per node; the integrand divides the
+    first by sqrt(s), which the reduction does not see, and takes the
+    Gaussian factor at tau = sum_k m2_k, not |t|^2.  Besides the row and
+    the kernel's chunks the call keeps one atom-sized array, p <x, t_top>,
+    and the reduction forms psis - mu and its product with the exclusive
+    products in the kernel's own psis.  Returns (values, quadrature error
+    estimates): arrays of m entries, or a complex and a float for one t
+    (whose ConvergenceError carries arrays of one entry).  A batch off one
+    ray raises ParameterError.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     if not len(batch):
         return np.empty(0, dtype=np.complex128), np.empty(0)
-    sq, unit = _directions(batch)
+    sq, unit, _ = _directions(batch)
     top = int(np.argmax(sq))
-    if is_batch and (not sq[top] or np.max(np.abs(unit - unit[top])) > _RAY_TOL):
-        raise ParameterError("a batch of t must be nonzero t on one ray (one t/|t|)")
+    if np.max(np.abs(unit - unit[top])) > _RAY_TOL:
+        raise ParameterError("a batch of t must lie on one ray (one t/|t|, a t = 0 only beside t = 0)")
     t = batch[top]
     d = row.project(t)
     pd = row.probs * d
@@ -162,8 +165,8 @@ def identity_rhs(row: ArrayRow, t):
     m2t = row.per_cell_sum(d)
     del d
     tau = float(np.sum(m2t))
-    upper = sq / sq[top] if is_batch else None
-    scale = None if upper is None else np.exp(0.5 * (1.0 - upper) * tau)
+    upper = np.divide(sq, sq[top], out=np.ones_like(sq), where=sq < sq[top])
+    scale = np.exp(0.5 * (1.0 - upper) * tau)
 
     def eval_nodes(phis, psis):
         excl = exclusive_products(phis)
@@ -181,13 +184,11 @@ def identity_rhs(row: ArrayRow, t):
         s = np.atleast_1d(np.asarray(s, dtype=np.float64))
         u = np.sqrt(s)
         moved, second = _cell_transforms(row, u[:, None] * t, (row.probs, pd), eval_nodes).T
-        values = (1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tau)
-        return values if scale is None else values[:, None] * scale
+        return ((1j * moved / u - second) * np.exp(-0.5 * (1.0 - s) * tau))[:, None] * scale
 
     value, err = integrate_unit(integrand, return_error=True, upper=upper)
-    if upper is None:
-        return 0.5 * complex(value) + (gaussian_charfn(t) - np.exp(-0.5 * tau)), 0.5 * err
-    return 0.5 * value + (gaussian_charfn(batch) - np.exp(-0.5 * upper * tau)), 0.5 * err
+    value = 0.5 * value + (gaussian_charfn(batch) - np.exp(-0.5 * upper * tau))
+    return (value, 0.5 * err) if is_batch else (complex(value[0]), 0.5 * float(err[0]))
 
 
 @dataclass(frozen=True)
@@ -233,30 +234,22 @@ def _rays(batch: np.ndarray) -> list[np.ndarray]:
     norms fall more than 2 * ``_RAY_SPAN`` below its longest starts a new
     group there.
     """
-    sq, unit = _directions(batch)
+    sq, unit, lead = _directions(batch)
+    # |t|^2, exact where it is a normal float
+    norms = np.ldexp(sq, 2 * lead)
     heads, rays = np.empty((0, batch.shape[1])), []
     for i in np.lexsort((*batch.T[::-1], -sq)):
-        near = np.flatnonzero(np.max(np.abs(heads - unit[i]), axis=1) <= _RAY_TOL) if sq[i] else ()
+        nonzero = unit[i].any()
+        near = np.flatnonzero(np.max(np.abs(heads - unit[i]), axis=1) <= _RAY_TOL) if nonzero else ()
         if not len(near):
             # a t = 0 gets a head that no direction comes near
-            heads = np.vstack([heads, unit[i] if sq[i] else np.full(len(unit[i]), np.inf)])
+            heads = np.vstack([heads, unit[i] if nonzero else np.full(len(unit[i]), np.inf)])
             rays.append([[]])
         runs = rays[near[0] if len(near) else -1]
-        if runs[-1] and 0.5 * (sq[runs[-1][0]] - sq[i]) > _RAY_SPAN:
+        if runs[-1] and 0.5 * (norms[runs[-1][0]] - norms[i]) > _RAY_SPAN:
             runs.append([])
         runs[-1].append(i)
     return [np.array(run) for runs in rays for run in runs]
-
-
-def _ray_rhs(row: ArrayRow, ts: np.ndarray) -> tuple:
-    """(rhs, quadrature error, mean bound) of the t of one ray, longest first:
-    one ``identity_rhs`` call (a lone t takes the single-t call), and the
-    mean bound x_j sum_k |mu_k(t_top)| with x_j = |t_j| / |t_top|."""
-    mean = float(np.sum(np.abs(row.per_cell_sum(row.probs * row.project(ts[0])))))
-    if len(ts) == 1:
-        return (*identity_rhs(row, ts[0]), mean)
-    sq, _ = _directions(ts)
-    return (*identity_rhs(row, ts), np.sqrt(sq / sq[0]) * mean)
 
 
 def decomposition_check(row: ArrayRow, t) -> IdentityReport:
@@ -274,16 +267,18 @@ def decomposition_check(row: ArrayRow, t) -> IdentityReport:
     ray, uses one core.  An entry's bits do not depend on the batch order
     or the thread count; the longest t of a ray equals its single-t call
     unless a shorter t's panels refine it, and every entry agrees with its
-    single-t call within both error estimates.  ``mean_bound`` is x_j
-    sum_k |mu_k(t_top)| per t of a ray, x_j = |t_j| / |t_top|, which is
-    sum_k |mu_k(t_j)|.
+    single-t call within both error estimates.  ``mean_bound`` is
+    sum_k |<t, E X_k>| per t: one per-cell sum of p x, then per t the one
+    <t, x> rule over the n cell means, so no (m, n) array is formed.
     """
     batch, is_batch = _as_batch(t, row.dimension)
     lhs = identity_lhs(row, batch)
     rays = _rays(batch)
-    rhs, err, mean = np.zeros(len(batch), np.complex128), np.zeros(len(batch)), np.zeros(len(batch))
-    for ray, (values, errors, means) in zip(rays, _fan_out(lambda r: _ray_rhs(row, batch[r]), rays)):
-        rhs[ray], err[ray], mean[ray] = values, errors, means
+    rhs, err = np.zeros(len(batch), np.complex128), np.zeros(len(batch))
+    for ray, (values, errors) in zip(rays, _fan_out(lambda r: identity_rhs(row, batch[r]), rays)):
+        rhs[ray], err[ray] = values, errors
+    means = row.per_cell_sum(row.probs[:, None] * row.points)
+    mean = np.array([np.sum(np.abs(_project(means, tvec))) for tvec in batch])
     # the builtin abs of a complex: np.abs may round |z| otherwise
     residual = np.array([abs(z) for z in lhs - rhs], dtype=np.float64)
     pick = slice(None) if is_batch else 0

@@ -1,12 +1,14 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import steinclt.bounds as bounds_module
+import steinclt.quadrature as quadrature_module
 import steinclt.util as util
 from oracles import identity_by_stein_route, identity_integrand_r_form, master_bound_oracle
 from steinclt import (
@@ -16,6 +18,7 @@ from steinclt import (
     ParameterError,
     ProductFamily,
     RademacherFamily,
+    RowValidationError,
     ShapeError,
     build_eta_row,
     build_product_row,
@@ -261,12 +264,13 @@ def identity_integrand(row, t):
 
     def capture(f, *args, **kwargs):
         seen.append(f)
-        return 0.0, 0.0
+        return np.zeros(1), np.zeros(1)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bounds_module, "integrate_unit", capture)
         identity_rhs(row, t)
-    return seen[0]
+    # a lone t is a ray of one: its integrand has one component column
+    return lambda s: seen[0](s)[:, 0]
 
 
 KERNEL_S = np.array([1e-12, 1e-8, 1e-4, 0.01, 0.5, 0.99])
@@ -365,9 +369,8 @@ def test_identity_rays_share_one_quadrature_at_any_thread_count_and_order(case):
         single = decomposition_check(row, t)
         one = decomposition_check(row, t[None, :])
         assert (one.rhs[0], one.quadrature_error[0]) == (single.rhs, single.quadrature_error)
-        if t @ t > 0.0:
-            values, errors = identity_rhs(row, t[None, :])
-            assert (values[0], errors[0]) == identity_rhs(row, t)
+        values, errors = identity_rhs(row, t[None, :])
+        assert (values[0], errors[0]) == identity_rhs(row, t)
         slack = table.quadrature_error[i] + single.quadrature_error + 16 * eps * (1 + float(t @ t))
         assert abs(table.rhs[i] - single.rhs) <= slack
 
@@ -379,6 +382,32 @@ def test_identity_rhs_takes_a_batch_only_on_one_ray():
     for batch in ([[0.6, 0.8], [0.8, 0.6]], [[0.6, 0.8], [-0.6, -0.8]], [[0.6, 0.8], [0.0, 0.0]]):
         with pytest.raises(ParameterError, match="one ray"):
             identity_rhs(row, batch)
+    # a lone t = 0 is a ray of one
+    values, errors = identity_rhs(row, [[0.0, 0.0]])
+    assert values.tolist() == [0.0] and errors.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("batch", [
+    [[3.16e-161], [1.9e-161]],
+    [[1e-200], [-1e-200], [3e-201]],
+    [[1e-320], [6e-321]],
+    [[0.6e-200, 0.8e-200], [0.18e-200, 0.24e-200]],
+])
+def test_a_ray_whose_squared_norms_underflow_is_one_quadrature(batch, monkeypatch):
+    # |t|^2 is subnormal or 0 here, so t/|t| is taken after scaling t by a
+    # power of two; unscaled, the directions were off by up to 1e-3
+    row = build_rademacher_row(3) if len(batch[0]) == 1 else build_product_row([build_rademacher_row(3)] * 2)
+    batch = np.array(batch)
+    positive = batch[:, 0] > 0.0
+    assert [sorted(ray.tolist()) for ray in bounds_module._rays(batch[positive])] == [
+        list(range(np.count_nonzero(positive)))]
+    values, errors = identity_rhs(row, batch[positive])
+    assert np.all(np.isfinite(values)) and np.all(np.isfinite(errors))
+    calls = []
+    monkeypatch.setattr(bounds_module, "integrate_unit",
+                        lambda *args, **kwargs: calls.append(1) or quadrature_module.integrate_unit(*args, **kwargs))
+    assert decomposition_check(row, batch).passed.all()
+    assert len(calls) == len(bounds_module._rays(batch)) == 1 + (not positive.all())
 
 
 def test_a_long_ray_is_cut_where_the_gaussian_factor_grows_too_large():
@@ -437,6 +466,44 @@ def test_identity_mean_bound_covers_cell_means_within_the_tolerance():
     assert np.allclose(report.mean_bound, [2.5e-10, 5e-10, 1e-9], rtol=1e-6)
     assert np.all(report.residual - report.mean_bound <= 10 * report.quadrature_error + 1e-13)
     assert decomposition_check(base, [[0.5], [2.0]]).mean_bound.tolist() == [0.0, 0.0]
+
+
+@st.composite
+def shifted_rows_and_t(draw):
+    """(row, t, u): an asymmetric row in dims 1-3 whose cells are shifted by
+    at most 3e-13 each, so its cell means are nonzero and still validate,
+    and two random t of norm at most 4."""
+    base = draw(centred_rows())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shift = rng.uniform(-1.0, 1.0, (base.n, base.dimension)) * 3e-13 / np.sqrt(base.dimension)
+    try:
+        row = ArrayRow(base.dimension, base.points + np.repeat(shift, np.diff(base.offsets), axis=0),
+                       base.probs, base.offsets)
+    except RowValidationError:
+        reject()
+    t, u = rng.uniform(-1.0, 1.0, (2, base.dimension)) * 4.0 / np.sqrt(base.dimension)
+    return row, t, u
+
+
+@settings(max_examples=20, deadline=None)
+@given(shifted_rows_and_t())
+def test_the_mean_bound_is_the_sum_of_cell_mean_projections_per_t(case):
+    # mean_bound is sum_k |<t, E X_k>| of each t itself, and the same bits
+    # in a batch as in the t's single call: t and 0.5 t share a ray, -t
+    # and 0 are lone t, and so is u in dims 2 and 3
+    row, t, u = case
+    batch = np.array([t, -t, 0.5 * t, np.zeros_like(t), u])
+    report = decomposition_check(row, batch)
+    eps = np.finfo(float).eps
+    for i, tvec in enumerate(batch):
+        d = row.project(tvec)
+        cells = np.split(row.probs * d, row.offsets[1:-1])
+        oracle = sum(abs(math.fsum(cell)) for cell in cells)
+        rounding = 16 * eps * float(row.probs @ (np.abs(row.points) @ np.abs(tvec)))
+        assert abs(report.mean_bound[i] - oracle) <= rounding
+        assert report.mean_bound[i] == decomposition_check(row, tvec).mean_bound
+    assert report.mean_bound[1] == report.mean_bound[0] and report.mean_bound[3] == 0.0
+    assert report.mean_bound[0] > 0.0
 
 
 def test_truncation_bound_examples():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import steinclt.charfn as charfn_module
@@ -531,6 +531,13 @@ def mirrored_cases(draw):
     return row, t, np.array([top, 0.6 * top])
 
 
+def _tiny_case(radius: float):
+    """A 1-D mirrored case at a radius whose |t|^2 is subnormal or 0."""
+    row = _mirrored_row([(2, True), (3, False), (4, True), (4, True)], 1, 3)
+    t = np.array([radius])
+    return row, t, np.array([t, 0.6 * t])
+
+
 def _all_bits(*values) -> list[np.ndarray]:
     """The uint64 bits of each value, complex parts apart, so zeros keep their sign."""
     return [np.atleast_1d(np.asarray(v, dtype=np.complex128)).view(np.uint64) for v in values]
@@ -538,6 +545,9 @@ def _all_bits(*values) -> list[np.ndarray]:
 
 @settings(max_examples=40, deadline=None)
 @given(mirrored_cases())
+@example(_tiny_case(3.16e-161))
+@example(_tiny_case(1e-200))
+@example(_tiny_case(1e-320))
 def test_mirrored_tiles_give_the_general_paths_bits(case):
     # the general path is forced by a parity check that finds no mirrored
     # tile; the bits are compared as uint64, since == cannot see the sign of

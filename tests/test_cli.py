@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -589,6 +592,19 @@ def test_a_radial_grid_agrees_with_its_single_t_calls():
         single = decomposition_check(row, t)
         slack = table.quadrature_error[i] + single.quadrature_error + 16 * eps * (1 + float(t @ t))
         assert abs(table.rhs[i] - single.rhs) <= slack
+
+
+def test_a_t_whose_squared_norm_overflows_is_a_non_finite_integrand():
+    # |t|^2 overflows to inf, and the ray's one upper limit stays exactly 1,
+    # so the quadrature sees the inf, not a limit outside [0, 1].  A process
+    # of its own: numpy's overflow warnings are errors under pytest
+    package = Path(decomposition_check.__code__.co_filename).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "from steinclt.cli import main; main()",
+         "identity", "--family", "rademacher", "--n", "4", "--t", "1e160"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(package)}, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "stein-clt: non-finite integrand value" in done.stderr
 
 
 @pytest.mark.parametrize("t", ["10", "12", "30"])
