@@ -94,12 +94,12 @@ def identity_lhs(row: ArrayRow, t):
 
 
 def _directions(batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """(|t|^2 / 4^e, t/|t|, e) per row of an (m, N) batch, 2^e the batch's
-    largest power of two of a max |t_i| (e = 0 for no nonzero t).  Each t
-    is scaled by the power of two of its max |t_i| before |t|^2 is added
-    in coordinate order, so t/|t| cannot underflow; the scaling is exact,
-    so a normal |t|^2 keeps its bits.  A t = 0 has direction 0 (+0.0 turns
-    a -0.0 coordinate into +0.0)."""
+    """(|t|^2 / 4^e, t/|t|, e) per row of an (m, N) batch, e the largest
+    frexp exponent of max_i |t_i| over its nonzero t (0 if none).  Each t
+    is scaled by the power of two of its own max_i |t_i| before |t|^2 is
+    added in coordinate order, so t/|t| neither underflows nor overflows;
+    the scaling is exact, so a normal |t|^2 keeps its bits.  A t = 0 has
+    direction 0 (+0.0 turns a -0.0 coordinate into +0.0)."""
     _, exps = np.frexp(np.max(np.abs(batch), axis=1))
     scaled = np.ldexp(batch, -exps[:, None])
     sq = sum((c * c for c in scaled.T), np.zeros(len(batch)))
