@@ -389,25 +389,21 @@ def test_identity_rhs_takes_a_batch_only_on_one_ray():
 
 @pytest.mark.parametrize("batch", [
     [[3.16e-161], [1.9e-161]],
-    [[1e-200], [-1e-200], [3e-201]],
+    [[1e-200], [3e-201]],
     [[1e-320], [6e-321]],
     [[0.6e-200, 0.8e-200], [0.18e-200, 0.24e-200]],
 ])
 def test_a_ray_whose_squared_norms_underflow_is_one_quadrature(batch, monkeypatch):
     # |t|^2 is subnormal or 0 here, so t/|t| is taken after scaling t by a
     # power of two; unscaled, the directions were off by up to 1e-3
-    row = build_rademacher_row(3) if len(batch[0]) == 1 else build_product_row([build_rademacher_row(3)] * 2)
+    row = build_product_row([build_rademacher_row(3)] * len(batch[0]))
     batch = np.array(batch)
-    positive = batch[:, 0] > 0.0
-    assert [sorted(ray.tolist()) for ray in bounds_module._rays(batch[positive])] == [
-        list(range(np.count_nonzero(positive)))]
-    values, errors = identity_rhs(row, batch[positive])
-    assert np.all(np.isfinite(values)) and np.all(np.isfinite(errors))
+    assert [ray.tolist() for ray in bounds_module._rays(batch)] == [[0, 1]]
     calls = []
     monkeypatch.setattr(bounds_module, "integrate_unit",
                         lambda *args, **kwargs: calls.append(1) or quadrature_module.integrate_unit(*args, **kwargs))
     assert decomposition_check(row, batch).passed.all()
-    assert len(calls) == len(bounds_module._rays(batch)) == 1 + (not positive.all())
+    assert len(calls) == 1
 
 
 def test_a_long_ray_is_cut_where_the_gaussian_factor_grows_too_large():

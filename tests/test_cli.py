@@ -598,7 +598,7 @@ def test_a_t_whose_squared_norm_overflows_is_a_non_finite_integrand():
     # |t|^2 overflows to inf, and the ray's one upper limit stays exactly 1,
     # so the quadrature sees the inf, not a limit outside [0, 1].  A process
     # of its own: numpy's overflow warnings are errors under pytest
-    package = Path(decomposition_check.__code__.co_filename).parents[1]
+    package = Path(bounds_module.__file__).parents[1]
     done = subprocess.run(
         [sys.executable, "-c", "from steinclt.cli import main; main()",
          "identity", "--family", "rademacher", "--n", "4", "--t", "1e160"],
